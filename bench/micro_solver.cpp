@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "gen/daggen.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse_lu.hpp"
@@ -15,23 +17,32 @@ namespace {
 
 using namespace cellstream;
 
-lp::SparseColumns random_sparse_matrix(std::size_t n, std::uint64_t seed) {
+// Diagonal in [2, 6] plus up to four entries in [-1, 1] at random rows
+// within `band` rows of the diagonal (anywhere in the column when
+// band >= n).
+lp::SparseColumns random_sparse_matrix(std::size_t n, std::uint64_t seed,
+                                       std::size_t band) {
   Rng rng(seed);
   lp::SparseColumns a(n);
   for (std::size_t j = 0; j < n; ++j) {
     a[j].push_back({j, rng.uniform(2.0, 6.0)});
+    const std::size_t first = j > band ? j - band : 0;
+    const std::size_t last = std::min(n - 1, j + band);
     for (int t = 0; t < 4; ++t) {
       const std::size_t r = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+          rng.uniform_int(static_cast<std::int64_t>(first),
+                          static_cast<std::int64_t>(last)));
       if (r != j) a[j].push_back({r, rng.uniform(-1.0, 1.0)});
     }
   }
   return a;
 }
 
+// Unstructured pattern: fill grows ~15x per 4x in n, so the factor's
+// cost is its arithmetic on the fill.
 void BM_SparseLuFactor(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const lp::SparseColumns a = random_sparse_matrix(n, 42);
+  const lp::SparseColumns a = random_sparse_matrix(n, 42, n);
   lp::SparseLu lu;
   for (auto _ : state) {
     benchmark::DoNotOptimize(lu.factor(a));
@@ -40,9 +51,23 @@ void BM_SparseLuFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuFactor)->Arg(256)->Arg(1024)->Arg(4096);
 
+// Entries within 8 rows of the diagonal: fill grows linearly in n, like
+// the simplex bases, so the per-factor time shows how the elimination
+// finds the columns to apply rather than the arithmetic.
+void BM_SparseLuFactorBanded(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const lp::SparseColumns a = random_sparse_matrix(n, 42, 8);
+  lp::SparseLu lu;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.factor(a));
+  }
+  state.counters["fill"] = static_cast<double>(lu.fill());
+}
+BENCHMARK(BM_SparseLuFactorBanded)->Arg(1024)->Arg(4096)->Arg(16384);
+
 void BM_SparseLuSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const lp::SparseColumns a = random_sparse_matrix(n, 42);
+  const lp::SparseColumns a = random_sparse_matrix(n, 42, n);
   lp::SparseLu lu;
   if (!lu.factor(a)) state.SkipWithError("singular");
   std::vector<double> b(n, 1.0);

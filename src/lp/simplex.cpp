@@ -114,11 +114,13 @@ struct IncrementalSimplex::Impl {
     return VarStatus::kFree;
   }
 
-  void reset_basis() {
+  // Install the all-slack basis: every structural column nonbasic at its
+  // natural bound, B = -I factored and the eta file dropped.  The slacks'
+  // values are left for the caller to set or recompute.
+  void install_slack_basis() {
     status.assign(ncols, VarStatus::kAtLower);
     basis_row.assign(ncols, kNoRow);
     basic_col.resize(m);
-    x.assign(ncols, 0.0);
     for (std::size_t j = 0; j < n_struct; ++j) {
       status[j] = natural_status(j);
       x[j] = nonbasic_value(j, status[j]);
@@ -129,9 +131,17 @@ struct IncrementalSimplex::Impl {
       basic_col[r] = slack;
       basis_row[slack] = r;
     }
-    // B consists of the slack columns (-I), trivially factorizable.
-    const bool factored = refactor();
-    CS_ASSERT(factored, "slack basis must factor");
+    etas.clear();
+    eta_nnz = 0;
+    SparseColumns slack_basis(m);
+    for (std::size_t r = 0; r < m; ++r) slack_basis[r] = {{r, -1.0}};
+    const bool ok = lu.factor(slack_basis);
+    CS_ASSERT(ok, "slack basis must factor");
+  }
+
+  void reset_basis() {
+    x.assign(ncols, 0.0);
+    install_slack_basis();
     basis_ready = true;
   }
 
@@ -199,22 +209,7 @@ struct IncrementalSimplex::Impl {
     eta_nnz = 0;
     if (lu.factor(basis)) return true;
     // Singular: fall back to the always-valid slack basis.
-    status.assign(ncols, VarStatus::kAtLower);
-    basis_row.assign(ncols, kNoRow);
-    for (std::size_t j = 0; j < n_struct; ++j) {
-      status[j] = natural_status(j);
-      x[j] = nonbasic_value(j, status[j]);
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t slack = n_struct + r;
-      status[slack] = VarStatus::kBasic;
-      basic_col[r] = slack;
-      basis_row[slack] = r;
-    }
-    SparseColumns slack_basis(m);
-    for (std::size_t r = 0; r < m; ++r) slack_basis[r] = {{r, -1.0}};
-    const bool ok = lu.factor(slack_basis);
-    CS_ASSERT(ok, "slack basis is singular?");
+    install_slack_basis();
     return false;
   }
 

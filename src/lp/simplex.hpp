@@ -8,10 +8,11 @@
 //  * Ranged rows `lo <= a.x <= up` become `a.x - s = 0` with a slack
 //    variable `s` bounded by the row range, so the right-hand side is the
 //    zero vector and an all-slack basis always exists.
-//  * The basis is factorized by the sparse Gilbert-Peierls LU in
-//    sparse_lu.hpp; pivots are applied as product-form (eta) updates, with
-//    periodic refactorization for numerical hygiene, so FTRAN/BTRAN cost
-//    scales with the factor's fill instead of m^2.
+//  * The basis is factorized by the reach-set sparse LU in sparse_lu.hpp;
+//    pivots are applied as product-form (eta) updates, with periodic
+//    refactorization for numerical hygiene.  FTRAN/BTRAN still make dense
+//    length-m passes over their vectors, so each costs O(m + fill + eta
+//    nonzeros), not O(m^2).
 //  * Phase 1 minimizes the sum of bound violations of basic variables
 //    (composite / infeasibility-gradient method, no artificial columns),
 //    which makes warm starts from a parent branch-and-bound node cheap.

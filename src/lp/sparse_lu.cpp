@@ -1,7 +1,9 @@
 #include "lp/sparse_lu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "support/error.hpp"
@@ -12,11 +14,9 @@ namespace {
 constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
 }
 
-bool SparseLu::factor(const SparseColumns& columns, double pivot_threshold) {
+bool SparseLu::factor(const SparseColumns& columns) {
   n_ = columns.size();
   ok_ = false;
-  CS_ENSURE(pivot_threshold > 0.0 && pivot_threshold <= 1.0,
-            "SparseLu: threshold outside (0, 1]");
 
   lower_.assign(n_, {});
   upper_.assign(n_, {});
@@ -36,6 +36,25 @@ bool SparseLu::factor(const SparseColumns& columns, double pivot_threshold) {
   std::vector<std::size_t> touched;       // nonzero original rows in work
   touched.reserve(64);
 
+  // Reach set of the current column: a bitmap over pivotal positions, with
+  // set bits only in words `lo`..`hi`.  A pivoted row's position is added
+  // whenever the row enters `touched` (goes from zero to nonzero in
+  // `work`), so every position with a nonzero multiplier is in the set.
+  // L column t only holds rows pivoted after t, so applying it adds
+  // positions above t: one upward scan that clears each bit it visits
+  // sees them all in ascending order and leaves the bitmap empty.
+  std::vector<std::uint64_t> reach((n_ + 63) / 64, 0);
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  const auto add_to_reach = [&](std::size_t row) {
+    const std::size_t pos = perm_row_[row];
+    if (pos == kUnassigned) return;
+    const std::size_t word = pos / 64;
+    reach[word] |= std::uint64_t{1} << (pos % 64);
+    lo = std::min(lo, word);
+    hi = std::max(hi, word);
+  };
+
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t col = perm_col_[k];
     CS_ENSURE(col < n_, "SparseLu: bad column index");
@@ -48,41 +67,46 @@ bool SparseLu::factor(const SparseColumns& columns, double pivot_threshold) {
       work[e.row] += e.value;
     }
 
-    // Sparse-ish lower solve: apply previous L columns in pivotal order.
-    // (A linear scan over earlier steps is O(n) per column; arithmetic is
-    // only done where the work vector is nonzero.)
-    for (std::size_t t = 0; t < k; ++t) {
+    // Sparse lower solve: apply the reached L columns in pivotal order.
+    lo = reach.size();
+    hi = 0;
+    for (std::size_t r : touched) add_to_reach(r);
+    for (std::size_t word = lo; word <= hi && word < reach.size();) {
+      if (reach[word] == 0) {
+        ++word;
+        continue;
+      }
+      const std::size_t t =
+          word * 64 + static_cast<std::size_t>(std::countr_zero(reach[word]));
+      reach[word] &= reach[word] - 1;
       const double alpha = work[inv_row_[t]];
       if (alpha == 0.0) continue;
       for (const MatrixEntry& e : lower_[t]) {
         // lower_ entries use original row ids during factorization.
-        if (work[e.row] == 0.0) touched.push_back(e.row);
+        if (work[e.row] == 0.0) {
+          touched.push_back(e.row);
+          add_to_reach(e.row);
+        }
         work[e.row] -= alpha * e.value;
       }
     }
 
-    // Pivot selection among not-yet-pivoted rows (threshold pivoting
-    // degenerates to strict partial pivoting at threshold 1).
-    double max_mag = 0.0;
-    for (std::size_t r : touched) {
-      if (perm_row_[r] != kUnassigned) continue;
-      max_mag = std::max(max_mag, std::abs(work[r]));
-    }
-    if (max_mag < 1e-12) {
-      for (std::size_t r : touched) work[r] = 0.0;
-      return false;  // structurally or numerically singular
-    }
+    // Strict partial pivoting among not-yet-pivoted rows; the first row in
+    // touched order wins a tie.
     std::size_t pivot = kUnassigned;
-    double pivot_mag = -1.0;
+    double pivot_mag = 0.0;
     for (std::size_t r : touched) {
       if (perm_row_[r] != kUnassigned) continue;
       const double mag = std::abs(work[r]);
-      if (mag >= pivot_threshold * max_mag && mag > pivot_mag) {
+      if (mag > pivot_mag) {
         pivot = r;
         pivot_mag = mag;
       }
     }
-    CS_ASSERT(pivot != kUnassigned, "SparseLu: no pivot above threshold");
+    if (pivot_mag < 1e-12) {
+      for (std::size_t r : touched) work[r] = 0.0;
+      return false;  // structurally or numerically singular
+    }
 
     diag_[k] = work[pivot];
     perm_row_[pivot] = k;

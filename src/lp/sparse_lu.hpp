@@ -1,17 +1,32 @@
 #pragma once
 // Sparse LU factorization for simplex basis matrices.
 //
-// Gilbert-Peierls left-looking LU with threshold partial pivoting: each
-// column of the factor is produced by a sparse triangular solve whose
-// nonzero pattern is discovered by depth-first reachability, so the cost
-// is proportional to the arithmetic actually performed — the property the
-// simplex engine needs, since Cell-mapping bases are extremely sparse
-// (a handful of nonzeros per column at thousands of rows).
+// Left-looking LU with strict partial pivoting.  Column k of the factor is
+// produced by a sparse lower-triangular solve on the scattered column
+// A(:, q[k]).  Only the L columns the column *reaches* are applied: the
+// reach set is seeded with the pivotal positions of the scattered rows and
+// grows through each applied L column's rows that are already pivoted.
+// Cell-mapping bases are extremely sparse (a handful of nonzeros per
+// column at thousands of rows), so a column's reach is tiny and the
+// factorization costs the arithmetic it performs plus a bitmap scan of
+// one bit per earlier position, not O(m^2) work-vector reads.
+//
+// The reached columns are applied in ascending pivotal order (a bitmap
+// over positions, scanned upward), not in the depth-first topological
+// order of Gilbert-Peierls.  Both orders are valid for the triangular
+// solve, but ascending order is the order of a dense scan over all
+// earlier columns, so every work-vector update happens in the same
+// sequence and rounds the same way: the factor, and every simplex pivot
+// path built on it, does not depend on how the reach is found.
+//
+// Pivoting: among the column's rows that are not yet pivoted, the largest
+// magnitude wins; on a tie the row that first became nonzero in the column
+// wins.  A column whose best magnitude is below 1e-12 makes the matrix
+// singular.
 //
 // The factorization is  L U = A[p, q]  with unit-diagonal L, row
-// permutation p chosen by threshold pivoting and column order q supplied
-// by the caller (the solver passes columns sorted by sparsity, a cheap
-// fill-reducing heuristic).
+// permutation p chosen by the pivoting rule and column order q chosen here
+// (columns sorted by nonzero count, a cheap fill-reducing heuristic).
 
 #include <cstddef>
 #include <vector>
@@ -29,10 +44,7 @@ using SparseColumns = std::vector<std::vector<MatrixEntry>>;
 class SparseLu {
  public:
   /// Factor the matrix; returns false if (numerically) singular.
-  /// `pivot_threshold` in (0, 1]: a pivot must be at least this fraction
-  /// of the largest eligible magnitude in its column (1.0 = strict
-  /// partial pivoting, smaller values trade stability for sparsity).
-  bool factor(const SparseColumns& columns, double pivot_threshold = 0.1);
+  bool factor(const SparseColumns& columns);
 
   bool ok() const { return ok_; }
   std::size_t dimension() const { return n_; }
@@ -57,7 +69,7 @@ class SparseLu {
   std::vector<std::vector<MatrixEntry>> upper_;  // per column, rows < col
   std::vector<double> diag_;                     // U diagonal
 
-  // perm_row_[original_row] = pivotal position; inverse_row_ is the
+  // perm_row_[original_row] = pivotal position; inv_row_ is the
   // inverse map.  Columns are processed in caller order via perm_col_.
   std::vector<std::size_t> perm_row_;
   std::vector<std::size_t> inv_row_;
