@@ -79,6 +79,42 @@ void BM_SparseLuSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuSolve)->Arg(1024)->Arg(4096);
 
+// Unit right-hand side e_{n/2} on the banded matrix, the shape of a
+// simplex FTRAN/BTRAN: the solves work on the reach of the right-hand
+// side (reported as "nnz", the solution's nonzeros), so apart from a few
+// streaming length-n passes their cost follows the reach, not n.
+template <bool kTranspose>
+void sparse_lu_solve_unit(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const lp::SparseColumns a = random_sparse_matrix(n, 42, 8);
+  lp::SparseLu lu;
+  if (!lu.factor(a)) state.SkipWithError("singular");
+  std::vector<double> b(n, 0.0);
+  b[n / 2] = 1.0;
+  std::vector<double> x(n);
+  for (auto _ : state) {
+    x = b;
+    if (kTranspose) {
+      lu.solve_transpose(x);
+    } else {
+      lu.solve(x);
+    }
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.counters["nnz"] = static_cast<double>(
+      std::count_if(x.begin(), x.end(), [](double v) { return v != 0.0; }));
+}
+
+void BM_SparseLuSolveUnit(benchmark::State& state) {
+  sparse_lu_solve_unit<false>(state);
+}
+BENCHMARK(BM_SparseLuSolveUnit)->Arg(1024)->Arg(4096)->Arg(16384);
+
+void BM_SparseLuSolveTransposeUnit(benchmark::State& state) {
+  sparse_lu_solve_unit<true>(state);
+}
+BENCHMARK(BM_SparseLuSolveTransposeUnit)->Arg(1024)->Arg(4096)->Arg(16384);
+
 lp::Problem mapping_lp(std::size_t tasks) {
   gen::DagGenParams params;
   params.task_count = tasks;

@@ -14,6 +14,14 @@ if [ "$1" = "tsan" ]; then
   exit $?
 fi
 
+# ./run_all.sh werror — warning-clean build: a separate build tree with
+# -DCELLSTREAM_WERROR=ON, so any compiler warning fails the build.
+if [ "$1" = "werror" ]; then
+  cmake -B build-werror -S . -DCELLSTREAM_WERROR=ON || exit 1
+  cmake --build build-werror -j "$(nproc)" || exit 1
+  exit 0
+fi
+
 ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
 ctest --test-dir build -L stats-smoke --output-on-failure 2>&1 \
   | tee /root/repo/stats_smoke_output.txt

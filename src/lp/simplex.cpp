@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace cellstream::lp {
@@ -30,6 +31,42 @@ struct SparseEntry {
   double value;
 };
 
+struct RowEntry {
+  std::size_t col;
+  double value;
+};
+
+// The indices of v's nonzero entries (NaN included) in ascending order,
+// written to `index` (sized like v).  Branch-free, so the scan costs the
+// same however the nonzeros are scattered.
+std::span<const std::size_t> nonzero_indices(const std::vector<double>& v,
+                                             std::vector<std::size_t>& index) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    index[count] = i;
+    count += v[i] != 0.0 ? 1 : 0;
+  }
+  return {index.data(), count};
+}
+
+// Tolerances must be finite and nonnegative (the pivot tolerance strictly
+// positive): pricing skips every column whose reduced cost is exactly
+// zero, and the ratio test every zero entry of w, which is only the same
+// as testing them when a zero can never pass a tolerance test.
+void validate(const SimplexOptions& o) {
+  const auto nonnegative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  CS_ENSURE(nonnegative(o.feasibility_tol),
+            "SimplexOptions: feasibility_tol must be finite and >= 0");
+  CS_ENSURE(nonnegative(o.optimality_tol),
+            "SimplexOptions: optimality_tol must be finite and >= 0");
+  CS_ENSURE(nonnegative(o.stall_progress_tol),
+            "SimplexOptions: stall_progress_tol must be finite and >= 0");
+  CS_ENSURE(std::isfinite(o.pivot_tol) && o.pivot_tol > 0.0,
+            "SimplexOptions: pivot_tol must be finite and > 0");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -44,7 +81,12 @@ struct IncrementalSimplex::Impl {
   std::size_t ncols = 0;   // n_struct + m
 
   std::vector<std::vector<SparseEntry>> cols;
+  // The same matrix row-wise, slacks included, for pricing: row r is
+  // row_entries[row_start[r] .. row_start[r+1]).
+  std::vector<std::size_t> row_start;
+  std::vector<RowEntry> row_entries;
   std::vector<double> lo, up, cost;  // per column
+  std::vector<std::size_t> cost_cols;  // columns with nonzero cost, ascending
   std::vector<VarStatus> status;     // per column
   std::vector<std::size_t> basic_col;   // per row: which column is basic
   std::vector<std::size_t> basis_row;   // per column: row if basic, else kNoRow
@@ -53,6 +95,7 @@ struct IncrementalSimplex::Impl {
   // Basis factorization: sparse LU of B refreshed periodically, bridged by
   // product-form (eta) updates in between.  B_k^{-1} = E_k ... E_1 B_0^{-1}.
   SparseLu lu;
+  SparseColumns basis_cols;  // factor input, reused across refactorizations
   struct Eta {
     std::size_t r;                 // pivot row of this update
     double wr;                     // w[r]
@@ -64,10 +107,15 @@ struct IncrementalSimplex::Impl {
   // Scratch buffers reused across iterations.
   std::vector<double> w, y, v;
   std::vector<double> grad;  // phase-1 gradient per row (-1/0/+1)
+  std::vector<std::size_t> w_index, y_index;  // nonzero_indices storage
+  std::span<const std::size_t> w_nonzeros;     // rows with w[i] != 0
+  std::vector<double> dj;  // reduced costs of priced columns; +0 at rest
+  IndexSet priced;         // columns pricing touched; empty at rest
 
   bool basis_ready = false;
 
   explicit Impl(const Problem& p, SimplexOptions options) : opts(options) {
+    validate(opts);
     n_struct = p.variable_count();
     m = p.row_count();
     ncols = n_struct + m;
@@ -79,13 +127,19 @@ struct IncrementalSimplex::Impl {
       lo[j] = p.var_lo(j);
       up[j] = p.var_up(j);
       cost[j] = p.cost(j);
+      if (cost[j] != 0.0) cost_cols.push_back(j);
     }
+    row_start.reserve(m + 1);
+    row_start.push_back(0);
     for (RowId r = 0; r < m; ++r) {
+      const std::size_t slack = n_struct + r;
       for (const Coefficient& c : p.row(r)) {
         cols[c.var].push_back({r, c.value});
+        row_entries.push_back({c.var, c.value});
       }
-      const std::size_t slack = n_struct + r;
       cols[slack].push_back({r, -1.0});
+      row_entries.push_back({slack, -1.0});
+      row_start.push_back(row_entries.size());
       lo[slack] = p.row_lo(r);
       up[slack] = p.row_up(r);
     }
@@ -93,6 +147,10 @@ struct IncrementalSimplex::Impl {
     y.resize(m);
     v.resize(m);
     grad.resize(m);
+    w_index.resize(m);
+    y_index.resize(m);
+    dj.assign(ncols, 0.0);
+    priced.reset(ncols);
     reset_basis();
   }
 
@@ -133,9 +191,9 @@ struct IncrementalSimplex::Impl {
     }
     etas.clear();
     eta_nnz = 0;
-    SparseColumns slack_basis(m);
-    for (std::size_t r = 0; r < m; ++r) slack_basis[r] = {{r, -1.0}};
-    const bool ok = lu.factor(slack_basis);
+    basis_cols.resize(m);
+    for (std::size_t r = 0; r < m; ++r) basis_cols[r].assign(1, {r, -1.0});
+    const bool ok = lu.factor(basis_cols);
     CS_ASSERT(ok, "slack basis must factor");
   }
 
@@ -146,7 +204,7 @@ struct IncrementalSimplex::Impl {
   }
 
   // out = B^{-1} * out (dense in/out): LU solve plus the eta file.
-  void apply_inverse(std::vector<double>& out) const {
+  void apply_inverse(std::vector<double>& out) {
     lu.solve(out);
     for (const Eta& e : etas) {
       const double t = out[e.r] / e.wr;
@@ -162,14 +220,14 @@ struct IncrementalSimplex::Impl {
   }
 
   // w = B^{-1} * column(j).
-  void ftran(std::size_t j, std::vector<double>& out) const {
+  void ftran(std::size_t j, std::vector<double>& out) {
     std::fill(out.begin(), out.end(), 0.0);
     for (const SparseEntry& e : cols[j]) out[e.row] += e.value;
     apply_inverse(out);
   }
 
   // y^T = g^T B^{-1}: apply eta transposes in reverse, then the LU.
-  void btran(const std::vector<double>& g, std::vector<double>& out) const {
+  void btran(const std::vector<double>& g, std::vector<double>& out) {
     out = g;
     for (auto it = etas.rbegin(); it != etas.rend(); ++it) {
       double dot = 0.0;
@@ -198,16 +256,16 @@ struct IncrementalSimplex::Impl {
   // Re-factorize the basis from scratch, dropping the eta file.  Returns
   // false (leaving the object on the all-slack basis) if singular.
   bool refactor() {
-    SparseColumns basis(m);
+    basis_cols.resize(m);
     for (std::size_t r = 0; r < m; ++r) {
-      basis[r].reserve(cols[basic_col[r]].size());
+      basis_cols[r].clear();
       for (const SparseEntry& e : cols[basic_col[r]]) {
-        basis[r].push_back({e.row, e.value});
+        basis_cols[r].push_back({e.row, e.value});
       }
     }
     etas.clear();
     eta_nnz = 0;
-    if (lu.factor(basis)) return true;
+    if (lu.factor(basis_cols)) return true;
     // Singular: fall back to the always-valid slack basis.
     install_slack_basis();
     return false;
@@ -233,26 +291,46 @@ struct IncrementalSimplex::Impl {
     return total;
   }
 
-  double reduced_cost(std::size_t j, bool phase1) const {
-    double d = phase1 ? 0.0 : cost[j];
-    for (const SparseEntry& e : cols[j]) d -= y[e.row] * e.value;
-    return d;
-  }
-
   struct Entering {
     std::size_t col = kNoRow;
     int dir = +1;  // +1: increase from lower/free, -1: decrease from upper.
     double score = 0.0;
   };
 
-  Entering price(bool phase1, bool bland) const {
+  // Row-wise pricing: d_j = c_j - y^T a_j accumulated only over the rows
+  // with y[i] != 0, in ascending row order.  A column's entries are in
+  // ascending row order too, so each d_j rounds exactly as the column-wise
+  // sum would; the terms skipped here have y[i] == +-0 and could only flip
+  // the sign of a zero d_j, which no tolerance test can see.  Every other
+  // column has d_j == c_j: it is a candidate only with nonzero cost in
+  // phase 2.  Basic columns never enter, so they are not accumulated.
+  // Candidates are scanned in ascending column order, so ties and Bland's
+  // rule pick the column a scan over all columns would.
+  Entering price(bool phase1, bool bland) {
+    if (!phase1) {
+      for (std::size_t j : cost_cols) {
+        dj[j] = cost[j];
+        priced.insert(j);
+      }
+    }
+    for (std::size_t i : nonzero_indices(y, y_index)) {
+      const double yi = y[i];
+      for (std::size_t k = row_start[i]; k < row_start[i + 1]; ++k) {
+        const RowEntry& e = row_entries[k];
+        if (status[e.col] == VarStatus::kBasic) continue;
+        dj[e.col] -= yi * e.value;
+        priced.insert(e.col);
+      }
+    }
     Entering best;
+    bool chosen = false;  // Bland: the lowest candidate is final
     const double tol = opts.optimality_tol;
-    for (std::size_t j = 0; j < ncols; ++j) {
+    priced.drain([&](std::size_t j) {
+      const double d = dj[j];
+      dj[j] = 0.0;
       const VarStatus s = status[j];
-      if (s == VarStatus::kBasic) continue;
-      if (lo[j] == up[j]) continue;  // fixed, never enters
-      const double d = reduced_cost(j, phase1);
+      if (chosen || s == VarStatus::kBasic) return;
+      if (lo[j] == up[j]) return;  // fixed, never enters
       double score = 0.0;
       int dir = 0;
       if (s == VarStatus::kAtLower && d < -tol) {
@@ -265,11 +343,15 @@ struct IncrementalSimplex::Impl {
         score = std::abs(d);
         dir = d < 0 ? +1 : -1;
       } else {
-        continue;
+        return;
       }
-      if (bland) return {j, dir, score};  // lowest index wins
-      if (score > best.score) best = {j, dir, score};
-    }
+      if (bland) {
+        best = {j, dir, score};  // lowest index wins
+        chosen = true;
+      } else if (score > best.score) {
+        best = {j, dir, score};
+      }
+    });
     return best;
   }
 
@@ -294,7 +376,7 @@ struct IncrementalSimplex::Impl {
     const double ptol = opts.pivot_tol;
     const double ftol = opts.feasibility_tol;
     double best_pivot_mag = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i : w_nonzeros) {
       const double wi = w[i];
       if (std::abs(wi) < ptol) continue;
       const std::size_t j = basic_col[i];
@@ -354,8 +436,7 @@ struct IncrementalSimplex::Impl {
   void pivot(std::size_t q, int dir, const Ratio& ratio) {
     const double t = ratio.t;
     // Move all basics.
-    for (std::size_t i = 0; i < m; ++i) {
-      if (w[i] == 0.0) continue;
+    for (std::size_t i : w_nonzeros) {
       x[basic_col[i]] -= static_cast<double>(dir) * t * w[i];
     }
     const double enter_val = x[q] + static_cast<double>(dir) * t;
@@ -388,10 +469,8 @@ struct IncrementalSimplex::Impl {
     Eta eta;
     eta.r = r;
     eta.wr = w[r];
-    eta.w.reserve(32);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (w[i] != 0.0) eta.w.push_back({i, w[i]});
-    }
+    eta.w.reserve(w_nonzeros.size());
+    for (std::size_t i : w_nonzeros) eta.w.push_back({i, w[i]});
     eta_nnz += eta.w.size();
     etas.push_back(std::move(eta));
   }
@@ -436,7 +515,8 @@ struct IncrementalSimplex::Impl {
       double merit = infeas;
       if (!phase1) {
         merit = 0.0;
-        for (std::size_t j = 0; j < n_struct; ++j) merit += cost[j] * x[j];
+        // A zero-cost term would add only a signed zero.
+        for (std::size_t j : cost_cols) merit += cost[j] * x[j];
       }
       if (phase1 != merit_ref_phase1 ||
           merit_ref - merit >
@@ -467,6 +547,7 @@ struct IncrementalSimplex::Impl {
       }
 
       ftran(enter.col, w);
+      w_nonzeros = nonzero_indices(w, w_index);
       const Ratio ratio = ratio_test(enter.col, enter.dir, phase1, bland);
       if (!std::isfinite(ratio.t)) {
         if (phase1) {

@@ -10,14 +10,23 @@
 //    zero vector and an all-slack basis always exists.
 //  * The basis is factorized by the reach-set sparse LU in sparse_lu.hpp;
 //    pivots are applied as product-form (eta) updates, with periodic
-//    refactorization for numerical hygiene.  FTRAN/BTRAN still make dense
-//    length-m passes over their vectors, so each costs O(m + fill + eta
-//    nonzeros), not O(m^2).
+//    refactorization for numerical hygiene.  FTRAN/BTRAN work on the reach
+//    of their right-hand side, so each costs O(reach + eta nonzeros) plus
+//    a few streaming length-m passes (seed scan, zero-image copy), not a
+//    gather/divide/scatter over every position.
+//  * Pricing is row-wise: reduced costs are accumulated over the rows
+//    where y = B^-T g is nonzero, using a row-wise copy of A, and only the
+//    columns that touches (plus those with nonzero cost in phase 2) are
+//    candidates.  The ratio test, basic update and eta construction walk
+//    the nonzeros of w = B^-1 a_q.  Every one of these gives the same
+//    result, bit for bit, as the dense loop it replaced, so the pivot path
+//    does not depend on the sparsity machinery.
 //  * Phase 1 minimizes the sum of bound violations of basic variables
 //    (composite / infeasibility-gradient method, no artificial columns),
 //    which makes warm starts from a parent branch-and-bound node cheap.
-//  * Dantzig pricing with a Bland's-rule fallback after a run of degenerate
-//    pivots guarantees termination.
+//  * Dantzig pricing, with a Bland's-rule fallback once `stall_limit`
+//    consecutive pivots make no measurable merit progress (see
+//    SimplexOptions), guarantees termination.
 
 #include <cstdint>
 #include <memory>
@@ -56,6 +65,8 @@ struct Basis {
   bool empty() const { return status.empty(); }
 };
 
+/// Tolerances must be finite and nonnegative, pivot_tol strictly positive;
+/// IncrementalSimplex (and so solve_lp) throws cellstream::Error otherwise.
 struct SimplexOptions {
   double feasibility_tol = 1e-7;  ///< Bound violation considered zero.
   double optimality_tol = 1e-7;   ///< Reduced-cost threshold.

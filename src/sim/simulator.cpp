@@ -582,13 +582,13 @@ void Simulator::issue(PeId pe, const Channel& channel) {
         const des::TransferId tid = start_edge_transfer(
             edges_[eid], pe, [this, eid, pe, proxy, t0, slot] {
         EdgeState& edge = edges_[eid];
-        const std::int64_t inst = finish_inflight(slot);
+        const std::int64_t landed = finish_inflight(slot);
         --edge.inflight;
         // Land the instance, then advance the contiguous frontier: under
         // injected retry stalls a later DMA can complete first, but the
         // consumer reads its cyclic buffer in order, so the data (and the
         // producer's slot) only unlock frontier-contiguously.
-        edge.landed_ooo.insert(inst);
+        edge.landed_ooo.insert(landed);
         edge.fetched = edge.landed_ooo.advance_frontier(edge.fetched);
         if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
         if (proxy) --pes_[edge.src].proxy_outstanding;
@@ -602,7 +602,7 @@ void Simulator::issue(PeId pe, const Channel& channel) {
           ev.src_pe = edge.src;
           ev.start = t0 * kSecondsPerTick;
           ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = inst;
+          ev.instance = landed;
           ev.edge = static_cast<std::int64_t>(eid);
           trace_.push_back(std::move(ev));
         }
@@ -646,11 +646,11 @@ void Simulator::issue(PeId pe, const Channel& channel) {
             memory_node(), pe, tasks_[tid].read_bytes,
             [this, tid, pe, t0, slot] {
         TaskState& task = tasks_[tid];
-        const std::int64_t inst = finish_inflight(slot);
+        const std::int64_t landed = finish_inflight(slot);
         --task.mem_inflight;
         // Same contiguous-frontier discipline as edge fetches: a stalled
         // read must not let a later one unlock this instance's compute.
-        task.mem_landed_ooo.insert(inst);
+        task.mem_landed_ooo.insert(landed);
         task.mem_fetched = task.mem_landed_ooo.advance_frontier(task.mem_fetched);
         if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
         if (opt_.record_trace) {
@@ -662,7 +662,7 @@ void Simulator::issue(PeId pe, const Channel& channel) {
           ev.src_pe = pe;
           ev.start = t0 * kSecondsPerTick;
           ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = inst;
+          ev.instance = landed;
           ev.task = static_cast<std::int64_t>(tid);
           trace_.push_back(std::move(ev));
         }
@@ -704,7 +704,7 @@ void Simulator::issue(PeId pe, const Channel& channel) {
             pe, memory_node(), tasks_[tid].write_bytes,
             [this, tid, pe, t0, slot] {
         TaskState& task = tasks_[tid];
-        const std::int64_t inst = finish_inflight(slot);
+        const std::int64_t landed = finish_inflight(slot);
         ++task.writes_done;
         if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
         if (opt_.record_trace) {
@@ -716,7 +716,7 @@ void Simulator::issue(PeId pe, const Channel& channel) {
           ev.src_pe = pe;
           ev.start = t0 * kSecondsPerTick;
           ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = inst;
+          ev.instance = landed;
           ev.task = static_cast<std::int64_t>(tid);
           trace_.push_back(std::move(ev));
         }

@@ -300,5 +300,74 @@ TEST(IncrementalSimplex, LoadBasisRejectsWrongShape) {
   EXPECT_EQ(solver.solve().status, SolveStatus::kOptimal);
 }
 
+Problem dantzig_example() {
+  Problem p;
+  const VarId x = p.add_variable(0, kInfinity, -3.0);
+  const VarId y = p.add_variable(0, kInfinity, -5.0);
+  p.add_row(-kInfinity, 4.0, {{x, 1.0}});
+  p.add_row(-kInfinity, 12.0, {{y, 2.0}});
+  p.add_row(-kInfinity, 18.0, {{x, 3.0}, {y, 2.0}});
+  return p;
+}
+
+TEST(SimplexOptions, RejectsNonFiniteOrNegativeTolerances) {
+  const Problem p = dantzig_example();
+  const double bad[] = {-1e-9, -kInfinity, kInfinity, std::nan("")};
+  for (double v : bad) {
+    SimplexOptions o;
+    o.feasibility_tol = v;
+    EXPECT_THROW((IncrementalSimplex{p, o}), Error) << "feasibility_tol " << v;
+    o = {};
+    o.optimality_tol = v;
+    EXPECT_THROW((IncrementalSimplex{p, o}), Error) << "optimality_tol " << v;
+    o = {};
+    o.stall_progress_tol = v;
+    EXPECT_THROW((IncrementalSimplex{p, o}), Error)
+        << "stall_progress_tol " << v;
+    EXPECT_THROW(solve_lp(p, o), Error);
+  }
+}
+
+TEST(SimplexOptions, RejectsNonPositivePivotTolerance) {
+  const Problem p = dantzig_example();
+  for (double v : {0.0, -0.0, -1e-8, kInfinity, std::nan("")}) {
+    SimplexOptions o;
+    o.pivot_tol = v;
+    EXPECT_THROW((IncrementalSimplex{p, o}), Error) << "pivot_tol " << v;
+  }
+}
+
+TEST(SimplexOptions, AcceptsZeroTolerancesAndEagerBland) {
+  // Zero tolerances are legal: a reduced cost of exactly 0 still never
+  // enters, so the solve ends at an optimum.  So are stall_limit = 0
+  // (Bland's rule after any pivot without progress) and the smallest
+  // useful refactor interval.
+  SimplexOptions o;
+  o.feasibility_tol = 0.0;
+  o.optimality_tol = 0.0;
+  o.stall_progress_tol = 0.0;
+  o.pivot_tol = 1e-300;
+  o.stall_limit = 0;
+  o.refactor_interval = 2;
+  const SimplexResult r = solve_lp(dantzig_example(), o);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, -36.0, 1e-8);
+}
+
+TEST(SimplexOptions, ZeroOptimalityToleranceStopsOnATiedOptimum) {
+  // max x + y  st  x + y <= 1: a whole edge is optimal, and at the first
+  // optimal vertex the other variable prices out at exactly 0.
+  Problem p;
+  const VarId x = p.add_variable(0, kInfinity, -1.0);
+  const VarId y = p.add_variable(0, kInfinity, -1.0);
+  p.add_row(-kInfinity, 1.0, {{x, 1.0}, {y, 1.0}});
+  SimplexOptions o;
+  o.optimality_tol = 0.0;
+  const SimplexResult r = solve_lp(p, o);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, -1.0, 1e-12);
+  EXPECT_EQ(r.iterations, 2u);  // one pivot, then the optimality check
+}
+
 }  // namespace
 }  // namespace cellstream::lp

@@ -442,5 +442,204 @@ TEST(SparseLu, DuplicateEntriesAreSummed) {
   EXPECT_NEAR(b[0], 2.0, 1e-12);
 }
 
+// ---------------------------------------------------------------------
+// Reach solves.  SparseLu solves only over the reach of the right-hand
+// side and gives every other position its zero image; the cases below
+// pin that the result still matches the dense solve bit for bit.
+
+// Solve `b` forward and transposed with both factors and require
+// bitwise-equal results.
+void expect_solves_bitwise_equal(SparseLu& lu, const DenseScanLu& reference,
+                                 const std::vector<double>& b) {
+  std::vector<double> x = b;
+  std::vector<double> x_ref = b;
+  lu.solve(x);
+  reference.solve(x_ref);
+  EXPECT_TRUE(bitwise_equal(x, x_ref));
+  std::vector<double> y = b;
+  std::vector<double> y_ref = b;
+  lu.solve_transpose(y);
+  reference.solve_transpose(y_ref);
+  EXPECT_TRUE(bitwise_equal(y, y_ref));
+}
+
+SparseColumns diagonal(const std::vector<double>& d) {
+  SparseColumns a(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) a[i] = {{i, d[i]}};
+  return a;
+}
+
+// Mostly +0.0 with a few -0.0 entries and a few values.
+std::vector<double> signed_zero_rhs(Rng& rng, std::size_t n) {
+  std::vector<double> b(n, 0.0);
+  for (double& v : b) {
+    if (rng.bernoulli(0.2)) v = -0.0;
+  }
+  for (int t = 0; t < 3; ++t) {
+    b[static_cast<std::size_t>(rng.uniform_int(0, n - 1))] =
+        rng.uniform(-5.0, 5.0);
+  }
+  return b;
+}
+
+TEST(SparseLuReach, NegativeZeroEntriesMatchDenseScan) {
+  for (int seed = 0; seed < 6; ++seed) {
+    Rng rng(random_seed(seed) + 3);
+    const SparseColumns a = random_sparse(rng, 120);
+    SparseLu lu;
+    DenseScanLu reference;
+    ASSERT_TRUE(lu.factor(a));
+    ASSERT_TRUE(reference.factor(a));
+    expect_solves_bitwise_equal(lu, reference, signed_zero_rhs(rng, 120));
+    expect_solves_bitwise_equal(lu, reference, std::vector<double>(120, -0.0));
+    std::vector<double> nan_rhs(120, 0.0);
+    nan_rhs[static_cast<std::size_t>(rng.uniform_int(0, 119))] = std::nan("");
+    expect_solves_bitwise_equal(lu, reference, nan_rhs);
+  }
+}
+
+TEST(SparseLuReach, NegativeZeroSeedChangesTheSignOfItsSolution) {
+  // On -I a -0.0 entry solves to +0.0 while a +0.0 entry solves to -0.0:
+  // a -0.0 entry must be part of the reach.
+  SparseLu lu;
+  ASSERT_TRUE(lu.factor(diagonal({-1.0, -1.0, -1.0})));
+  std::vector<double> b = {0.0, -0.0, 0.0};
+  lu.solve(b);
+  EXPECT_TRUE(std::signbit(b[0]));
+  EXPECT_FALSE(std::signbit(b[1]));
+  EXPECT_TRUE(std::signbit(b[2]));
+}
+
+TEST(SparseLuReach, ZeroValuedPositionStillMarksItsReaders) {
+  // Pivots: position 0 = column 2 (row 2), position 1 = column 0 (row 0,
+  // diagonal -2, L entry 0.5 at row 1), position 2 = column 1 (row 1).
+  // The -0.0 in c reaches only position 2, whose value stays -0.0; the L^T
+  // step of position 1 reads it and turns its own -0.0 into +0.0, so a
+  // zero-valued position must still mark the positions that read it.
+  SparseColumns a(3);
+  a[0] = {{0, -2.0}, {1, -1.0}};
+  a[1] = {{1, 3.0}, {2, 1.0}};
+  a[2] = {{2, 1.0}};
+  SparseLu lu;
+  DenseScanLu reference;
+  ASSERT_TRUE(lu.factor(a));
+  ASSERT_TRUE(reference.factor(a));
+  const std::vector<double> c = {0.0, -0.0, 0.0};
+  expect_solves_bitwise_equal(lu, reference, c);
+  std::vector<double> y = c;
+  lu.solve_transpose(y);
+  EXPECT_FALSE(std::signbit(y[0]));
+}
+
+TEST(SparseLuReach, AllPositiveZeroRhsTakesTheZeroImages) {
+  for (int seed = 0; seed < 6; ++seed) {
+    Rng rng(random_seed(seed) + 5);
+    const SparseColumns a = random_sparse(rng, 120);
+    SparseLu lu;
+    DenseScanLu reference;
+    ASSERT_TRUE(lu.factor(a));
+    ASSERT_TRUE(reference.factor(a));
+    expect_solves_bitwise_equal(lu, reference, std::vector<double>(120, 0.0));
+  }
+  // -I: every +0.0 position solves to -0.0, forward and transposed.
+  SparseLu lu;
+  ASSERT_TRUE(lu.factor(diagonal(std::vector<double>(5, -1.0))));
+  std::vector<double> x(5, 0.0);
+  lu.solve(x);
+  std::vector<double> y(5, 0.0);
+  lu.solve_transpose(y);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_TRUE(std::signbit(x[i]) && x[i] == 0.0);
+    EXPECT_TRUE(std::signbit(y[i]) && y[i] == 0.0);
+  }
+}
+
+TEST(SparseLuReach, UnitRhsOnNegatedIdentityAndMixedSignDiagonal) {
+  const std::vector<std::vector<double>> diagonals = {
+      std::vector<double>(7, -1.0),
+      {2.0, -3.0, 0.5, -0.25, 4.0, -1.0, 1.0}};
+  for (const std::vector<double>& d : diagonals) {
+    const SparseColumns a = diagonal(d);
+    SparseLu lu;
+    DenseScanLu reference;
+    ASSERT_TRUE(lu.factor(a));
+    ASSERT_TRUE(reference.factor(a));
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      std::vector<double> e(d.size(), 0.0);
+      e[i] = 1.0;
+      expect_solves_bitwise_equal(lu, reference, e);
+      e[i] = -1.0;
+      expect_solves_bitwise_equal(lu, reference, e);
+    }
+  }
+}
+
+TEST(SparseLuReach, RepeatedSolvesRestoreTheScratch) {
+  // One factor, many alternating forward and transpose solves: a solve
+  // that left scratch behind would corrupt the next one.
+  Rng rng(23);
+  const std::size_t n = 150;
+  const SparseColumns a = random_sparse(rng, n);
+  SparseLu lu;
+  DenseScanLu reference;
+  ASSERT_TRUE(lu.factor(a));
+  ASSERT_TRUE(reference.factor(a));
+  std::vector<std::vector<double>> rhs;
+  std::vector<double> dense(n);
+  for (double& v : dense) v = rng.uniform(-10.0, 10.0);
+  rhs.push_back(dense);
+  for (std::size_t i : {std::size_t{0}, n / 3, n - 1}) {
+    std::vector<double> e(n, 0.0);
+    e[i] = 1.0;
+    rhs.push_back(std::move(e));
+  }
+  rhs.push_back(std::vector<double>(n, 0.0));
+  rhs.push_back(signed_zero_rhs(rng, n));
+  for (int round = 0; round < 3; ++round) {
+    for (const std::vector<double>& b : rhs) {
+      expect_solves_bitwise_equal(lu, reference, b);
+    }
+    std::reverse(rhs.begin(), rhs.end());
+  }
+}
+
+TEST(SparseLuReach, RefactorToAnotherSizeAndAfterASingularFactor) {
+  SparseLu lu;
+  Rng rng(29);
+  for (std::size_t n : {std::size_t{120}, std::size_t{37}, std::size_t{260}}) {
+    const SparseColumns a = random_sparse(rng, n);
+    DenseScanLu reference;
+    ASSERT_TRUE(lu.factor(a));
+    ASSERT_TRUE(reference.factor(a));
+    EXPECT_EQ(lu.dimension(), n);
+    std::vector<double> e(n, 0.0);
+    e[n / 2] = 1.0;
+    expect_solves_bitwise_equal(lu, reference, e);
+    expect_solves_bitwise_equal(lu, reference, signed_zero_rhs(rng, n));
+  }
+
+  // A factor that fails part-way leaves the object unusable until the
+  // next successful factor, which solves like a fresh object.
+  SparseColumns singular(4);
+  singular[0] = {{0, 1.0}, {1, 2.0}};
+  singular[1] = {{2, 1.0}};
+  singular[2] = {{0, 2.0}, {1, 4.0}};  // 2 * column 0
+  singular[3] = {{3, 1.0}};
+  EXPECT_FALSE(lu.factor(singular));
+  std::vector<double> b(4, 1.0);
+  EXPECT_THROW(lu.solve(b), Error);
+  EXPECT_THROW(lu.solve_transpose(b), Error);
+
+  const SparseColumns a = random_sparse(rng, 90);
+  DenseScanLu reference;
+  ASSERT_TRUE(lu.factor(a));
+  ASSERT_TRUE(reference.factor(a));
+  std::vector<double> dense(90);
+  for (double& v : dense) v = rng.uniform(-10.0, 10.0);
+  expect_solves_bitwise_equal(lu, reference, dense);
+  expect_solves_bitwise_equal(lu, reference, std::vector<double>(90, 0.0));
+  expect_solves_bitwise_equal(lu, reference, signed_zero_rhs(rng, 90));
+}
+
 }  // namespace
 }  // namespace cellstream::lp
