@@ -2,10 +2,12 @@
 // --json support for the bench binaries.
 //
 // Each binary can append one machine-readable section to a shared
-// document (BENCH_sim.json by default), so running the binaries in any
-// order accumulates a single file with one top-level key per bench.
-// docs/PERFORMANCE.md documents the schema; the bench-smoke ctest runs
-// micro_sim --json at a reduced scale and schema-checks the output.
+// document (BENCH_sim.json by default; micro_runtime writes
+// BENCH_runtime.json), so running the binaries in any order accumulates a
+// single file with one top-level key per bench.
+// docs/PERFORMANCE.md documents the schema; the bench-smoke ctests run
+// micro_sim --json and micro_runtime --json at a reduced scale and
+// schema-check the output.
 
 #include <chrono>
 #include <fstream>
@@ -18,13 +20,14 @@
 
 namespace cellstream::bench {
 
-/// Path following a `--json` flag, the default "BENCH_sim.json" when the
-/// flag is bare, or "" when the flag is absent (text-only mode).
-inline std::string json_output_path(int argc, char** argv) {
+/// Path following a `--json` flag, `fallback` when the flag is bare, or ""
+/// when the flag is absent (text-only mode).
+inline std::string json_output_path(int argc, char** argv,
+                                    const char* fallback = "BENCH_sim.json") {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) != "--json") continue;
     if (i + 1 < argc && argv[i + 1][0] != '-') return argv[i + 1];
-    return "BENCH_sim.json";
+    return fallback;
   }
   return "";
 }

@@ -1,6 +1,24 @@
 #!/bin/sh
 set -x
 
+# Build trees and logs live next to this script, whatever the working
+# directory it was started from.
+HERE=$(cd "$(dirname "$0")" && pwd)
+cd "$HERE" || exit 1
+
+# run_logged <log> <command...>: run the command, show its output and copy
+# it to $HERE/<log>, and return the command's own exit status (a plain
+# `command | tee` would return tee's).
+run_logged() {
+  log="$HERE/$1"
+  shift
+  status_file=$(mktemp) || return 1
+  { "$@" 2>&1; echo $? > "$status_file"; } | tee "$log"
+  status=$(cat "$status_file")
+  rm -f "$status_file"
+  return "$status"
+}
+
 # ./run_all.sh tsan — ThreadSanitizer sweep of the concurrent code paths
 # (parallel branch-and-bound workers, host runtime PE threads, scenario
 # batch runner): separate instrumented build tree, then the unit +
@@ -8,9 +26,23 @@ set -x
 if [ "$1" = "tsan" ]; then
   cmake -B build-tsan -S . -DCELLSTREAM_TSAN=ON || exit 1
   cmake --build build-tsan -j "$(nproc)" || exit 1
-  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS}" \
-    ctest --test-dir build-tsan -L 'unit|property' --output-on-failure \
-    2>&1 | tee /root/repo/tsan_output.txt
+  export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS}"
+  run_logged tsan_output.txt \
+    ctest --test-dir build-tsan -L 'unit|property' --output-on-failure
+  exit $?
+fi
+
+# ./run_all.sh stress — race hunt on the lock-free host runtime: the
+# HostRuntime and FailoverRuntime tests under TSan (same build-tsan tree),
+# each repeated until it fails, at most 50 times.  A race shows up only
+# on the interleaving that exposes it, so one clean pass proves little.
+if [ "$1" = "stress" ]; then
+  cmake -B build-tsan -S . -DCELLSTREAM_TSAN=ON || exit 1
+  cmake --build build-tsan -j "$(nproc)" || exit 1
+  export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS}"
+  run_logged stress_output.txt \
+    ctest --test-dir build-tsan -R 'HostRuntime|FailoverRuntime' \
+    --repeat until-fail:50 -j "$(nproc)" --output-on-failure
   exit $?
 fi
 
@@ -22,15 +54,25 @@ if [ "$1" = "werror" ]; then
   exit 0
 fi
 
-ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
-ctest --test-dir build -L stats-smoke --output-on-failure 2>&1 \
-  | tee /root/repo/stats_smoke_output.txt
-ctest --test-dir build -L fault-smoke --output-on-failure 2>&1 \
-  | tee /root/repo/fault_smoke_output.txt
-ctest --test-dir build -L bench-smoke --output-on-failure 2>&1 \
-  | tee /root/repo/bench_smoke_output.txt
-build/examples/cellstream_fuzz --smoke 2>&1 | tee /root/repo/fuzz_output.txt
-for b in build/bench/*; do
-  [ -x "$b" ] && [ -f "$b" ] || continue
-  case "$b" in (*micro*) "$b" --benchmark_min_time=0.2 ;; (*) "$b" ;; esac
-done 2>&1 | tee /root/repo/bench_output.txt
+rc=0
+run_logged test_output.txt ctest --test-dir build || rc=1
+run_logged stats_smoke_output.txt \
+  ctest --test-dir build -L stats-smoke --output-on-failure || rc=1
+run_logged fault_smoke_output.txt \
+  ctest --test-dir build -L fault-smoke --output-on-failure || rc=1
+run_logged bench_smoke_output.txt \
+  ctest --test-dir build -L bench-smoke --output-on-failure || rc=1
+run_logged fuzz_output.txt build/examples/cellstream_fuzz --smoke || rc=1
+run_benches() {
+  benches_rc=0
+  for b in build/bench/*; do
+    [ -x "$b" ] && [ -f "$b" ] || continue
+    case "$b" in
+      (*micro*) "$b" --benchmark_min_time=0.2 || benches_rc=1 ;;
+      (*) "$b" || benches_rc=1 ;;
+    esac
+  done
+  return "$benches_rc"
+}
+run_logged bench_output.txt run_benches || rc=1
+exit "$rc"

@@ -1,8 +1,9 @@
 #include "runtime/host_runtime.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <iomanip>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/dataflow.hpp"
 #include "fault/injector.hpp"
 #include "fault/remap.hpp"
 
@@ -19,45 +21,74 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Data written by different threads sits on different cache lines, so one
+/// worker's stores do not invalidate the line another worker is reading.
+constexpr std::size_t kCacheLine = 64;
+
+constexpr std::size_t kNotSink = static_cast<std::size_t>(-1);
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-struct EdgeChannel {
-  std::int64_t capacity = 0;  // packets (analysis buffer depth)
-  std::int64_t base = 0;      // stream index of packets.front()
-  std::int64_t produced = 0;  // total packets ever pushed
-  std::int64_t consumed = 0;  // packets fully used by the consumer
+/// One edge: a fixed ring of `depth` packets (the analysis' buff_{k,l} in
+/// instances) between one producer and one consumer.  The packet of
+/// instance j lives in slots[j % depth].  Only the producer's worker stores
+/// `produced`, only the consumer's stores `consumed`; the readiness rule
+/// keeps the live window [consumed, produced) within `depth` slots, so the
+/// producer never overwrites a packet the consumer may still read.
+struct alignas(kCacheLine) EdgeRing {
+  // Set at construction.
+  std::vector<Packet> slots;
+  std::int64_t depth = 0;
+  // The producer's line.
+  alignas(kCacheLine) std::atomic<std::int64_t> produced{0};
   std::int64_t max_occupancy = 0;
-  std::deque<Packet> packets;
+  // The consumer's line.
+  alignas(kCacheLine) std::atomic<std::int64_t> consumed{0};
 
-  const Packet* packet_at(std::int64_t instance) const {
-    if (instance < base) return nullptr;  // already discarded (bug guard)
-    const auto offset = static_cast<std::size_t>(instance - base);
-    return offset < packets.size() ? &packets[offset] : nullptr;
+  Packet& slot(std::int64_t instance) {
+    return slots[static_cast<std::size_t>(instance % depth)];
   }
 };
 
-struct TaskState {
+/// Per-task state.  Only the worker of the task's PE touches it; a failover
+/// hands it to another worker while every worker is parked.
+struct alignas(kCacheLine) TaskState {
   std::int64_t next_instance = 0;
   int peek = 0;
+  std::size_t sink = kNotSink;    // index into Runtime::sink_done_
   std::vector<EdgeId> in_edges;   // graph order
   std::vector<EdgeId> out_edges;  // graph order
-  // Telemetry attribution, recomputed on every remap: an edge whose
-  // endpoints sit on different PEs crosses both interfaces (producer out,
-  // consumer in); a PE-local edge touches neither.
+  // Placement-derived, recomputed on every remap.  An edge whose endpoints
+  // sit on different PEs crosses both interfaces (producer out, consumer
+  // in); a PE-local edge touches neither.
   std::vector<bool> in_remote;
   std::vector<bool> out_remote;
+  /// The other PEs at the far end of this task's edges: a commit changes
+  /// their `produced` or `consumed`, so these are the workers it may wake.
+  std::vector<PeId> peers;
+  /// The body's argument, shaped once and refilled on every execution.
+  TaskInputs inputs;
 };
 
-/// Worker-thread-confined telemetry.  Workers touch only their own copy
-/// while running and publish it exactly once at exit (Recorder::flush_pe
-/// under the runtime mutex), so telemetry adds no contention and no
-/// torn reads to the hot path.
-struct WorkerLocal {
+/// One worker's state.  The doorbell is written by peers; everything after
+/// it is the worker's own, read by another thread only after the join
+/// (the heartbeat excepted, which the watchdog samples).
+struct alignas(kCacheLine) Worker {
+  /// Bit 0 is set while the worker sleeps on it; every ring adds 2.
+  std::atomic<std::uint32_t> bell{0};
+  /// Progress events (selections, commits, failover steps) so far.
+  alignas(kCacheLine) std::atomic<std::uint64_t> heartbeat{0};
+  std::size_t cursor = 0;  // round-robin position in the PE's task list
   obs::PeCounters counters;
   std::vector<obs::TraceEvent> trace;
   fault::FaultStats faults;
+};
+
+/// Instances committed by one sink task; stored only by its worker.
+struct alignas(kCacheLine) SinkCount {
+  std::atomic<std::int64_t> committed{0};
 };
 
 class Runtime {
@@ -69,7 +100,11 @@ class Runtime {
         platform_(analysis.platform()),
         mapping_(mapping),
         tasks_(tasks),
-        opt_(options) {
+        opt_(options),
+        edges_(graph_.edge_count()),
+        states_(graph_.task_count()),
+        workers_(platform_.pe_count()),
+        sink_done_(graph_.sinks().size()) {
     CS_ENSURE(opt_.instances >= 1, "run_stream: empty stream");
     CS_ENSURE(opt_.wall_timeout_seconds > 0.0, "run_stream: no time budget");
     CS_ENSURE(tasks.size() == graph_.task_count(),
@@ -88,28 +123,28 @@ class Runtime {
       hang_fired_.assign(opt_.fault_plan->hangs.size(), 0);
     }
 
-    edges_.resize(graph_.edge_count());
     for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-      edges_[e].capacity = analysis.buffer_depth(e);
+      edges_[e].depth = analysis.buffer_depth(e);
+      edges_[e].slots.resize(static_cast<std::size_t>(edges_[e].depth));
     }
-    states_.resize(graph_.task_count());
-    for (TaskId t : graph_.topological_order()) {
+    std::size_t sinks = 0;
+    for (TaskId t = 0; t < graph_.task_count(); ++t) {
       TaskState& state = states_[t];
       state.peek = graph_.task(t).peek;
       state.in_edges = graph_.in_edges(t);
       state.out_edges = graph_.out_edges(t);
+      if (state.out_edges.empty()) state.sink = sinks++;
+      state.inputs.stream_length = opt_.instances;
+      state.inputs.inputs.assign(
+          state.in_edges.size(),
+          std::vector<const Packet*>(static_cast<std::size_t>(state.peek) + 1));
     }
-    pe_dead_.assign(platform_.pe_count(), 0);
-    heartbeat_.assign(platform_.pe_count(), -1.0);
-    rebuild_placement_locked();
-    recorder_.reset(platform_.pe_count(), obs::TimeDomain::kWall);
+    stamps_.assign(static_cast<std::size_t>(opt_.instances), 0.0);
+    rebuild_placement();
   }
 
   RunStats run() {
     start_ = Clock::now();
-    last_progress_ = start_;
-    watchdog_ = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(opt_.wall_timeout_seconds));
     // With a fail-stop in the plan every PE gets a worker: an idle PE may
     // inherit remapped tasks mid-stream.
     const bool spawn_all = injector_ && injector_->has_pe_failure();
@@ -117,25 +152,28 @@ class Runtime {
     for (PeId pe = 0; pe < pe_tasks_.size(); ++pe) {
       if (spawn_all || !pe_tasks_[pe].empty()) spawn.push_back(pe);
     }
-    active_workers_ = spawn.size();
-    std::vector<std::thread> workers;
-    workers.reserve(spawn.size());
+    active_ = spawn.size();
+    std::vector<std::thread> threads;
+    threads.reserve(spawn.size());
     try {
       for (PeId pe : spawn) {
-        workers.emplace_back([this, pe] { worker(pe); });
+        threads.emplace_back([this, pe] { worker(pe); });
       }
     } catch (...) {
-      // Thread spawn failed mid-way.  Flag the error so already-running
-      // workers drain, then fall through to the joins below; letting the
-      // exception unwind past a vector of joinable threads would call
-      // std::terminate.
-      {
-        std::lock_guard<std::mutex> guard(mutex_);
-        if (failure_ == nullptr) failure_ = std::current_exception();
-      }
-      cv_.notify_all();
+      // Thread spawn failed mid-way.  Stop the workers already running and
+      // fall through to the joins; letting the exception unwind past a
+      // vector of joinable threads would call std::terminate.
+      std::lock_guard<std::mutex> guard(control_);
+      active_ -= spawn.size() - threads.size();
+      fail_locked(std::current_exception());
     }
-    for (std::thread& w : workers) w.join();
+    try {
+      watch(spawn);
+    } catch (...) {
+      std::lock_guard<std::mutex> guard(control_);
+      fail_locked(std::current_exception());
+    }
+    for (std::thread& t : threads) t.join();
     if (failure_) std::rethrow_exception(failure_);
     CS_ENSURE(!timed_out_,
               "run_stream: watchdog — no progress for " +
@@ -150,214 +188,275 @@ class Runtime {
     stats.max_buffer_occupancy.reserve(edges_.size());
     stats.edge_produced.reserve(edges_.size());
     stats.edge_delivered.reserve(edges_.size());
-    for (const EdgeChannel& edge : edges_) {
+    for (const EdgeRing& edge : edges_) {
       stats.max_buffer_occupancy.push_back(edge.max_occupancy);
-      stats.edge_produced.push_back(edge.produced);
-      stats.edge_delivered.push_back(edge.consumed);
+      stats.edge_produced.push_back(edge.produced.load());
+      stats.edge_delivered.push_back(edge.consumed.load());
     }
-    stats.tasks_executed = tasks_executed_;
-    // All workers have joined, so every flush has happened; no lock needed.
-    recorder_.set_elapsed(stats.wall_seconds);
-    stats.counters = recorder_.take();
-    stats.trace = std::move(trace_);
+    // Every worker has joined: merge their telemetry.
+    obs::Recorder recorder(platform_.pe_count(), obs::TimeDomain::kWall);
+    for (PeId pe : spawn) {
+      const Worker& w = workers_[pe];
+      recorder.flush_pe(pe, w.counters);
+      stats.tasks_executed += w.counters.tasks_executed;
+      stats.trace.insert(stats.trace.end(), w.trace.begin(), w.trace.end());
+      faults_.merge(w.faults);
+    }
+    recorder.set_elapsed(stats.wall_seconds);
+    stats.counters = recorder.take();
+    // Each frontier step read the clock after its compare-exchange, so two
+    // steps racing may have stamped out of order; an instance is complete
+    // no later than its successor, hence the running maximum.
+    for (std::size_t i = 1; i < stamps_.size(); ++i) {
+      stamps_[i] = std::max(stamps_[i], stamps_[i - 1]);
+    }
+    stats.counters.instance_completion = std::move(stamps_);
     stats.faults = faults_;
     stats.final_mapping = mapping_;
     return stats;
   }
 
  private:
-  bool runnable_locked(TaskId t) const {
-    const TaskState& state = states_[t];
+  double wall_now() const { return seconds_between(start_, Clock::now()); }
+
+  /// Count one progress event of this worker for the watchdog.
+  static void beat(Worker& self) {
+    self.heartbeat.store(self.heartbeat.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+  }
+
+  /// The dataflow readiness rule (core/dataflow.hpp) on the rings.  The
+  /// acquire loads make the producer's packet, and the consumer's last read
+  /// of a slot about to be reused, happen before this worker's access.
+  bool runnable(const TaskState& state, std::memory_order order) const {
     const std::int64_t i = state.next_instance;
     if (i >= opt_.instances) return false;
-    const std::int64_t need = std::min<std::int64_t>(
-        i + state.peek + 1, opt_.instances);
+    const std::int64_t need =
+        dataflow::inputs_needed(i, state.peek, opt_.instances);
     for (EdgeId e : state.in_edges) {
-      if (edges_[e].produced < need) return false;
+      if (edges_[e].produced.load(order) < need) return false;
     }
     for (EdgeId e : state.out_edges) {
-      const EdgeChannel& edge = edges_[e];
-      if (edge.produced - edge.consumed >= edge.capacity) return false;
+      const EdgeRing& edge = edges_[e];
+      if (!dataflow::has_free_slot(
+              edge.produced.load(std::memory_order_relaxed),
+              edge.consumed.load(order), edge.depth)) {
+        return false;
+      }
     }
     return true;
   }
 
-  // Build the peek window of input packet pointers; valid without the lock
-  // while this task runs because only the consumer advances `consumed`
-  // (std::deque::push_back does not invalidate element references).
-  TaskInputs gather_locked(TaskId t) const {
-    const TaskState& state = states_[t];
-    TaskInputs in;
+  /// Next runnable task of `pe`, round-robin for fairness.  pe_tasks_ is
+  /// re-read every time: a failover remap may have changed it.
+  std::optional<TaskId> select(PeId pe, Worker& self) {
+    const std::vector<TaskId>& assigned = pe_tasks_[pe];
+    for (std::size_t probe = 0; probe < assigned.size(); ++probe) {
+      const std::size_t at = (self.cursor + probe) % assigned.size();
+      if (runnable(states_[assigned[at]], std::memory_order_acquire)) {
+        self.cursor = (at + 1) % assigned.size();
+        return assigned[at];
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Whether a worker about to sleep has anything to do.  Every load is
+  /// seq_cst: see sleep().
+  bool has_work(PeId pe) const {
+    if (stop_.load() || barrier_.load() || frontier_.load() >= opt_.instances) {
+      return true;
+    }
+    for (TaskId t : pe_tasks_[pe]) {
+      if (runnable(states_[t], std::memory_order_seq_cst)) return true;
+    }
+    return false;
+  }
+
+  /// Sleep on this worker's doorbell until a peer rings it.  No wake-up is
+  /// lost: setting the asleep bit, the recheck in has_work(), a committer's
+  /// store of `produced`/`consumed` and its test of the bit in wake() are
+  /// all seq_cst, so either the committer sees the bit and rings, or the
+  /// recheck sees the commit.  Control events (stop, barrier, stream end)
+  /// ring every doorbell unconditionally after setting their flag.
+  void sleep(PeId pe) {
+    std::atomic<std::uint32_t>& bell = workers_[pe].bell;
+    const std::uint32_t armed = bell.fetch_add(1) + 1;
+    if (!has_work(pe)) bell.wait(armed);
+    bell.fetch_sub(1);
+  }
+
+  /// Ring `pe`'s doorbell if its worker is asleep.
+  void wake(PeId pe) {
+    std::atomic<std::uint32_t>& bell = workers_[pe].bell;
+    if ((bell.load() & 1u) == 0) return;
+    bell.fetch_add(2);
+    bell.notify_one();
+  }
+
+  void ring_all() {
+    for (Worker& w : workers_) {
+      w.bell.fetch_add(2);
+      w.bell.notify_one();
+    }
+  }
+
+  /// (Re)derive placement state from mapping_: per-PE task lists in
+  /// topological order, and the remote flags and wake-up peers of every
+  /// task.  Used at construction and again at the failover barrier.
+  void rebuild_placement() {
+    pe_tasks_.assign(platform_.pe_count(), {});
+    for (TaskId t : graph_.topological_order()) {
+      TaskState& state = states_[t];
+      const PeId here = mapping_.pe_of(t);
+      state.in_remote.clear();
+      state.out_remote.clear();
+      state.peers.clear();
+      const auto link = [&](std::vector<bool>& remote, PeId other) {
+        remote.push_back(other != here);
+        if (other != here && std::find(state.peers.begin(), state.peers.end(),
+                                       other) == state.peers.end()) {
+          state.peers.push_back(other);
+        }
+      };
+      for (EdgeId e : state.in_edges) {
+        link(state.in_remote, mapping_.pe_of(graph_.edge(e).from));
+      }
+      for (EdgeId e : state.out_edges) {
+        link(state.out_remote, mapping_.pe_of(graph_.edge(e).to));
+      }
+      pe_tasks_[here].push_back(t);
+    }
+  }
+
+  /// Fill the task's peek window with pointers into its input rings.
+  TaskInputs& gather(TaskState& state) {
+    TaskInputs& in = state.inputs;
     in.instance = state.next_instance;
-    in.stream_length = opt_.instances;
-    in.inputs.resize(state.in_edges.size());
     for (std::size_t k = 0; k < state.in_edges.size(); ++k) {
-      const EdgeChannel& edge = edges_[state.in_edges[k]];
-      in.inputs[k].resize(static_cast<std::size_t>(state.peek) + 1);
+      EdgeRing& edge = edges_[state.in_edges[k]];
       for (int d = 0; d <= state.peek; ++d) {
-        in.inputs[k][d] = edge.packet_at(in.instance + d);
+        const std::int64_t j = in.instance + d;
+        in.inputs[k][static_cast<std::size_t>(d)] =
+            j < opt_.instances ? &edge.slot(j) : nullptr;
       }
     }
     return in;
   }
 
-  double wall_now_locked() const {
-    return seconds_between(start_, Clock::now());
-  }
-
-  /// Rearm the watchdog and stamp this worker's heartbeat.  Called on
-  /// every task selection, commit and failover step — the progress events
-  /// that distinguish a live stream from a stalled one.
-  void progress_locked(PeId pe) {
-    last_progress_ = Clock::now();
-    heartbeat_[pe] = wall_now_locked();
-  }
-
-  /// (Re)derive placement state from mapping_: per-PE task lists in
-  /// topological order and the remote flags of every task's edges.  Used
-  /// at construction and again after a failover remap.
-  void rebuild_placement_locked() {
-    pe_tasks_.assign(platform_.pe_count(), {});
-    for (TaskId t : graph_.topological_order()) {
-      TaskState& state = states_[t];
-      state.in_remote.clear();
-      state.in_remote.reserve(state.in_edges.size());
-      for (EdgeId e : state.in_edges) {
-        state.in_remote.push_back(mapping_.pe_of(graph_.edge(e).from) !=
-                                  mapping_.pe_of(t));
-      }
-      state.out_remote.clear();
-      state.out_remote.reserve(state.out_edges.size());
-      for (EdgeId e : state.out_edges) {
-        state.out_remote.push_back(mapping_.pe_of(graph_.edge(e).to) !=
-                                   mapping_.pe_of(t));
-      }
-      pe_tasks_[mapping_.pe_of(t)].push_back(t);
-    }
-  }
-
-  std::string stall_diagnostics_locked() const {
-    std::ostringstream out;
-    out << done_count_ << "/" << opt_.instances
-        << " instances complete; heartbeats:";
-    const double now = wall_now_locked();
-    for (PeId pe = 0; pe < heartbeat_.size(); ++pe) {
-      if (heartbeat_[pe] < 0.0) continue;  // worker never progressed
-      out << " " << platform_.pe_name(pe) << "=" << std::fixed
-          << std::setprecision(2) << (now - heartbeat_[pe]) << "s-ago";
-    }
-    if (remap_pending_) {
-      out << "; failover drain in progress (failed "
-          << platform_.pe_name(dead_pe_) << ", " << parked_ << "/"
-          << (active_workers_ == 0 ? 0 : active_workers_ - 1)
-          << " workers parked)";
-    }
-    return out.str();
-  }
-
-  /// Park-or-trip wait: sleeps until notified or the watchdog window past
-  /// the last progress event elapses.  On a genuine quiet window (no
-  /// progress since the deadline was computed) flags the stall for every
-  /// worker and captures the diagnostics.
-  void wait_watchdog(std::unique_lock<std::mutex>& lock) {
-    const Clock::time_point deadline = last_progress_ + watchdog_;
-    if (cv_.wait_until(lock, deadline) != std::cv_status::timeout) return;
-    if (timed_out_ || failure_ != nullptr) return;
-    if (done_count_ >= opt_.instances) return;
-    // The wait timing out is not enough: a peer may have progressed (and
-    // rearmed the deadline) while this worker slept through its own stale
-    // deadline.  Only a window with NO progress anywhere is a stall.
-    if (Clock::now() < last_progress_ + watchdog_) return;
-    timed_out_ = true;
-    stall_detail_ = stall_diagnostics_locked();
-    cv_.notify_all();
-  }
-
-  void commit_locked(PeId pe, TaskId t, std::vector<Packet>&& outputs,
-                     WorkerLocal& local) {
+  void commit(Worker& self, TaskId t, std::vector<Packet>&& outputs) {
     TaskState& state = states_[t];
     CS_ENSURE(outputs.size() == state.out_edges.size(),
               "run_stream: task '" + graph_.task(t).name + "' returned " +
                   std::to_string(outputs.size()) + " packets for " +
                   std::to_string(state.out_edges.size()) + " output edges");
+    const std::int64_t i = state.next_instance;
     for (std::size_t k = 0; k < state.out_edges.size(); ++k) {
-      EdgeChannel& edge = edges_[state.out_edges[k]];
+      EdgeRing& edge = edges_[state.out_edges[k]];
       // A cross-PE packet leaves through the producer's out interface.
       if (state.out_remote[k]) {
-        local.counters.bytes_out += static_cast<double>(outputs[k].size());
+        self.counters.bytes_out += static_cast<double>(outputs[k].size());
       }
-      edge.packets.push_back(std::move(outputs[k]));
-      ++edge.produced;
-      edge.max_occupancy =
-          std::max(edge.max_occupancy, edge.produced - edge.consumed);
+      edge.slot(i) = std::move(outputs[k]);
+      edge.max_occupancy = std::max(
+          edge.max_occupancy,
+          i + 1 - edge.consumed.load(std::memory_order_relaxed));
+      edge.produced.store(i + 1);
     }
-    const std::int64_t i = state.next_instance;
     // The instance-i packet of every cross-PE input just arrived through
     // this (consumer) PE's in interface; in the receiver-reads protocol
-    // the consumer also issued the transfer.
+    // the consumer also issued the transfer.  Read before the slot is
+    // released below.
     for (std::size_t k = 0; k < state.in_edges.size(); ++k) {
       if (!state.in_remote[k]) continue;
-      const Packet* packet = edges_[state.in_edges[k]].packet_at(i);
-      if (packet != nullptr) {
-        local.counters.bytes_in += static_cast<double>(packet->size());
-      }
-      ++local.counters.transfers_issued;
+      self.counters.bytes_in +=
+          static_cast<double>(edges_[state.in_edges[k]].slot(i).size());
+      ++self.counters.transfers_issued;
     }
-    ++state.next_instance;
-    ++tasks_executed_;
-    // Instances <= i of every input are no longer needed: retire them,
+    // Instances <= i of every input are no longer needed: release them,
     // keeping the peek window [i+1, i+peek] alive.
-    for (EdgeId e : state.in_edges) {
-      EdgeChannel& edge = edges_[e];
-      edge.consumed = i + 1;
-      while (edge.base < edge.consumed && !edge.packets.empty()) {
-        edge.packets.pop_front();
-        ++edge.base;
-      }
+    for (EdgeId e : state.in_edges) edges_[e].consumed.store(i + 1);
+    state.next_instance = i + 1;
+    if (state.sink != kNotSink) {
+      sink_done_[state.sink].committed.store(i + 1);
+      advance_frontier();
     }
-    // Instance stamps: instance i is complete once every task has moved
-    // past it.  Only a commit can advance that frontier, so stepping it
-    // here (under the lock) stamps each instance exactly once.
-    while (done_count_ < opt_.instances) {
-      bool complete = true;
-      for (const TaskState& s : states_) {
-        if (s.next_instance <= done_count_) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) break;
-      recorder_.on_instance_complete(wall_now_locked());
-      ++done_count_;
-    }
-    progress_locked(pe);
+    for (PeId peer : state.peers) wake(peer);
+    beat(self);
   }
 
-  /// Fail-stop trigger (runs on the dying PE's worker, under the lock):
-  /// mark the PE dead and open the drain barrier.  The trigger worker
-  /// becomes the failover coordinator.
-  void begin_failover_locked(PeId pe) {
-    pe_dead_[pe] = 1;
+  /// Instance completion without a scan of every task: each sink commits
+  /// in stream order and every task reaches a sink, so every instance below
+  /// the smallest sink count is complete.  The worker whose
+  /// compare-exchange moves the frontier stamps the instances it moved it
+  /// past, so each instance is stamped exactly once.
+  void advance_frontier() {
+    std::int64_t low = opt_.instances;
+    for (const SinkCount& sink : sink_done_) {
+      low = std::min(low, sink.committed.load());
+    }
+    std::int64_t from = frontier_.load();
+    while (from < low) {
+      if (!frontier_.compare_exchange_weak(from, low)) continue;
+      std::fill(stamps_.begin() + from, stamps_.begin() + low, wall_now());
+      // Stream complete: wake every sleeping worker so it can leave.
+      if (low == opt_.instances) ring_all();
+      return;
+    }
+  }
+
+  /// Record the run's first failure and stop every worker.
+  void fail_locked(std::exception_ptr failure) {
+    if (failure_ == nullptr) failure_ = failure;
+    stop_locked();
+  }
+
+  void stop_locked() {
+    stop_.store(true);
+    control_cv_.notify_all();
+    ring_all();
+  }
+
+  /// Fail-stop trigger, on the dying PE's worker: raise the failover
+  /// barrier and ring every doorbell so each peer parks at its next
+  /// task boundary.  The trigger worker becomes the coordinator.
+  void begin_failover(PeId pe) {
+    std::lock_guard<std::mutex> guard(control_);
     dead_pe_ = pe;
-    remap_pending_ = true;
     drain_start_ = Clock::now();
-    cv_.notify_all();
+    barrier_.store(true);
+    ring_all();
+  }
+
+  /// The failover epoch barrier.  Peers park here between tasks, so every
+  /// ring and task state is at a consistent cut; the coordinator waits for
+  /// all of them, remaps the orphans, rebuilds placement (remote flags and
+  /// wake-up targets) and releases them.  Returns false when the calling
+  /// worker must leave (its PE is dead, or the run stopped).
+  bool drain(PeId pe) {
+    std::unique_lock<std::mutex> lock(control_);
+    if (pe == dead_pe_) {
+      control_cv_.wait(lock, [&] { return stop_ || parked_ + 1 >= active_; });
+      if (stop_) return false;
+      perform_failover_locked();
+      barrier_.store(false);
+      control_cv_.notify_all();
+      return false;
+    }
+    // Parking is NOT progress: a drain stuck behind a hung body still
+    // trips the watchdog.
+    ++parked_;
+    control_cv_.notify_all();  // the coordinator recounts the barrier
+    control_cv_.wait(lock, [&] { return stop_ || !barrier_; });
+    --parked_;
+    return !stop_;
   }
 
   /// Coordinator body, entered once every other live worker is parked:
-  /// remap the orphans, account the migration, resume the stream.  The
-  /// caller still holds the lock; peers are woken by the caller.
+  /// remap the orphans, account the migration, rebuild placement.
   void perform_failover_locked() {
-    Mapping post;
-    try {
-      post = fault::remap_after_failure(analysis_, mapping_, {dead_pe_},
-                                        opt_.failover_strategy);
-    } catch (...) {
-      // Unsurvivable loss (e.g. the only PPE).  Clear the barrier so
-      // parked peers drain via the failure flag the worker frame sets.
-      remap_pending_ = false;
-      throw;
-    }
+    Mapping post = fault::remap_after_failure(analysis_, mapping_, {dead_pe_},
+                                              opt_.failover_strategy);
     // Migration volume: every moved task's buffer region must be
     // re-established at its new host, and the packets currently buffered
     // on edges with a moved endpoint cross the interface once more.
@@ -373,128 +472,130 @@ class Runtime {
           post.pe_of(edge.to) == mapping_.pe_of(edge.to)) {
         continue;
       }
-      for (const Packet& packet : edges_[e].packets) {
-        faults_.migrated_bytes += static_cast<double>(packet.size());
+      EdgeRing& ring = edges_[e];
+      for (std::int64_t j = ring.consumed.load(); j < ring.produced.load();
+           ++j) {
+        faults_.migrated_bytes += static_cast<double>(ring.slot(j).size());
       }
     }
     mapping_ = std::move(post);
-    rebuild_placement_locked();
+    rebuild_placement();
     ++faults_.failovers;
     faults_.failed_pe = static_cast<std::int64_t>(dead_pe_);
     faults_.fail_instance = injector_->fail_instance();
-    faults_.downtime_seconds +=
-        seconds_between(drain_start_, Clock::now());
-    failover_done_ = true;
-    remap_pending_ = false;
-    progress_locked(dead_pe_);
+    faults_.downtime_seconds += seconds_between(drain_start_, Clock::now());
+    beat(workers_[dead_pe_]);
+  }
+
+  /// The progress watchdog, on the calling thread while the workers run.
+  /// It samples every worker's heartbeat each tick; progress anywhere
+  /// rearms the window, and one quiet window stops the run and records
+  /// which workers stalled.  Worker exits notify it, so it returns as soon
+  /// as the last worker leaves.
+  void watch(const std::vector<PeId>& spawn) {
+    const auto window = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(opt_.wall_timeout_seconds));
+    const Clock::duration tick =
+        std::clamp<Clock::duration>(window / 8, std::chrono::milliseconds(1),
+                                    std::chrono::milliseconds(50));
+    std::vector<std::uint64_t> seen(spawn.size(), 0);
+    std::vector<Clock::time_point> seen_at(spawn.size(), start_);
+    Clock::time_point last_progress = start_;
+    std::unique_lock<std::mutex> lock(control_);
+    while (active_ > 0) {
+      control_cv_.wait_for(lock, tick);
+      const Clock::time_point now = Clock::now();
+      for (std::size_t w = 0; w < spawn.size(); ++w) {
+        const std::uint64_t beats =
+            workers_[spawn[w]].heartbeat.load(std::memory_order_relaxed);
+        if (beats == seen[w]) continue;
+        seen[w] = beats;
+        seen_at[w] = now;
+        last_progress = now;
+      }
+      if (active_ == 0 || stop_ || now - last_progress < window) continue;
+      timed_out_ = true;
+      stall_detail_ = stall_diagnostics_locked(spawn, seen, seen_at, now);
+      stop_locked();
+    }
+  }
+
+  std::string stall_diagnostics_locked(
+      const std::vector<PeId>& spawn, const std::vector<std::uint64_t>& seen,
+      const std::vector<Clock::time_point>& seen_at,
+      Clock::time_point now) const {
+    std::ostringstream out;
+    out << frontier_.load() << "/" << opt_.instances
+        << " instances complete; heartbeats:";
+    for (std::size_t w = 0; w < spawn.size(); ++w) {
+      if (seen[w] == 0) continue;  // worker never progressed
+      out << " " << platform_.pe_name(spawn[w]) << "=" << std::fixed
+          << std::setprecision(2) << seconds_between(seen_at[w], now)
+          << "s-ago";
+    }
+    if (barrier_) {
+      out << "; failover drain in progress (failed "
+          << platform_.pe_name(dead_pe_) << ", " << parked_ << "/"
+          << (active_ == 0 ? 0 : active_ - 1) << " workers parked)";
+    }
+    return out.str();
   }
 
   // Top-level worker frame: nothing may escape a std::thread body, so any
-  // exception the loop leaks (task code, packet gathering under memory
-  // pressure, even the wait itself) is recorded as the run's first failure
-  // and every peer is woken to drain.  run() joins all workers and then
-  // rethrows that first failure.
-  //
-  // This frame is also the worker's single exit point, so the telemetry
-  // flush below runs exactly once per worker whether the loop completed
-  // the stream, drained after a peer's failure, or threw itself —
-  // Recorder::flush_pe asserts that exactly-once contract.
+  // exception the loop leaks (task code, a wrong output arity, a failed
+  // remap) is recorded as the run's first failure and every peer is
+  // stopped.  run() joins all workers and then rethrows that failure.
   void worker(PeId pe) {
-    WorkerLocal local;
     try {
-      worker_loop(pe, local);
+      worker_loop(pe);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> guard(mutex_);
-        if (failure_ == nullptr) failure_ = std::current_exception();
-      }
-      cv_.notify_all();
+      std::lock_guard<std::mutex> guard(control_);
+      fail_locked(std::current_exception());
     }
-    std::lock_guard<std::mutex> guard(mutex_);
-    --active_workers_;
-    cv_.notify_all();  // drain-barrier arithmetic may have changed
-    faults_.merge(local.faults);
-    recorder_.flush_pe(pe, local.counters);
-    trace_.insert(trace_.end(), local.trace.begin(), local.trace.end());
+    std::lock_guard<std::mutex> guard(control_);
+    --active_;
+    control_cv_.notify_all();  // the watchdog and the barrier recount
   }
 
-  void worker_loop(PeId pe, WorkerLocal& local) {
-    std::size_t cursor = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
+  void worker_loop(PeId pe) {
+    Worker& self = workers_[pe];
     while (true) {
-      if (timed_out_ || failure_ != nullptr) return;
-      if (done_count_ >= opt_.instances) return;
-
-      if (remap_pending_) {
-        if (pe == dead_pe_) {
-          // Coordinator: wait for every other live worker to park at the
-          // drain barrier, then execute the remap.
-          if (parked_ + 1 >= active_workers_) {
-            perform_failover_locked();
-            cv_.notify_all();
-            continue;  // next iteration sees pe_dead_ and exits
-          }
-          wait_watchdog(lock);
-          continue;
-        }
-        // Peer: park until the coordinator finishes (or the run aborts).
-        // Parking is NOT progress — a drain stuck behind a hung body
-        // still trips the watchdog.
-        ++parked_;
-        cv_.notify_all();  // the coordinator recounts the barrier
-        while (remap_pending_ && !timed_out_ && failure_ == nullptr) {
-          wait_watchdog(lock);
-        }
-        --parked_;
+      if (stop_.load(std::memory_order_acquire)) return;
+      if (barrier_.load(std::memory_order_acquire)) {
+        if (!drain(pe)) return;
         continue;
       }
+      if (frontier_.load(std::memory_order_acquire) >= opt_.instances) return;
 
-      if (pe_dead_[pe]) return;
-
-      // Find a runnable task, round-robin for fairness.  pe_tasks_ is
-      // re-read every iteration: a failover remap may have changed it.
-      const std::vector<TaskId>& assigned = pe_tasks_[pe];
-      TaskId chosen = 0;
-      bool found = false;
-      for (std::size_t probe = 0; probe < assigned.size(); ++probe) {
-        const TaskId t = assigned[(cursor + probe) % assigned.size()];
-        if (runnable_locked(t)) {
-          chosen = t;
-          cursor = (cursor + probe + 1) % assigned.size();
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        wait_watchdog(lock);
+      const std::optional<TaskId> chosen = select(pe, self);
+      if (!chosen) {
+        sleep(pe);
         continue;
       }
-
-      const std::int64_t instance = states_[chosen].next_instance;
+      TaskState& state = states_[*chosen];
+      const std::int64_t instance = state.next_instance;
 
       // Permanent fail-stop: this PE refuses every instance past the fail
       // index; instances below it (pipeline stragglers) still complete so
       // the drain cut stays consistent.
-      if (injector_ && !failover_done_ &&
-          injector_->fail_stop(pe, instance)) {
-        begin_failover_locked(pe);
+      if (injector_ && injector_->fail_stop(pe, instance)) {
+        begin_failover(pe);
         continue;
       }
+      beat(self);
 
-      progress_locked(pe);
-
-      // Deterministic transient faults for this execution, drawn under
-      // the lock (the hang latch is shared state), served after unlock.
+      // Deterministic transient faults for this execution.  The injector
+      // is pure, and a hang spec names one PE, so its one-shot latch is
+      // only ever touched by this worker.
       double dma_backoff = 0.0;
       double hang_stall = 0.0;
       double slow_factor = 1.0;
       if (injector_) {
-        const TaskState& state = states_[chosen];
         for (std::size_t k = 0; k < state.in_edges.size(); ++k) {
           if (!state.in_remote[k]) continue;
           dma_backoff += injector_->dma_delay(
               fault::FaultInjector::TransferKind::kEdge, state.in_edges[k],
-              instance, &local.faults.dma_retries);
+              instance, &self.faults.dma_retries);
         }
         slow_factor = injector_->compute_factor(pe, instance);
         const std::size_t hang = injector_->hang_index(pe, instance);
@@ -504,55 +605,49 @@ class Runtime {
         }
       }
 
-      TaskInputs inputs = gather_locked(chosen);
-      lock.unlock();
-      // If the task (or the re-lock) throws, the unique_lock is released
-      // by unwinding and worker() records the failure (and still flushes
-      // whatever `local` accumulated so far).
+      const TaskInputs& inputs = gather(state);
       if (dma_backoff > 0.0) {
         // The consumer-side fetch of this instance's remote inputs hit
         // the plan's retry/backoff sequence; data is delayed, never lost.
-        local.faults.backoff_seconds += dma_backoff;
+        self.faults.backoff_seconds += dma_backoff;
         std::this_thread::sleep_for(
             std::chrono::duration<double>(dma_backoff));
       }
       const auto body_start = Clock::now();
-      std::vector<Packet> outputs = tasks_[chosen](inputs);
+      std::vector<Packet> outputs = tasks_[*chosen](inputs);
       const auto body_end = Clock::now();
       const double body_seconds = seconds_between(body_start, body_end);
       double injected = hang_stall;
       if (slow_factor > 1.0) {
         const double slow = (slow_factor - 1.0) * body_seconds;
         injected += slow;
-        local.faults.slowdown_seconds += slow;
+        self.faults.slowdown_seconds += slow;
       }
       if (hang_stall > 0.0) {
-        ++local.faults.hangs;
-        local.faults.hang_seconds += hang_stall;
+        ++self.faults.hangs;
+        self.faults.hang_seconds += hang_stall;
       }
       if (injected > 0.0) {
         // Injected stall is overhead, not compute: the occupation
         // cross-check compares nominal work against the model.
-        local.counters.overhead_seconds += injected;
+        self.counters.overhead_seconds += injected;
         std::this_thread::sleep_for(std::chrono::duration<double>(injected));
       }
-      ++local.counters.tasks_executed;
-      local.counters.compute_seconds += body_seconds;
+      ++self.counters.tasks_executed;
+      self.counters.compute_seconds += body_seconds;
       if (opt_.record_trace) {
         obs::TraceEvent event;
         event.kind = obs::TraceEvent::Kind::kCompute;
-        event.name = graph_.task(chosen).name;
+        event.name = graph_.task(*chosen).name;
         event.pe = pe;
         event.src_pe = pe;
         event.start = seconds_between(start_, body_start);
         event.end = seconds_between(start_, body_end);
-        event.instance = inputs.instance;
-        event.task = static_cast<std::int64_t>(chosen);
-        local.trace.push_back(std::move(event));
+        event.instance = instance;
+        event.task = static_cast<std::int64_t>(*chosen);
+        self.trace.push_back(std::move(event));
       }
-      lock.lock();
-      commit_locked(pe, chosen, std::move(outputs), local);
-      cv_.notify_all();
+      commit(self, *chosen, std::move(outputs));
     }
   }
 
@@ -562,36 +657,35 @@ class Runtime {
   Mapping mapping_;  // by value: a failover remap rewrites it mid-run
   const std::vector<TaskFunction>& tasks_;
   RunOptions opt_;
-
-  std::vector<EdgeChannel> edges_;
-  std::vector<TaskState> states_;
-  std::vector<std::vector<TaskId>> pe_tasks_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
   Clock::time_point start_{};
-  Clock::time_point last_progress_{};
-  Clock::duration watchdog_{};
+
+  // Data plane: no lock.  Each field's owner is given at its type.
+  std::vector<EdgeRing> edges_;
+  std::vector<TaskState> states_;
+  std::vector<Worker> workers_;             // indexed by PE
+  std::vector<std::vector<TaskId>> pe_tasks_;  // rewritten at the barrier
+  std::vector<SinkCount> sink_done_;
+  std::atomic<std::int64_t> frontier_{0};  // instances complete
+  std::vector<double> stamps_;             // completion stamp per instance
+  std::atomic<bool> stop_{false};          // set under control_
+  std::atomic<bool> barrier_{false};       // set and cleared under control_
+
+  // Fault machinery.  The injector is pure; each hang latch belongs to the
+  // worker of the PE its spec names.
+  std::optional<fault::FaultInjector> injector_;
+  std::vector<char> hang_fired_;
+
+  // Control plane: first failure, failover barrier, watchdog.
+  std::mutex control_;
+  std::condition_variable control_cv_;
+  std::size_t active_ = 0;  // workers not yet exited
+  std::size_t parked_ = 0;  // peers waiting at the failover barrier
+  PeId dead_pe_ = static_cast<PeId>(-1);
+  Clock::time_point drain_start_{};
+  fault::FaultStats faults_;  // failover fields; workers' merged at the end
+  std::exception_ptr failure_ = nullptr;
   bool timed_out_ = false;
   std::string stall_detail_;
-  std::exception_ptr failure_ = nullptr;
-  std::uint64_t tasks_executed_ = 0;
-  std::int64_t done_count_ = 0;
-  obs::Recorder recorder_;              // flushed into under mutex_
-  std::vector<obs::TraceEvent> trace_;  // merged under mutex_ at flush
-  std::vector<double> heartbeat_;       // wall stamp of last progress per PE
-
-  // Fault machinery (all shared fields guarded by mutex_).
-  std::optional<fault::FaultInjector> injector_;
-  std::vector<char> hang_fired_;  // one-shot latch per hang spec
-  fault::FaultStats faults_;
-  std::vector<char> pe_dead_;
-  PeId dead_pe_ = 0;
-  bool remap_pending_ = false;
-  bool failover_done_ = false;
-  std::size_t parked_ = 0;
-  std::size_t active_workers_ = 0;
-  Clock::time_point drain_start_{};
 };
 
 }  // namespace

@@ -10,10 +10,11 @@
 // Semantics mirror the paper's scheduler:
 //   * every PE (thread) repeatedly selects a runnable task instance —
 //     all inputs present (including the peek look-ahead), all output
-//     buffers with a free slot — and processes it;
+//     buffers with a free slot (core/dataflow.hpp, the same rule the
+//     simulator uses) — and processes it;
 //   * each edge owns a bounded ring of packets sized by the steady-state
-//     analysis (firstPeriod differences), so memory use matches the
-//     schedule's buffer plan and back-pressure is exactly the model's;
+//     analysis (buff_{k,l}, firstPeriod differences), so memory use matches
+//     the schedule's buffer plan and back-pressure is exactly the model's;
 //   * a task with peek = p receives packets for instances i .. i+p of
 //     every input (clamped at the end of the stream, where the missing
 //     look-ahead is passed as null).
@@ -21,18 +22,42 @@
 // The engine is deterministic in *values* (each task instance sees exactly
 // the packets the dataflow defines) though not in interleaving.
 //
+// Concurrency, as in the paper's §6.1 framework where each PE runs its own
+// state machine over its own buffers: selecting, gathering and committing
+// a task take no lock, and make no system call unless a commit wakes a
+// sleeping peer.
+//   * Rings.  An edge is a fixed single-producer/single-consumer ring of
+//     buffer_depth slots; the packet of instance j lives in slot
+//     j % depth.  Only the producer's worker advances `produced`, only the
+//     consumer's advances `consumed`, each on its own cache line.
+//   * Ownership.  A task's state (next instance, remote flags, its reused
+//     TaskInputs) belongs to the worker of its PE; per-worker telemetry is
+//     merged after the join.
+//   * Wake-ups.  A worker with nothing runnable sleeps on its own doorbell
+//     (C++20 atomic::wait).  A commit rings only the PEs at the far end of
+//     the edges it changed, and only when they are asleep; an asleep bit
+//     plus a seq_cst recheck make sure no wake-up is lost.
+//   * Completion.  Instance i is complete once every sink has committed it
+//     (every task reaches a sink); the worker that advances that frontier
+//     stamps the instances it passed.
+//   * Control plane.  One mutex, off the per-task path, covers the first
+//     failure, the failover barrier and the watchdog.
+//
 // Robustness (docs/ROBUSTNESS.md): a RunOptions::fault_plan injects
 // deterministic transient faults (DMA retry/backoff, compute slowdowns,
-// one-shot hangs) and at most one permanent PE fail-stop.  On a fail-stop
-// the runtime executes drain -> remap -> migrate -> resume: the failed
-// PE's worker stops accepting instances past the fail index, every live
-// worker parks at a consistent cut, the orphaned tasks are remapped onto
-// the surviving PEs (fault::remap_after_failure), and the stream resumes
-// — no instance is lost or duplicated (invariant I8).  Stall detection is
-// a per-worker progress watchdog: the deadline rearms on every task
-// selection, commit and failover step, so a slow-but-progressing run
-// never times out while a genuine stream-wide stall trips after one
-// quiet window.
+// one-shot hangs) and at most one permanent PE fail-stop, through the same
+// engine.  On a fail-stop the runtime executes drain -> remap -> migrate ->
+// resume as an epoch barrier: the failed PE's worker refuses instances
+// past the fail index, raises the barrier and rings every doorbell; every
+// peer parks at its next task boundary (a consistent cut); the failed
+// PE's worker remaps the orphaned tasks onto the surviving PEs
+// (fault::remap_after_failure), rebuilds placement (remote flags, wake-up
+// targets) and releases the peers — no instance is lost or duplicated
+// (invariant I8).
+// Stall detection is a progress watchdog on the calling thread: it samples
+// per-worker heartbeats (task selections, commits, failover steps), so a
+// slow-but-progressing run never times out while a genuine stream-wide
+// stall trips after one quiet window.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,8 +96,10 @@ struct RunOptions {
   /// step — for this many consecutive wall seconds.  The deadline rearms
   /// on every progress event, so a slow-but-live run (TSan builds, tiny
   /// machines) never trips it; a genuine stall — dataflow deadlock, hung
-  /// task code — trips after one quiet window and the error names the
-  /// stalled workers.
+  /// task code — trips after one quiet window (detected within an eighth
+  /// of a window, at most 50 ms, by the calling thread) and the error
+  /// names the stalled workers.  A hung body is not interrupted: the call
+  /// returns once it does.
   double wall_timeout_seconds = 120.0;
   /// Record one obs::TraceEvent per task execution (wall seconds since
   /// run start) for the chrome-trace writer.  Off by default: tracing a
@@ -100,8 +127,8 @@ struct RunStats {
   /// Telemetry in the wall-time domain (obs::TimeDomain::kWall): per-PE
   /// execution counts, measured compute seconds, packet bytes crossing
   /// each PE boundary, and per-instance completion stamps.  Each worker
-  /// accumulates locally and flushes exactly once at exit — on normal
-  /// completion and on first-failure shutdown alike.
+  /// accumulates locally; the calling thread merges every worker exactly
+  /// once after the join.
   obs::Counters counters;
   /// Per-execution events (empty unless RunOptions::record_trace), wall
   /// seconds since run start; feed obs::write_chrome_trace.

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "core/dataflow.hpp"
 #include "des/engine.hpp"
 #include "des/flow_network.hpp"
 #include "fault/injector.hpp"
@@ -458,7 +459,9 @@ bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
       const EdgeState& e = edges_[channel.index];
       const std::int64_t next_fetch = e.issued;
       if (next_fetch >= e.produced) return false;             // nothing new
-      if (next_fetch - e.consumed >= e.depth) return false;   // in-buf full
+      if (!dataflow::has_free_slot(next_fetch, e.consumed, e.depth)) {
+        return false;  // in-buf full
+      }
       if (is_spe) {
         if (state.gets_outstanding >= platform_.spe_dma_slots) return false;
       } else if (platform_.is_spe(e.src)) {
@@ -743,7 +746,7 @@ bool Simulator::task_runnable(TaskId tid) const {
 
   // Inputs: instance i plus up to peek following ones (clamped at the end
   // of the stream, where no further instances exist).
-  const std::int64_t need = std::min(i + t.peek + 1, stream_len());
+  const std::int64_t need = dataflow::inputs_needed(i, t.peek, stream_len());
   for (EdgeId e : graph_.in_edges(tid)) {
     const EdgeState& edge = edges_[e];
     const std::int64_t available = edge.remote ? edge.fetched : edge.produced;
@@ -756,7 +759,9 @@ bool Simulator::task_runnable(TaskId tid) const {
   for (EdgeId e : graph_.out_edges(tid)) {
     const EdgeState& edge = edges_[e];
     const std::int64_t freed = edge.remote ? edge.fetched : edge.consumed;
-    if (edge.produced - freed >= edge.depth) return false;
+    if (!dataflow::has_free_slot(edge.produced, freed, edge.depth)) {
+      return false;
+    }
   }
   if (t.write_bytes > 0.0 &&
       i - t.writes_done >=

@@ -7,8 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <thread>
 
+#include "check/invariants.hpp"
+#include "gen/daggen.hpp"
 #include "mapping/heuristics.hpp"
 #include "mapping/milp_mapper.hpp"
 
@@ -534,6 +540,228 @@ TEST(HostRuntime, TelemetryFlushesExactlyOnceOnFailureShutdown) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "boom");
     }
+  }
+}
+
+// -- Lock-free engine: rings, ownership, wake-ups, completion, watchdog ---
+
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Checksum bodies over any graph: instance i of task t hashes t, i and
+/// every packet of its peek window, and sends the hash on each out-edge;
+/// sinks record theirs.  serial() evaluates the same dataflow on one
+/// thread, so the run's sink hashes must equal it exactly.
+struct ChecksumStream {
+  const TaskGraph& graph;
+  std::int64_t n;
+  std::vector<std::vector<std::uint64_t>> sink_hashes;
+  std::vector<TaskFunction> bodies;
+
+  ChecksumStream(const TaskGraph& g, std::int64_t instances,
+                 std::function<void(TaskId, std::int64_t)> before = {})
+      : graph(g), n(instances) {
+    const std::vector<TaskId> sinks = graph.sinks();
+    sink_hashes.assign(sinks.size(),
+                       std::vector<std::uint64_t>(static_cast<std::size_t>(n)));
+    for (TaskId t = 0; t < graph.task_count(); ++t) {
+      const std::size_t outputs = graph.out_edges(t).size();
+      std::uint64_t* record = nullptr;
+      for (std::size_t s = 0; s < sinks.size(); ++s) {
+        if (sinks[s] == t) record = sink_hashes[s].data();
+      }
+      bodies.push_back([t, outputs, record, before](const TaskInputs& in) {
+        if (before) before(t, in.instance);
+        std::uint64_t h = fnv_word(1469598103934665603ull, t);
+        h = fnv_word(h, static_cast<std::uint64_t>(in.instance));
+        for (const auto& window : in.inputs) {
+          for (const Packet* p : window) {
+            if (p != nullptr) h = fnv_word(h, static_cast<std::uint64_t>(unpack(*p)));
+          }
+        }
+        if (record != nullptr) record[in.instance] = h;
+        return std::vector<Packet>(outputs, pack(static_cast<std::int64_t>(h)));
+      });
+    }
+  }
+
+  std::vector<std::vector<std::uint64_t>> serial() const {
+    const auto count = static_cast<std::size_t>(n);
+    std::vector<std::vector<std::uint64_t>> value(graph.task_count());
+    for (TaskId t : graph.topological_order()) {
+      value[t].resize(count);
+      for (std::int64_t i = 0; i < n; ++i) {
+        std::uint64_t h = fnv_word(1469598103934665603ull, t);
+        h = fnv_word(h, static_cast<std::uint64_t>(i));
+        for (EdgeId e : graph.in_edges(t)) {
+          for (int d = 0; d <= graph.task(t).peek && i + d < n; ++d) {
+            h = fnv_word(h, value[graph.edge(e).from][static_cast<std::size_t>(i + d)]);
+          }
+        }
+        value[t][static_cast<std::size_t>(i)] = h;
+      }
+    }
+    std::vector<std::vector<std::uint64_t>> sinks;
+    for (TaskId t : graph.sinks()) sinks.push_back(value[t]);
+    return sinks;
+  }
+};
+
+void expect_stream_integrity(const TaskGraph& graph, const RunStats& stats,
+                             std::int64_t n) {
+  for (const check::Violation& v : check::check_stream_integrity(
+           graph, check::accounting_of(stats), n)) {
+    ADD_FAILURE() << v.invariant << ": " << v.detail;
+  }
+}
+
+TEST(HostRuntime, NineWorkersOversubscribedMatchSerialEvaluation) {
+  // Paper graph 0 on QS22 with 8 SPEs: GREEDYMEM uses all nine PEs, so
+  // nine workers share however many cores the host has.
+  TaskGraph g = gen::paper_graph(0);
+  gen::set_ccr(g, 0.775);
+  const SteadyStateAnalysis ss(g, platforms::qs22_with_spes(8));
+  const Mapping m = mapping::greedy_mem(ss);
+  const std::int64_t n = 5000;
+  ChecksumStream stream(g, n);
+  RunOptions opts;
+  opts.instances = n;
+  const RunStats stats = run_stream(ss, m, stream.bodies, opts);
+
+  std::size_t workers = 0;
+  for (const obs::PeCounters& c : stats.counters.pe) {
+    if (c.tasks_executed > 0) ++workers;
+  }
+  EXPECT_EQ(workers, 9u);
+  EXPECT_EQ(stats.tasks_executed, g.task_count() * static_cast<std::uint64_t>(n));
+  EXPECT_TRUE(stream.sink_hashes == stream.serial());
+  expect_stream_integrity(g, stats, n);
+}
+
+TEST(HostRuntime, RingsWrapAroundManyTimesUnderPeek) {
+  // src -> look(peek 2) -> mid -> sink, plus src -> sink, on four PEs.
+  TaskGraph g("wrap");
+  g.add_task(make_task());
+  g.add_task(make_task(0.1e-3, 2));
+  g.add_task(make_task(0.1e-3, 1));
+  g.add_task(make_task());
+  g.add_edge(0, 1, 64.0);
+  g.add_edge(1, 2, 64.0);
+  g.add_edge(2, 3, 64.0);
+  g.add_edge(0, 3, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(4, 0);
+  for (TaskId t = 0; t < 4; ++t) m.assign(t, t);
+  std::int64_t smallest = ss.buffer_depth(0);
+  for (EdgeId e = 1; e < g.edge_count(); ++e) {
+    smallest = std::min(smallest, ss.buffer_depth(e));
+  }
+  const std::int64_t n = 1000 * smallest + 7;  // ends mid-lap
+  ChecksumStream stream(g, n);
+  RunOptions opts;
+  opts.instances = n;
+  const RunStats stats = run_stream(ss, m, stream.bodies, opts);
+
+  EXPECT_TRUE(stream.sink_hashes == stream.serial());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_LE(stats.max_buffer_occupancy[e], ss.buffer_depth(e)) << e;
+    EXPECT_EQ(stats.edge_produced[e], n) << e;
+    EXPECT_EQ(stats.edge_delivered[e], n) << e;
+  }
+  expect_stream_integrity(g, stats, n);
+}
+
+TEST(HostRuntime, AlternatingChainWithRandomSleepsLosesNoWakeUp) {
+  // Six tasks alternating between two PEs: every commit hands work to the
+  // other worker.  Round 0 has empty bodies, so both workers fall asleep
+  // and wake thousands of times a second; in the later rounds seeded random
+  // sleeps put each worker on its doorbell at varying points of the
+  // handshake.  A lost wake-up stalls the stream, which the watchdog turns
+  // into a failure.
+  TaskGraph g("pingpong");
+  for (int t = 0; t < 6; ++t) g.add_task(make_task(0.1e-3, t == 3 ? 1 : 0));
+  for (int t = 0; t + 1 < 6; ++t) g.add_edge(t, t + 1, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(6, 0);
+  for (TaskId t = 0; t < 6; ++t) m.assign(t, t % 2);
+  for (int round = 0; round < 3; ++round) {
+    const auto pause = [round](TaskId t, std::int64_t i) {
+      if (round == 0) return;
+      const std::uint64_t r = fnv_word(fnv_word(round, t), static_cast<std::uint64_t>(i));
+      if (r % 4 == 0) std::this_thread::sleep_for(std::chrono::microseconds(r % 150));
+    };
+    const std::int64_t n = round == 0 ? 5000 : 1200;
+    ChecksumStream stream(g, n, pause);
+    RunOptions opts;
+    opts.instances = n;
+    opts.wall_timeout_seconds = 20.0;
+    const RunStats stats = run_stream(ss, m, stream.bodies, opts);
+    EXPECT_TRUE(stream.sink_hashes == stream.serial()) << "round " << round;
+    expect_stream_integrity(g, stats, n);
+  }
+}
+
+TEST(HostRuntime, CompletionStampsOnePerInstanceInStreamOrder) {
+  // Two sinks on different PEs race to advance the completion frontier.
+  TaskGraph g("two-sinks");
+  for (int t = 0; t < 5; ++t) g.add_task(make_task());
+  g.add_edge(0, 1, 64.0);
+  g.add_edge(1, 2, 64.0);
+  g.add_edge(0, 3, 64.0);
+  g.add_edge(3, 4, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(5, 0);
+  m.assign(1, 1);
+  m.assign(2, 2);
+  m.assign(3, 3);
+  m.assign(4, 4);
+  const std::int64_t n = 3000;
+  ChecksumStream stream(g, n);
+  RunOptions opts;
+  opts.instances = n;
+  const RunStats stats = run_stream(ss, m, stream.bodies, opts);
+
+  const std::vector<double>& stamps = stats.counters.instance_completion;
+  ASSERT_EQ(stamps.size(), static_cast<std::size_t>(n));
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    ASSERT_GE(stamps[i], stamps[i - 1]) << i;
+  }
+  EXPECT_GT(stamps.front(), 0.0);
+  EXPECT_LE(stamps.back(), stats.wall_seconds);
+  const double steady = stats.counters.steady_throughput();
+  EXPECT_TRUE(std::isfinite(steady)) << steady;
+  EXPECT_GT(steady, 0.0);
+}
+
+TEST(HostRuntime, WatchdogTripsWithoutAFaultPlan) {
+  // A body that blocks well past the window, no fault plan involved: the
+  // watchdog on the calling thread must stop the run and say so.
+  TaskGraph g("stuck");
+  for (int t = 0; t < 3; ++t) g.add_task(make_task());
+  g.add_edge(0, 1, 64.0);
+  g.add_edge(1, 2, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(3, 0);
+  m.assign(1, 1);
+  m.assign(2, 2);
+  ChecksumStream stream(g, 400, [](TaskId t, std::int64_t i) {
+    if (t == 1 && i == 30) std::this_thread::sleep_for(std::chrono::seconds(1));
+  });
+  RunOptions opts;
+  opts.instances = 400;
+  opts.wall_timeout_seconds = 0.2;
+  try {
+    run_stream(ss, m, stream.bodies, opts);
+    FAIL() << "expected the watchdog to trip";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
+    EXPECT_NE(what.find("heartbeats"), std::string::npos) << what;
   }
 }
 
