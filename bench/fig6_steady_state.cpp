@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   report::Series experimental{"experimental_inst_per_s", {}};
   const std::size_t window = std::min<std::size_t>(250, instances / 10 + 1);
   const std::size_t stride = std::max<std::size_t>(1, instances / 50);
-  for (const auto& [instance, tput] : sim.windowed_throughput(window, stride)) {
+  for (const auto& [instance, tput] :
+       sim.counters.windowed_throughput(window, stride)) {
     theoretical.points.emplace_back(static_cast<double>(instance),
                                     lp.throughput);
     experimental.points.emplace_back(static_cast<double>(instance), tput);
@@ -60,7 +61,8 @@ int main(int argc, char** argv) {
 
   // Startup transient length: first instance index whose windowed
   // throughput reaches 90 % of steady state.
-  for (const auto& [instance, tput] : sim.windowed_throughput(window, 50)) {
+  for (const auto& [instance, tput] :
+       sim.counters.windowed_throughput(window, 50)) {
     if (tput >= 0.9 * sim.steady_throughput) {
       std::printf("steady state reached after ~%zu instances (paper: ~1000)\n",
                   instance);

@@ -5,8 +5,8 @@
 // `micro_sim --json [path]` switches to a machine-readable mode that
 // measures three headline numbers and appends a "micro_sim" section to
 // the shared bench document (BENCH_sim.json by default):
-//   * engine events/sec, new pooled core vs. a faithful replica of the
-//     pre-overhaul std::function/unordered_map core (target: >= 5x),
+//   * engine events/sec of the pooled event core, on a steady event chain
+//     and under cancel churn,
 //   * simulated instances/sec with the steady-state fast-forward off
 //     vs. on (results must stay bit-identical),
 //   * batched scenario sweep, serial vs. thread pool (results must be
@@ -17,10 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -96,64 +93,16 @@ BENCHMARK(BM_CellSimulation)->Arg(20)->Arg(50)->Arg(94)
 // --json mode
 // ---------------------------------------------------------------------------
 
-// Faithful replica of the event core this PR replaced (see git history of
-// src/des/engine.*): per-event std::function actions keyed through an
-// unordered_map, cancellation by map erase, tombstones skipped on pop.
-// Kept here so the engine speed-up in BENCH_sim.json is always measured
-// against the real before, not a guess.
-class LegacyEngine {
- public:
-  using EventId = std::uint64_t;
-
-  EventId schedule_at(double at, std::function<void()> action) {
-    const EventId id = next_id_++;
-    queue_.push(Entry{at, id});
-    actions_.emplace(id, std::move(action));
-    return id;
-  }
-
-  void cancel(EventId id) { actions_.erase(id); }
-
-  void run() {
-    while (!queue_.empty()) {
-      const Entry entry = queue_.top();
-      queue_.pop();
-      auto it = actions_.find(entry.id);
-      if (it == actions_.end()) continue;  // tombstone
-      now_ = entry.at;
-      std::function<void()> action = std::move(it->second);
-      actions_.erase(it);
-      action();
-    }
-  }
-
- private:
-  struct Entry {
-    double at;
-    EventId id;
-    bool operator>(const Entry& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-  double now_ = 0.0;
-  EventId next_id_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_map<EventId, std::function<void()>> actions_;
-};
-
 // The simulator's hot-path pattern, distilled: a shallow self-sustaining
 // chain (each fired event schedules its successor, like a PE's next
 // communication/computation phase) plus `Watchdogs` timers per event that
 // are scheduled far ahead and cancelled (like the retry/backoff timers
-// fault runs reschedule constantly).  The closure is ~40 bytes — past
-// std::function's inline buffer, inside des::InlineAction's — so the
-// legacy core pays a heap allocation per schedule and accumulates every
-// cancelled timer as a queue tombstone, while the new core stays
-// allocation-free and compacts.
-template <typename EngineT, int Watchdogs>
+// fault runs reschedule constantly).  The closure is ~40 bytes, inside
+// des::InlineAction's inline buffer, so scheduling stays allocation-free
+// and the cancelled timers exercise the tombstone compaction.
+template <int Watchdogs>
 struct ChainEvent {
-  EngineT* engine = nullptr;
+  des::Engine* engine = nullptr;
   std::uint64_t* remaining = nullptr;
   std::uint64_t* sink = nullptr;
   double at = 0.0;
@@ -173,19 +122,18 @@ struct ChainEvent {
 };
 
 // Run `events` chained events through 64 concurrent chains; returns the
-// best events/sec over `reps` runs.  Identical event semantics on both
-// engines.
-template <typename EngineT, int Watchdogs>
+// best events/sec over `reps` runs.
+template <int Watchdogs>
 double engine_events_per_sec(std::size_t events, int reps) {
   constexpr std::size_t kChains = 64;
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     std::uint64_t sink = 0;
     std::uint64_t remaining = events > kChains ? events - kChains : 0;
-    EngineT engine;
+    des::Engine engine;
     const bench::WallTimer timer;
     for (std::size_t i = 0; i < kChains; ++i) {
-      ChainEvent<EngineT, Watchdogs> seed;
+      ChainEvent<Watchdogs> seed;
       seed.engine = &engine;
       seed.remaining = &remaining;
       seed.sink = &sink;
@@ -203,26 +151,15 @@ double engine_events_per_sec(std::size_t events, int reps) {
   return best;
 }
 
-// One steady/churn measurement pair as a JSON object.  Legacy and new
-// reps interleave (best of 4 each) so slow phases of a noisy host hit
-// both engines alike instead of biasing whichever ran second.
+// One steady/churn measurement as a JSON object (best of 4 runs).
 template <int Watchdogs>
-json::Value engine_workload(std::size_t events, double* speedup_out) {
-  double legacy = 0.0;
-  double current = 0.0;
-  for (int rep = 0; rep < 4; ++rep) {
-    legacy = std::max(
-        legacy, engine_events_per_sec<LegacyEngine, Watchdogs>(events, 1));
-    current = std::max(
-        current, engine_events_per_sec<des::Engine, Watchdogs>(events, 1));
-  }
-  const double speedup = legacy > 0.0 ? current / legacy : 0.0;
+json::Value engine_workload(std::size_t events) {
+  const double per_sec = engine_events_per_sec<Watchdogs>(events, 4);
+  std::printf("engine, %d cancelled timers per event: %.3g events/s\n",
+              Watchdogs, per_sec);
   json::Value row = json::Value::object();
   row.set("cancelled_timers_per_event", Watchdogs);
-  row.set("legacy_events_per_sec", legacy);
-  row.set("events_per_sec", current);
-  row.set("speedup", speedup);
-  if (speedup_out != nullptr) *speedup_out = speedup;
+  row.set("events_per_sec", per_sec);
   return row;
 }
 
@@ -230,24 +167,17 @@ int run_json_mode(const std::string& path) {
   json::Value section = json::Value::object();
   section.set("schema", 1);
 
-  // -- engine: new pooled core vs. the legacy replica ----------------------
+  // -- engine: the pooled event core ---------------------------------------
   // Two workloads: "steady" is the pure event chain, "churn" adds the
-  // fault-mode cancel pressure.  The headline number (and the >= 5x
-  // target) is churn — the scenario the pooled slots and lazy tombstone
+  // fault-mode cancel pressure the pooled slots and lazy tombstone
   // compaction were built for.
   const std::size_t events = bench::env_size("CELLSTREAM_BENCH_EVENTS",
                                              1000000);
-  double steady_speedup = 0.0;
-  double churn_speedup = 0.0;
   json::Value engine = json::Value::object();
   engine.set("events", static_cast<std::uint64_t>(events));
-  engine.set("steady", engine_workload<0>(events, &steady_speedup));
-  engine.set("churn", engine_workload<4>(events, &churn_speedup));
-  engine.set("speedup", churn_speedup);
+  engine.set("steady", engine_workload<0>(events));
+  engine.set("churn", engine_workload<4>(events));
   section.set("engine", std::move(engine));
-  std::printf("engine: steady %.1fx, cancel-churn %.1fx vs the legacy core "
-              "(target >= 5x on churn)\n",
-              steady_speedup, churn_speedup);
 
   // -- simulation: fast-forward off vs. on ---------------------------------
   TaskGraph graph = gen::paper_graph(0);

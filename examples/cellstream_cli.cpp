@@ -23,6 +23,7 @@
 #include "fault/fault_plan.hpp"
 #include "gen/daggen.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "report/stats_io.hpp"
 #include "support/json.hpp"
 #include "support/parse.hpp"
@@ -34,7 +35,6 @@
 #include "runtime/host_runtime.hpp"
 #include "schedule/periodic_schedule.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
@@ -281,7 +281,7 @@ int cmd_simulate(int argc, char** argv) {
   if (trace_path != nullptr) {
     std::ofstream trace_out(trace_path);
     CS_ENSURE(trace_out.good(), "cannot write trace file");
-    sim::write_chrome_trace(trace_out, run.trace, analysis.platform());
+    obs::write_chrome_trace(trace_out, run.trace, analysis.platform());
     std::fprintf(stderr, "trace written to %s (open in chrome://tracing)\n",
                  trace_path);
   }
@@ -361,7 +361,7 @@ int cmd_run(int argc, char** argv) {
               static_cast<long long>(options.instances));
   std::printf("wall time:          %.3f s\n", stats.wall_seconds);
   std::printf("throughput:         %.2f instances/s (wall)\n",
-              stats.throughput);
+              stats.counters.observed_throughput());
   std::printf("tasks executed:     %llu\n",
               static_cast<unsigned long long>(stats.tasks_executed));
   if (options.fault_plan != nullptr) print_fault_summary(stats.faults);

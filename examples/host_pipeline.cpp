@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       runtime::run_stream(analysis, lp.mapping, tasks, options);
   std::printf("host run: %lld blocks in %.3f s (%.0f blocks/s wall)\n",
               static_cast<long long>(instances), stats.wall_seconds,
-              stats.throughput);
+              stats.counters.observed_throughput());
 
   // Cross-check a few RMS values against a sequential reference.
   std::size_t checked = 0, wrong = 0;

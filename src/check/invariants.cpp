@@ -12,7 +12,7 @@ namespace cellstream::check {
 
 namespace {
 
-using sim::TraceEvent;
+using obs::TraceEvent;
 
 std::string time_str(double seconds) {
   std::ostringstream os;
@@ -142,9 +142,10 @@ std::vector<Violation> check_throughput_bound(
             "/s (tolerance " +
             std::to_string(options.throughput_tolerance) + ")");
   }
-  if (result.overall_throughput > limit) {
+  const double observed = result.counters.observed_throughput();
+  if (observed > limit) {
     add(out, "throughput-bound",
-        "overall throughput " + format_number(result.overall_throughput) +
+        "overall throughput " + format_number(observed) +
             "/s exceeds the analytic bound 1/T = " + format_number(bound) +
             "/s");
   }
@@ -199,7 +200,7 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 }
 
 std::vector<Violation> check_dma_queue_limits(
-    const CellPlatform& platform, const std::vector<sim::TraceEvent>& trace) {
+    const CellPlatform& platform, const std::vector<obs::TraceEvent>& trace) {
   std::vector<Violation> out;
   // Sweep-line deltas per queue: +1 when a DMA is issued, -1 when it
   // completes.  At equal times completions are applied first — that is the
@@ -262,7 +263,7 @@ std::vector<Violation> check_dma_queue_limits(
 
 std::vector<Violation> check_buffer_occupancy(
     const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<sim::TraceEvent>& trace) {
+    const std::vector<obs::TraceEvent>& trace) {
   const TaskGraph& graph = analysis.graph();
   TraceIndex index(graph, trace);
   std::vector<Violation> out = std::move(index.defects);
@@ -334,7 +335,7 @@ std::vector<Violation> check_buffer_occupancy(
 
 std::vector<Violation> check_causality(const SteadyStateAnalysis& analysis,
                                        const Mapping& mapping,
-                                       const std::vector<sim::TraceEvent>& trace,
+                                       const std::vector<TraceEvent>& trace,
                                        const InvariantOptions& options) {
   const TaskGraph& graph = analysis.graph();
   const double eps = options.time_epsilon;

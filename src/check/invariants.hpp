@@ -49,9 +49,9 @@
 #include "core/steady_state.hpp"
 #include "fault/failover.hpp"
 #include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 #include "runtime/host_runtime.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace cellstream::check {
 
@@ -86,8 +86,8 @@ struct InvariantReport {
 
 // -- Individual invariants (empty result = pass) ---------------------------
 
-/// I1: result.steady_throughput and overall_throughput must not exceed
-/// (1 + tolerance) x analysis.throughput(mapping).
+/// I1: result.steady_throughput and counters.observed_throughput() must
+/// not exceed (1 + tolerance) x analysis.throughput(mapping).
 std::vector<Violation> check_throughput_bound(
     const SteadyStateAnalysis& analysis, const Mapping& mapping,
     const sim::SimResult& result, const InvariantOptions& options = {});
@@ -103,24 +103,24 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 /// platform.spe_dma_slots outstanding DMAs it issued, nor a source SPE more
 /// than platform.ppe_to_spe_dma_slots outstanding PPE-issued fetches.
 std::vector<Violation> check_dma_queue_limits(
-    const CellPlatform& platform, const std::vector<sim::TraceEvent>& trace);
+    const CellPlatform& platform, const std::vector<obs::TraceEvent>& trace);
 
 /// I5: replay produced/fetched/consumed counters per edge; occupancy must
 /// never exceed the steady-state buffer depth at either endpoint.  Also
 /// flags non-sequential instance numbering (a corrupted trace).
 std::vector<Violation> check_buffer_occupancy(
     const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<sim::TraceEvent>& trace);
+    const std::vector<obs::TraceEvent>& trace);
 
 /// I6: every compute event must start at or after the availability of all
 /// inputs it consumes: producer completions for local edges, fetch
 /// completions for remote edges (instance i needs inputs up to
 /// min(i + peek, last instance)), and every fetch must start at or after
 /// its producer's completion.
-std::vector<Violation> check_causality(const SteadyStateAnalysis& analysis,
-                                       const Mapping& mapping,
-                                       const std::vector<sim::TraceEvent>& trace,
-                                       const InvariantOptions& options = {});
+std::vector<Violation> check_causality(
+    const SteadyStateAnalysis& analysis, const Mapping& mapping,
+    const std::vector<obs::TraceEvent>& trace,
+    const InvariantOptions& options = {});
 
 /// Executor-neutral end-to-end accounting of one run — I8's raw material.
 /// Both executors export it: accounting_of() adapts either result type.

@@ -24,29 +24,6 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
     s.completion_times.push_back(t + offset);
   }
   s.makespan = s.completion_times.back();
-  const std::size_t n = s.completion_times.size();
-  s.overall_throughput = static_cast<double>(n) / s.makespan;
-  // Middle-half throughput of the stitched stream.  With a failover in
-  // the window this spans the degradation — it reports what the stream
-  // actually delivered, not either phase's plateau.
-  const std::size_t lo = n / 4;
-  const std::size_t hi = (3 * n) / 4;
-  if (lo >= 1 && hi > lo &&
-      s.completion_times[hi - 1] > s.completion_times[lo - 1]) {
-    s.steady_throughput =
-        static_cast<double>(hi - lo) /
-        (s.completion_times[hi - 1] - s.completion_times[lo - 1]);
-  } else {
-    s.steady_throughput = s.overall_throughput;
-  }
-
-  s.pe_busy_seconds = a.pe_busy_seconds;
-  s.pe_overhead_seconds = a.pe_overhead_seconds;
-  for (std::size_t pe = 0; pe < s.pe_busy_seconds.size(); ++pe) {
-    s.pe_busy_seconds[pe] += b.pe_busy_seconds[pe];
-    s.pe_overhead_seconds[pe] += b.pe_overhead_seconds[pe];
-  }
-  s.dma_transfers = a.dma_transfers + b.dma_transfers;
 
   s.counters.domain = a.counters.domain;
   s.counters.pe = a.counters.pe;
@@ -55,10 +32,15 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
   }
   s.counters.instance_completion = s.completion_times;
   s.counters.elapsed_seconds = s.makespan;
+  // With a failover in the middle half of the stream, the steady
+  // throughput spans the degradation: it reports what the stream actually
+  // delivered, not either phase's plateau.
+  s.steady_throughput = s.counters.steady_throughput();
+  s.dma_transfers = s.counters.total_transfers();
 
   s.trace = a.trace;
   s.trace.reserve(a.trace.size() + b.trace.size());
-  for (sim::TraceEvent ev : b.trace) {
+  for (obs::TraceEvent ev : b.trace) {
     ev.start += offset;
     ev.end += offset;
     if (ev.instance >= 0) ev.instance += k;

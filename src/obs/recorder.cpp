@@ -42,7 +42,8 @@ double Counters::observed_throughput() const {
 
 double Counters::steady_throughput() const {
   // Middle half of the stream: the first quarter excludes the pipeline
-  // fill, the last quarter the drain (same convention as sim::SimResult).
+  // fill, the last quarter the drain (during which completions of the
+  // final instances bunch up and would overstate the rate).
   const std::size_t n = instance_completion.size();
   const std::size_t lo = n / 4;
   const std::size_t hi = (3 * n) / 4;
@@ -64,29 +65,6 @@ std::vector<std::pair<std::size_t, double>> Counters::windowed_throughput(
       out.emplace_back(i, static_cast<double>(window) / dt);
     }
   }
-  return out;
-}
-
-void Recorder::reset(std::size_t pe_count, TimeDomain domain) {
-  counters_ = Counters{};
-  counters_.domain = domain;
-  counters_.pe.assign(pe_count, PeCounters{});
-  flushed_.assign(pe_count, false);
-}
-
-void Recorder::flush_pe(PeId pe, const PeCounters& delta) {
-  CS_ENSURE(pe < counters_.pe.size(), "obs::Recorder: PE out of range");
-  CS_ASSERT(!flushed_[pe],
-            "obs::Recorder: PE " + std::to_string(pe) +
-                " flushed twice in one run");
-  flushed_[pe] = true;
-  counters_.pe[pe].merge(delta);
-}
-
-Counters Recorder::take() {
-  Counters out = std::move(counters_);
-  counters_ = Counters{};
-  flushed_.clear();
   return out;
 }
 

@@ -1,16 +1,15 @@
 #pragma once
-// Unified runtime telemetry: low-overhead per-PE counters recorded by
-// both execution engines (sim::Simulator in simulated time,
-// runtime::HostRuntime in wall time) behind one Recorder interface, plus
-// the solver search statistics the MILP mapper exports.
+// Unified runtime telemetry: the per-run accounting record both execution
+// engines produce (sim::Simulator in simulated time, runtime::HostRuntime
+// in wall time), plus the solver search statistics the MILP mapper
+// exports.
 //
-// The Recorder itself is a plain, unsynchronized accumulator — the
-// single-threaded simulator records directly into it on every event.
-// Multi-threaded producers (host-runtime workers) accumulate into a
-// worker-local PeCounters and publish it through flush_pe() exactly once
-// at worker exit, under the caller's lock; flush_pe() enforces the
-// exactly-once contract so a double flush (or a torn read concurrent
-// with one) is a caught bug, not silently doubled numbers.
+// Counters is a plain value.  The simulator derives it from its progress
+// counters once, at the end of a run; the host runtime's workers each
+// accumulate a private PeCounters, copied into their PE's slot after the
+// join.  Throughput is derived here and nowhere else: observed over the
+// whole run, steady over the middle half of the stream, and the windowed
+// Fig. 6 curve.
 //
 // The resulting Counters feed obs::Report (predicted-vs-observed
 // occupation cross-check, invariant I7) and the JSON/CSV stats exports
@@ -80,61 +79,6 @@ struct Counters {
   /// `stride`, over the trailing `window` instances.
   std::vector<std::pair<std::size_t, double>> windowed_throughput(
       std::size_t window = 250, std::size_t stride = 100) const;
-};
-
-/// Accumulates Counters.  See the file comment for the threading model.
-class Recorder {
- public:
-  Recorder() = default;
-  Recorder(std::size_t pe_count, TimeDomain domain) { reset(pe_count, domain); }
-
-  void reset(std::size_t pe_count, TimeDomain domain);
-
-  std::size_t pe_count() const { return counters_.pe.size(); }
-
-  // -- Single-writer event API (simulator, or a worker-local recorder) ---
-  void on_execution(PeId pe, double compute_seconds) {
-    PeCounters& c = slot(pe);
-    ++c.tasks_executed;
-    c.compute_seconds += compute_seconds;
-  }
-  void on_overhead(PeId pe, double seconds) { slot(pe).overhead_seconds += seconds; }
-  void on_transfer_issued(PeId pe) { ++slot(pe).transfers_issued; }
-  void on_bytes_in(PeId pe, double bytes) { slot(pe).bytes_in += bytes; }
-  void on_bytes_out(PeId pe, double bytes) { slot(pe).bytes_out += bytes; }
-  void on_mfc_queue_depth(PeId pe, std::size_t outstanding) {
-    PeCounters& c = slot(pe);
-    if (outstanding > c.mfc_queue_peak) c.mfc_queue_peak = outstanding;
-  }
-  void on_proxy_queue_depth(PeId pe, std::size_t outstanding) {
-    PeCounters& c = slot(pe);
-    if (outstanding > c.proxy_queue_peak) c.proxy_queue_peak = outstanding;
-  }
-  /// Instances complete in stream order; `time` is in the run's domain.
-  void on_instance_complete(double time) {
-    counters_.instance_completion.push_back(time);
-  }
-  void set_elapsed(double seconds) { counters_.elapsed_seconds = seconds; }
-
-  // -- Multi-threaded publication (host runtime) -------------------------
-  /// Merge a worker's counters into PE `pe`'s slot.  Callers serialize
-  /// flushes with their own lock; the recorder additionally enforces that
-  /// each PE is flushed at most once per run (the runtime's stop/drain
-  /// contract — a retried flush would double every counter).
-  void flush_pe(PeId pe, const PeCounters& delta);
-
-  const Counters& counters() const { return counters_; }
-  /// Move the counters out (the recorder is empty afterwards).
-  Counters take();
-
- private:
-  PeCounters& slot(PeId pe) {
-    CS_ENSURE(pe < counters_.pe.size(), "obs::Recorder: PE out of range");
-    return counters_.pe[pe];
-  }
-
-  Counters counters_;
-  std::vector<bool> flushed_;
 };
 
 /// Search statistics of one MILP mapper solve, in obs vocabulary so the

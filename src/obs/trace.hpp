@@ -2,9 +2,8 @@
 // Execution trace events shared by the simulator and the host runtime,
 // plus the chrome://tracing exporter.
 //
-// Historically the trace lived in src/sim; the observability layer hoists
-// it here so both execution engines emit the same event type and one
-// writer serves both (sim/trace.hpp remains as a compatibility alias).
+// Both execution engines emit this one event type and one writer serves
+// both.
 // A simulated run stamps events in simulated seconds, a host-runtime run
 // in wall seconds since the run started; the Trace Event Format does not
 // care — open either in chrome://tracing or Perfetto (one row per

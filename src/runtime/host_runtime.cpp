@@ -183,8 +183,6 @@ class Runtime {
 
     RunStats stats;
     stats.wall_seconds = seconds_between(start_, Clock::now());
-    stats.throughput =
-        static_cast<double>(opt_.instances) / stats.wall_seconds;
     stats.max_buffer_occupancy.reserve(edges_.size());
     stats.edge_produced.reserve(edges_.size());
     stats.edge_delivered.reserve(edges_.size());
@@ -193,17 +191,18 @@ class Runtime {
       stats.edge_produced.push_back(edge.produced.load());
       stats.edge_delivered.push_back(edge.consumed.load());
     }
-    // Every worker has joined: merge their telemetry.
-    obs::Recorder recorder(platform_.pe_count(), obs::TimeDomain::kWall);
+    // Every worker has joined: collect their telemetry.  `spawn` holds
+    // each PE once, so assigning its slot cannot count a worker twice.
+    stats.counters.domain = obs::TimeDomain::kWall;
+    stats.counters.pe.resize(platform_.pe_count());
+    stats.counters.elapsed_seconds = stats.wall_seconds;
     for (PeId pe : spawn) {
       const Worker& w = workers_[pe];
-      recorder.flush_pe(pe, w.counters);
+      stats.counters.pe[pe] = w.counters;
       stats.tasks_executed += w.counters.tasks_executed;
       stats.trace.insert(stats.trace.end(), w.trace.begin(), w.trace.end());
       faults_.merge(w.faults);
     }
-    recorder.set_elapsed(stats.wall_seconds);
-    stats.counters = recorder.take();
     // Each frontier step read the clock after its compare-exchange, so two
     // steps racing may have stamped out of order; an instance is complete
     // no later than its successor, hence the running maximum.

@@ -32,7 +32,7 @@
 //     consumer's advances `consumed`, each on its own cache line.
 //   * Ownership.  A task's state (next instance, remote flags, its reused
 //     TaskInputs) belongs to the worker of its PE; per-worker telemetry is
-//     merged after the join.
+//     copied into the run's counters after the join.
 //   * Wake-ups.  A worker with nothing runnable sleeps on its own doorbell
 //     (C++20 atomic::wait).  A commit rings only the PEs at the far end of
 //     the edges it changed, and only when they are asleep; an asleep bit
@@ -119,16 +119,16 @@ struct RunOptions {
 
 struct RunStats {
   double wall_seconds = 0.0;
-  double throughput = 0.0;  ///< instances per wall second
   /// Per-edge high-water mark of buffered packets (never exceeds the
   /// analysis' buffer_depth).
   std::vector<std::int64_t> max_buffer_occupancy;
   std::uint64_t tasks_executed = 0;
   /// Telemetry in the wall-time domain (obs::TimeDomain::kWall): per-PE
   /// execution counts, measured compute seconds, packet bytes crossing
-  /// each PE boundary, and per-instance completion stamps.  Each worker
-  /// accumulates locally; the calling thread merges every worker exactly
-  /// once after the join.
+  /// each PE boundary, and per-instance completion stamps
+  /// (`counters.observed_throughput()` is instances per wall second).
+  /// Each worker accumulates locally; the calling thread copies every
+  /// worker's counters into its PE's slot after the join.
   obs::Counters counters;
   /// Per-execution events (empty unless RunOptions::record_trace), wall
   /// seconds since run start; feed obs::write_chrome_trace.

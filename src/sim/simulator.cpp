@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -55,6 +54,28 @@ struct Channel {
   std::size_t index;  // EdgeId for kEdgeFetch, TaskId otherwise
 };
 
+/// How the steady-state fast-forward treats a progress counter.
+enum class Progress {
+  /// Moves once per stream instance: encoded relative to the done counter
+  /// in the signature, translated by a jump, and part of its horizon.
+  kAdvancing,
+  /// Never moves in the steady state (or is an occupancy, not a position):
+  /// encoded absolutely and never translated.  An advancing encoding of a
+  /// counter that stays put would make every signature unique.
+  kPinned,
+};
+
+/// One callable from a lambda per argument shape visit() passes.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+// Each state struct declares its progress once, in visit(f): f(counter,
+// Progress) per counter and f(landing_set) per out-of-order landing set.
+// The fast-forward's signature, jump horizon and translation are loops
+// over visit, so a new progress field is declared there and nowhere else.
+
 struct EdgeState {
   PeId src = 0, dst = 0;
   bool remote = false;
@@ -70,6 +91,18 @@ struct EdgeState {
   /// its cyclic buffer in order, so data becomes *usable* only when the
   /// contiguous frontier reaches it.
   LandingSet landed_ooo;
+
+  template <typename F>
+  void visit(F&& f) {
+    // A local edge never fetches: its fetch/issue progress stays at zero.
+    const Progress fetch = remote ? Progress::kAdvancing : Progress::kPinned;
+    f(produced, Progress::kAdvancing);
+    f(fetched, fetch);
+    f(issued, fetch);
+    f(consumed, Progress::kAdvancing);
+    f(inflight, Progress::kPinned);
+    f(landed_ooo);
+  }
 };
 
 struct TaskState {
@@ -84,6 +117,22 @@ struct TaskState {
   LandingSet mem_landed_ooo;
   double write_bytes = 0.0;
   std::int64_t writes_started = 0, writes_done = 0;
+
+  template <typename F>
+  void visit(F&& f) {
+    // A memory stream the task does not have stays at zero.
+    const Progress read =
+        read_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned;
+    const Progress write =
+        write_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned;
+    f(next_instance, Progress::kAdvancing);
+    f(mem_fetched, read);
+    f(mem_issued, read);
+    f(mem_inflight, Progress::kPinned);
+    f(writes_started, write);
+    f(writes_done, write);
+    f(mem_landed_ooo);
+  }
 };
 
 // Behavior tags for pending events, used by the periodicity signature:
@@ -221,6 +270,12 @@ class Simulator {
   void bind_inflight(std::uint32_t slot, des::TransferId id);
   std::int64_t finish_inflight(std::uint32_t slot);
   const InflightSlot* find_inflight(des::TransferId id) const;
+  /// Every edge's, then every task's visit(f), in signature order.
+  template <typename F>
+  void visit_progress(F&& f) {
+    for (EdgeState& e : edges_) e.visit(f);
+    for (TaskState& t : tasks_) t.visit(f);
+  }
   void maybe_snapshot(TaskId completing_task);
   bool build_signature(std::vector<std::uint64_t>& sig, TaskId completing);
   struct Snapshot;
@@ -256,7 +311,7 @@ class Simulator {
   std::int64_t done_count_ = 0;
   std::int64_t tasks_at_done_ = 0;
   std::vector<double> completion_ticks_;
-  std::vector<TraceEvent> trace_;
+  std::vector<obs::TraceEvent> trace_;
 
   // Deterministic fault injection (engaged only when a plan is supplied).
   std::optional<fault::FaultInjector> injector_;
@@ -428,8 +483,8 @@ void Simulator::step(PeId pe) {
           s.busy_tag = 0;
           s.injected_seconds += injected;
           if (opt_.record_trace) {
-            TraceEvent ev;
-            ev.kind = TraceEvent::Kind::kCompute;
+            obs::TraceEvent ev;
+            ev.kind = obs::TraceEvent::Kind::kCompute;
             ev.name = graph_.task(t).name;
             ev.pe = pe;
             ev.src_pe = pe;
@@ -597,9 +652,9 @@ void Simulator::issue(PeId pe, const Channel& channel) {
         if (proxy) --pes_[edge.src].proxy_outstanding;
         if (opt_.record_trace) {
           const Edge& ge = graph_.edge(eid);
-          TraceEvent ev;
-          ev.kind = TraceEvent::Kind::kTransfer;
-          ev.payload = TraceEvent::Payload::kEdge;
+          obs::TraceEvent ev;
+          ev.kind = obs::TraceEvent::Kind::kTransfer;
+          ev.payload = obs::TraceEvent::Payload::kEdge;
           ev.name = graph_.task(ge.from).name + "->" + graph_.task(ge.to).name;
           ev.pe = pe;
           ev.src_pe = edge.src;
@@ -657,9 +712,9 @@ void Simulator::issue(PeId pe, const Channel& channel) {
         task.mem_fetched = task.mem_landed_ooo.advance_frontier(task.mem_fetched);
         if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
         if (opt_.record_trace) {
-          TraceEvent ev;
-          ev.kind = TraceEvent::Kind::kTransfer;
-          ev.payload = TraceEvent::Payload::kMemRead;
+          obs::TraceEvent ev;
+          ev.kind = obs::TraceEvent::Kind::kTransfer;
+          ev.payload = obs::TraceEvent::Payload::kMemRead;
           ev.name = "read:" + graph_.task(tid).name;
           ev.pe = pe;
           ev.src_pe = pe;
@@ -711,9 +766,9 @@ void Simulator::issue(PeId pe, const Channel& channel) {
         ++task.writes_done;
         if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
         if (opt_.record_trace) {
-          TraceEvent ev;
-          ev.kind = TraceEvent::Kind::kTransfer;
-          ev.payload = TraceEvent::Payload::kMemWrite;
+          obs::TraceEvent ev;
+          ev.kind = obs::TraceEvent::Kind::kTransfer;
+          ev.payload = obs::TraceEvent::Payload::kMemWrite;
           ev.name = "write:" + graph_.task(tid).name;
           ev.pe = pe;
           ev.src_pe = pe;
@@ -889,32 +944,16 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
   push_i(static_cast<std::int64_t>(completing));
   push_i(tasks_at_done_);
 
-  // Counters that advance once per stream instance are encoded relative
-  // to the done counter (their offsets recur in the steady state); ones
-  // that never move — fetch/issue progress of local edges, memory-stream
-  // progress of tasks without that stream — are encoded absolutely, or
-  // the growing gap to `d` would make every signature unique.
-  for (const EdgeState& e : edges_) {
-    push_i(e.produced - d);
-    push_i(e.fetched - (e.remote ? d : 0));
-    push_i(e.issued - (e.remote ? d : 0));
-    push_i(e.consumed - d);
-    push_i(e.inflight);
-    push_i(static_cast<std::int64_t>(e.landed_ooo.size()));
-    e.landed_ooo.for_each([&](std::int64_t v) { push_i(v - d); });
-  }
-  for (const TaskState& t : tasks_) {
-    const std::int64_t rd = t.read_bytes > 0.0 ? d : 0;
-    const std::int64_t wd = t.write_bytes > 0.0 ? d : 0;
-    push_i(t.next_instance - d);
-    push_i(t.mem_fetched - rd);
-    push_i(t.mem_issued - rd);
-    push_i(t.mem_inflight);
-    push_i(t.writes_started - wd);
-    push_i(t.writes_done - wd);
-    push_i(static_cast<std::int64_t>(t.mem_landed_ooo.size()));
-    t.mem_landed_ooo.for_each([&](std::int64_t v) { push_i(v - d); });
-  }
+  // Advancing counters are encoded relative to the done counter (their
+  // offsets recur in the steady state), pinned ones absolutely.
+  visit_progress(Overloaded{
+      [&](std::int64_t v, Progress p) {
+        push_i(p == Progress::kAdvancing ? v - d : v);
+      },
+      [&](const LandingSet& landed) {
+        push_i(static_cast<std::int64_t>(landed.size()));
+        landed.for_each([&](std::int64_t v) { push_i(v - d); });
+      }});
   for (const PeState& p : pes_) {
     push(p.task_cursor);
     push(p.channel_cursor);
@@ -985,7 +1024,9 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   const double cycle_t = engine_.now() - snap.tick;
   // Copy before snapshots_ (which owns `snap`) is released below.
   const std::vector<std::uint64_t> attempts_at_snap = snap.attempts;
-  CS_ASSERT(cycle_d > 0 && cycle_t > 0.0, "fast-forward: degenerate cycle");
+  // A zero-tick cycle (a stream of zero-duration work) translates like
+  // any other: the jump shifts counters and leaves the clock put.
+  CS_ASSERT(cycle_d > 0, "fast-forward: degenerate cycle");
   ff_done_ = true;  // one jump covers the whole steady state
   ff_info_.cycle_instances = cycle_d;
   ff_info_.cycle_seconds = cycle_t * kSecondsPerTick;
@@ -1006,15 +1047,13 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   const std::int64_t margin =
       cycle_d + max_peek_ + 1 +
       static_cast<std::int64_t>(opt_.memory_stream_depth) + 1;
-  std::int64_t k = std::numeric_limits<std::int64_t>::max();
-  for (const TaskState& t : tasks_) {
-    const std::int64_t lead = std::max(t.next_instance, t.mem_issued);
-    k = std::min(k, (stream_len() - margin - lead) / cycle_d);
-  }
-  for (const EdgeState& e : edges_) {
-    const std::int64_t lead = std::max(e.produced, e.issued);
-    k = std::min(k, (stream_len() - margin - lead) / cycle_d);
-  }
+  std::int64_t lead = 0;  // the furthest advancing counter
+  visit_progress(Overloaded{
+      [&](std::int64_t v, Progress p) {
+        if (p == Progress::kAdvancing) lead = std::max(lead, v);
+      },
+      [](const LandingSet&) {}});
+  const std::int64_t k = (stream_len() - margin - lead) / cycle_d;
   snapshots_.clear();
   snapshots_.shrink_to_fit();
   if (k <= 0) return;  // stream too short for a safe jump
@@ -1024,29 +1063,12 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   engine_.shift_time(shift);
   net_.on_time_shift(shift);
   // Translate exactly the counters the signature encodes done-relative;
-  // ones pinned at zero (local edges, absent memory streams) stay put,
-  // as they would in the full run.
-  for (EdgeState& e : edges_) {
-    e.produced += skipped;
-    e.consumed += skipped;
-    if (e.remote) {
-      e.fetched += skipped;
-      e.issued += skipped;
-    }
-    e.landed_ooo.shift(skipped);
-  }
-  for (TaskState& t : tasks_) {
-    t.next_instance += skipped;
-    if (t.read_bytes > 0.0) {
-      t.mem_fetched += skipped;
-      t.mem_issued += skipped;
-    }
-    if (t.write_bytes > 0.0) {
-      t.writes_started += skipped;
-      t.writes_done += skipped;
-    }
-    t.mem_landed_ooo.shift(skipped);
-  }
+  // pinned ones stay put, as they would in the full run.
+  visit_progress(Overloaded{
+      [&](std::int64_t& v, Progress p) {
+        if (p == Progress::kAdvancing) v += skipped;
+      },
+      [&](LandingSet& landed) { landed.shift(skipped); }});
   for (PeId pe = 0; pe < pes_.size(); ++pe) {
     const std::uint64_t per_cycle =
         pes_[pe].issue_attempts - attempts_at_snap[pe];
@@ -1086,22 +1108,6 @@ SimResult Simulator::run() {
     result.completion_times[i] = completion_ticks_[i] * kSecondsPerTick;
   }
   result.makespan = result.completion_times.back();
-  result.overall_throughput =
-      static_cast<double>(opt_.instances) / result.makespan;
-  // Steady state is measured over the middle half of the stream: the
-  // first quarter excludes the pipeline fill, the last quarter excludes
-  // the drain (during which completions of the final instances bunch up
-  // and would overstate the rate).
-  const std::size_t lo = opt_.instances / 4;
-  const std::size_t hi = (3 * opt_.instances) / 4;
-  if (lo >= 1 && hi > lo &&
-      result.completion_times[hi - 1] > result.completion_times[lo - 1]) {
-    result.steady_throughput =
-        static_cast<double>(hi - lo) /
-        (result.completion_times[hi - 1] - result.completion_times[lo - 1]);
-  } else {
-    result.steady_throughput = result.overall_throughput;
-  }
 
   // Telemetry is derived from the integer progress counters in one fixed
   // pass (task order, then edge order), never accumulated per event —
@@ -1152,14 +1158,8 @@ SimResult Simulator::run() {
   }
   counters.instance_completion = result.completion_times;
   counters.elapsed_seconds = result.makespan;
-
-  result.pe_busy_seconds.resize(platform_.pe_count());
-  result.pe_overhead_seconds.resize(platform_.pe_count());
-  for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {
-    result.pe_busy_seconds[pe] = result.counters.pe[pe].compute_seconds;
-    result.pe_overhead_seconds[pe] = result.counters.pe[pe].overhead_seconds;
-  }
-  result.dma_transfers = result.counters.total_transfers();
+  result.steady_throughput = counters.steady_throughput();
+  result.dma_transfers = counters.total_transfers();
   result.trace = std::move(trace_);
   result.faults = faults_;
   result.edge_produced.resize(graph_.edge_count());
@@ -1174,19 +1174,6 @@ SimResult Simulator::run() {
 }
 
 }  // namespace
-
-std::vector<std::pair<std::size_t, double>> SimResult::windowed_throughput(
-    std::size_t window, std::size_t stride) const {
-  CS_ENSURE(window >= 1 && stride >= 1, "windowed_throughput: bad window");
-  std::vector<std::pair<std::size_t, double>> out;
-  for (std::size_t i = window; i < completion_times.size(); i += stride) {
-    const double dt = completion_times[i] - completion_times[i - window];
-    if (dt > 0.0) {
-      out.emplace_back(i, static_cast<double>(window) / dt);
-    }
-  }
-  return out;
-}
 
 SimResult simulate(const SteadyStateAnalysis& analysis, const Mapping& mapping,
                    const SimOptions& options) {

@@ -34,7 +34,7 @@
 #include "core/steady_state.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/recorder.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace cellstream::sim {
 
@@ -56,7 +56,7 @@ struct SimOptions {
   bool enforce_local_store = true;
   /// Simulated-seconds safety net against pathological configurations.
   double max_simulated_seconds = 1e6;
-  /// Record a full execution trace (see sim/trace.hpp).  Off by default:
+  /// Record a full execution trace (see obs/trace.hpp).  Off by default:
   /// a 10k-instance run generates millions of events.
   bool record_trace = false;
   /// Steady-state fast-forward: detect an exactly repeating event pattern
@@ -103,21 +103,18 @@ struct SimResult {
   /// completion_times[i]: simulated second at which instance i left the
   /// last task of the graph.
   std::vector<double> completion_times;
-  double makespan = 0.0;           ///< Completion time of the last instance.
-  double overall_throughput = 0.0; ///< instances / makespan.
-  /// Throughput measured over the middle half of the stream (pipeline
-  /// fill and drain excluded).
+  double makespan = 0.0;  ///< Completion time of the last instance.
+  /// counters.steady_throughput(): instances per second over the middle
+  /// half of the stream (pipeline fill and drain excluded).
   double steady_throughput = 0.0;
-
-  std::vector<double> pe_busy_seconds;      ///< Compute time per PE.
-  std::vector<double> pe_overhead_seconds;  ///< Dispatch + DMA-issue time.
-  std::uint64_t dma_transfers = 0;          ///< Total transfers issued.
-  /// Full telemetry of the run (always recorded; the per-PE vectors above
-  /// are views of it kept for compatibility).  Feeds obs::build_report
-  /// and the predicted-vs-observed cross-check (invariant I7).
+  std::uint64_t dma_transfers = 0;  ///< counters.total_transfers().
+  /// Full telemetry of the run, always recorded: per-PE compute and
+  /// overhead seconds, transfers and bytes, and every throughput figure
+  /// (observed, steady, windowed).  Feeds obs::build_report and the
+  /// predicted-vs-observed cross-check (invariant I7).
   obs::Counters counters;
   /// Execution trace (empty unless SimOptions::record_trace).
-  std::vector<TraceEvent> trace;
+  std::vector<obs::TraceEvent> trace;
   /// Fault counters accumulated by the run (all zero without a plan).
   fault::FaultStats faults;
   /// Per-edge end-to-end accounting at the end of the run: instances the
@@ -127,12 +124,6 @@ struct SimResult {
   std::vector<std::int64_t> edge_delivered;
   /// What the steady-state fast-forward did (engaged=false on full runs).
   FastForwardInfo fast_forward;
-
-  /// Sliding-window throughput curve (the paper's Fig. 6): one sample per
-  /// completed instance index multiple of `stride`, computed over the
-  /// trailing `window` instances.
-  std::vector<std::pair<std::size_t, double>> windowed_throughput(
-      std::size_t window = 250, std::size_t stride = 100) const;
 };
 
 /// Simulate `mapping` on the analysis' graph/platform.  Throws on

@@ -2,11 +2,16 @@
 // a pure optimization — bit-identical final stats against the full run —
 // across the paper's worked example and a sweep of fuzzed (graph, mapping)
 // pairs, and it must stay out of the way when a fault plan makes the run
-// aperiodic (docs/PERFORMANCE.md).
+// aperiodic (docs/PERFORMANCE.md).  Also pinned here: the instance at
+// which each of those runs detects its cycle, and that a result's steady
+// throughput is the obs::Counters rule, fast-forwarded or not.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/differential.hpp"
+#include "fault/failover.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/daggen.hpp"
 #include "mapping/heuristics.hpp"
@@ -30,6 +35,24 @@ TaskGraph worked_example() {
   graph.add_edge(3, 4, 4096.0);
   graph.add_edge(4, 5, 4096.0);
   return graph;
+}
+
+/// Two zero-work tasks joined by a 0-byte edge: with both on PE 0 and
+/// zero overheads, every event of the stream happens at tick 0.
+TaskGraph zero_work_pair() {
+  TaskGraph graph("zero-work");
+  graph.add_task({"A", 0.0, 0.0, 0, 0.0, 0.0, false});
+  graph.add_task({"B", 0.0, 0.0, 0, 0.0, 0.0, false});
+  graph.add_edge(0, 1, 0.0);
+  return graph;
+}
+
+sim::SimOptions zero_overhead_options(std::size_t instances) {
+  sim::SimOptions options;
+  options.instances = instances;
+  options.dispatch_overhead = 0.0;
+  options.dma_issue_overhead = 0.0;
+  return options;
 }
 
 TEST(FastForwardEquivalence, PaperWorkedExampleEngagesAndIsBitIdentical) {
@@ -103,6 +126,129 @@ TEST(FastForwardEquivalence, FiftyFuzzedPairsAreBitIdentical) {
   // Bit-identity must hold regardless, but the optimization would be
   // pointless if it never fired: most steady pipelines must engage.
   EXPECT_GE(engaged_count, 25) << "fast-forward engaged on too few pairs";
+}
+
+TEST(FastForwardEquivalence, ZeroDurationStreamIsBitIdentical) {
+  // The whole stream takes zero simulated time, so the detected cycle is
+  // zero ticks long; it translates like any other cycle.
+  const TaskGraph graph = zero_work_pair();
+  const SteadyStateAnalysis analysis(graph, platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{0, 0});
+  const sim::SimOptions options = zero_overhead_options(100);
+  const sim::SimResult r = sim::simulate(analysis, mapping, options);
+  EXPECT_EQ(r.makespan, 0.0);
+  EXPECT_EQ(r.completion_times.size(), options.instances);
+  EXPECT_TRUE(r.fast_forward.engaged);
+  EXPECT_EQ(r.fast_forward.cycle_seconds, 0.0);
+  const std::vector<Violation> violations =
+      check_fast_forward_equivalence(analysis, mapping, options, nullptr);
+  for (const Violation& v : violations) ADD_FAILURE() << v.detail;
+}
+
+// Where the cycle is detected, pinned: D6 alone would still pass if a
+// change to the state signature found the cycle later (or never).  Each
+// row is {cycle_instances, cycle length in ticks, skipped_instances},
+// recorded from an earlier implementation of the state list; a refactor
+// of the signature must not move them.
+struct CyclePin {
+  std::int64_t instances;
+  std::int64_t ticks;
+  std::int64_t skipped;
+};
+
+void expect_cycle(const sim::FastForwardInfo& ff, const CyclePin& pin,
+                  const std::string& what) {
+  EXPECT_TRUE(ff.engaged) << what;
+  EXPECT_EQ(ff.cycle_instances, pin.instances) << what;
+  EXPECT_EQ(ff.cycle_seconds, static_cast<double>(pin.ticks) * 1e-9) << what;
+  EXPECT_EQ(ff.skipped_instances, pin.skipped) << what;
+}
+
+TEST(FastForwardCycle, WorkedExampleCycleIsDetectedWhereItWas) {
+  const TaskGraph graph = worked_example();
+  const SteadyStateAnalysis analysis(graph, platforms::qs22_single_cell());
+  const Mapping mapping = mapping::greedy_mem(analysis);
+  sim::SimOptions options;
+  options.instances = 2000;
+  expect_cycle(sim::simulate(analysis, mapping, options).fast_forward,
+               {1, 1001000, 1989}, "worked example");
+}
+
+TEST(FastForwardCycle, FiftyFuzzedPairCyclesAreDetectedWhereTheyWere) {
+  // The pairs of FiftyFuzzedPairsAreBitIdentical, in the same order.
+  const CyclePin pins[50] = {
+      {1, 2502768, 670},  {1, 2294402, 669},  {1, 21039434, 682},
+      {1, 7537194, 681},  {1, 2762097, 675},  {1, 22440722, 681},
+      {1, 10359253, 682}, {1, 19931012, 678}, {1, 8246950, 683},
+      {1, 7354211, 668},  {1, 9069239, 673},  {1, 16642044, 685},
+      {1, 4085996, 455},  {1, 2039218, 660},  {1, 16178483, 683},
+      {1, 16105123, 673}, {1, 2027162, 664},  {1, 18859685, 679},
+      {1, 5433775, 679},  {1, 15435030, 682}, {1, 22697559, 680},
+      {1, 3471095, 673},  {1, 15775883, 679}, {1, 25570841, 681},
+      {1, 3763618, 670},  {1, 8674336, 666},  {1, 9995708, 684},
+      {1, 18230138, 681}, {6, 22171050, 630}, {1, 13583706, 683},
+      {1, 12927328, 679}, {1, 8395747, 681},  {1, 15977524, 684},
+      {1, 11201618, 668}, {1, 2167142, 662},  {1, 15004209, 684},
+      {1, 1681093, 593},  {1, 8086079, 673},  {1, 24765138, 683},
+      {1, 8543827, 683},  {1, 3207401, 664},  {1, 29472447, 682},
+      {1, 5443080, 680},  {1, 17073248, 677}, {1, 8627778, 685},
+      {1, 9312588, 670},  {1, 13605247, 677}, {1, 14475153, 683},
+      {1, 3828824, 663},  {1, 1368073, 667}};
+  const double ccrs[] = {0.775, 1.5, 2.3, 4.6};
+  const char* strategies[] = {"greedy-cpu", "greedy-mem", "ppe-only"};
+  for (int i = 0; i < 50; ++i) {
+    gen::DagGenParams params;
+    params.task_count = 6 + (static_cast<std::size_t>(i) * 7) % 18;
+    params.seed = static_cast<std::uint64_t>(i) * 977 + 11;
+    TaskGraph graph = gen::daggen_random(params);
+    gen::set_ccr(graph, ccrs[i % 4]);
+    const SteadyStateAnalysis analysis(graph,
+                                       platforms::qs22_single_cell());
+    Mapping mapping = mapping::run_heuristic(strategies[i % 3], analysis);
+    if (!analysis.feasible(mapping)) {
+      mapping = mapping::ppe_only(analysis);
+    }
+    sim::SimOptions options;
+    options.instances = 700;
+    expect_cycle(sim::simulate(analysis, mapping, options).fast_forward,
+                 pins[i], "pair " + std::to_string(i));
+  }
+}
+
+// SimResult::steady_throughput is a copy of the counters' rule, never a
+// second implementation of it: bitwise equal on an ordinary run, on a run
+// that takes no time at all, and on a failover's stitched stream.
+TEST(ThroughputRecords, SteadyThroughputIsTheCountersRule) {
+  const TaskGraph graph = worked_example();
+  const SteadyStateAnalysis analysis(graph, platforms::qs22_single_cell());
+  const Mapping mapping = mapping::greedy_mem(analysis);
+  sim::SimOptions options;
+  options.instances = 500;
+  const sim::SimResult ordinary = sim::simulate(analysis, mapping, options);
+  EXPECT_GT(ordinary.steady_throughput, 0.0);
+  EXPECT_EQ(ordinary.steady_throughput,
+            ordinary.counters.steady_throughput());
+
+  const TaskGraph zero = zero_work_pair();
+  const SteadyStateAnalysis zero_analysis(zero,
+                                          platforms::qs22_single_cell());
+  const sim::SimResult instant =
+      sim::simulate(zero_analysis, Mapping(std::vector<PeId>{0, 0}),
+                    zero_overhead_options(100));
+  EXPECT_EQ(instant.steady_throughput, 0.0);
+  EXPECT_EQ(instant.steady_throughput, instant.counters.steady_throughput());
+
+  fault::FaultPlan plan;
+  plan.pe_failure = fault::PeFailure{1, 200};  // SPE0
+  fault::FailoverOptions failover;
+  failover.sim = options;
+  const fault::FailoverOutcome outcome =
+      fault::run_with_failover(analysis, mapping, plan, failover);
+  ASSERT_TRUE(outcome.failover_performed);
+  EXPECT_EQ(outcome.result.steady_throughput,
+            outcome.result.counters.steady_throughput());
+  EXPECT_EQ(outcome.result.dma_transfers,
+            outcome.result.counters.total_transfers());
 }
 
 TEST(FastForwardEquivalence, MidStreamFaultPlanDisablesFastForward) {

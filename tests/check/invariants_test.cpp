@@ -15,7 +15,7 @@
 namespace cellstream::check {
 namespace {
 
-using sim::TraceEvent;
+using obs::TraceEvent;
 
 TraceEvent compute_event(TaskId task, PeId pe, std::int64_t instance,
                          double start, double end) {
@@ -84,7 +84,9 @@ TEST(ThroughputBound, FlagsThroughputAboveTheAnalyticBound) {
   const Mapping mapping(std::vector<PeId>{0, 0});
   sim::SimResult result;
   result.steady_throughput = 2.0 * analysis.throughput(mapping);
-  result.overall_throughput = 0.5 * analysis.throughput(mapping);
+  // One instance in 2T: observed throughput 0.5 x the bound.
+  result.counters.instance_completion.assign(1, 0.0);
+  result.counters.elapsed_seconds = 2.0 / analysis.throughput(mapping);
   const auto violations = check_throughput_bound(analysis, mapping, result);
   EXPECT_TRUE(has_invariant(violations, "throughput-bound"));
 }
@@ -95,7 +97,9 @@ TEST(ThroughputBound, AcceptsThroughputWithinTolerance) {
   const Mapping mapping(std::vector<PeId>{0, 0});
   sim::SimResult result;
   result.steady_throughput = 1.01 * analysis.throughput(mapping);
-  result.overall_throughput = analysis.throughput(mapping);
+  // One instance in T: observed throughput at the bound.
+  result.counters.instance_completion.assign(1, 0.0);
+  result.counters.elapsed_seconds = 1.0 / analysis.throughput(mapping);
   EXPECT_TRUE(check_throughput_bound(analysis, mapping, result).empty());
 }
 

@@ -101,8 +101,8 @@ TEST(FailoverSim, DegradedThroughputMatchesReducedPlatformPrediction) {
 
   // The stitched stream is slower than an uninterrupted run but faster
   // than running degraded from the start.
-  EXPECT_LT(outcome.result.overall_throughput, healthy);
-  EXPECT_GT(outcome.result.overall_throughput,
+  EXPECT_LT(outcome.result.counters.observed_throughput(), healthy);
+  EXPECT_GT(outcome.result.counters.observed_throughput(),
             0.95 * outcome.predicted_post_throughput);
 }
 

@@ -1,8 +1,7 @@
-// obs::Recorder semantics: accumulation, derived throughputs, and the
-// exactly-once flush contract multi-threaded engines rely on — plus the
+// obs::Counters semantics: derived totals and throughputs, plus the
 // end-to-end pin that a simulated run's counters reproduce the
 // steady-state model's per-resource byte/compute attribution exactly
-// (the satellite audit of kMemRead/kMemWrite interface direction).
+// (the audit of kMemRead/kMemWrite interface direction).
 
 #include "obs/recorder.hpp"
 
@@ -14,83 +13,34 @@
 namespace cellstream::obs {
 namespace {
 
-TEST(Recorder, AccumulatesPerPeEvents) {
-  Recorder r(3, TimeDomain::kSimulated);
-  r.on_execution(0, 2.0e-3);
-  r.on_execution(0, 3.0e-3);
-  r.on_overhead(0, 1.0e-6);
-  r.on_transfer_issued(1);
-  r.on_bytes_in(1, 4096.0);
-  r.on_bytes_out(2, 128.0);
-  r.on_mfc_queue_depth(1, 5);
-  r.on_mfc_queue_depth(1, 3);  // below the peak: must not lower it
-  r.on_proxy_queue_depth(2, 7);
-  r.on_instance_complete(0.25);
-  r.on_instance_complete(0.50);
-  r.set_elapsed(0.5);
-
-  const Counters& c = r.counters();
-  EXPECT_EQ(c.pe[0].tasks_executed, 2u);
-  EXPECT_DOUBLE_EQ(c.pe[0].compute_seconds, 5.0e-3);
-  EXPECT_DOUBLE_EQ(c.pe[0].overhead_seconds, 1.0e-6);
-  EXPECT_EQ(c.pe[1].transfers_issued, 1u);
-  EXPECT_DOUBLE_EQ(c.pe[1].bytes_in, 4096.0);
-  EXPECT_DOUBLE_EQ(c.pe[2].bytes_out, 128.0);
-  EXPECT_EQ(c.pe[1].mfc_queue_peak, 5u);
-  EXPECT_EQ(c.pe[2].proxy_queue_peak, 7u);
+TEST(Counters, DeriveTotalsAndObservedThroughput) {
+  Counters c;
+  c.pe.resize(3);
+  c.pe[0].tasks_executed = 2;
+  c.pe[2].tasks_executed = 3;
+  c.pe[1].transfers_issued = 1;
+  c.pe[2].transfers_issued = 4;
+  c.instance_completion = {0.25, 0.50};
+  c.elapsed_seconds = 0.5;
   EXPECT_EQ(c.instances_completed(), 2u);
-  EXPECT_EQ(c.total_executions(), 2u);
-  EXPECT_EQ(c.total_transfers(), 1u);
+  EXPECT_EQ(c.total_executions(), 5u);
+  EXPECT_EQ(c.total_transfers(), 5u);
   EXPECT_DOUBLE_EQ(c.observed_throughput(), 2.0 / 0.5);
-}
-
-TEST(Recorder, RejectsOutOfRangePe) {
-  Recorder r(2, TimeDomain::kSimulated);
-  EXPECT_THROW(r.on_execution(2, 1.0), Error);
-}
-
-TEST(Recorder, FlushIsExactlyOncePerPe) {
-  Recorder r(2, TimeDomain::kWall);
-  PeCounters delta;
-  delta.tasks_executed = 10;
-  delta.compute_seconds = 0.125;
-  delta.bytes_in = 64.0;
-  delta.mfc_queue_peak = 3;
-  r.flush_pe(0, delta);
-  EXPECT_EQ(r.counters().pe[0].tasks_executed, 10u);
-  EXPECT_DOUBLE_EQ(r.counters().pe[0].compute_seconds, 0.125);
-  // A second flush of the same PE is the runtime's stop/drain contract
-  // broken (every counter would double) — it must be a caught bug.
-  EXPECT_THROW(r.flush_pe(0, delta), Error);
-  // Other PEs are independent.
-  r.flush_pe(1, delta);
-  EXPECT_EQ(r.counters().pe[1].tasks_executed, 10u);
-}
-
-TEST(Recorder, ResetRearmsFlushes) {
-  Recorder r(1, TimeDomain::kWall);
-  r.flush_pe(0, PeCounters{});
-  r.reset(1, TimeDomain::kWall);
-  EXPECT_NO_THROW(r.flush_pe(0, PeCounters{}));
-}
-
-TEST(Recorder, TakeMovesCountersOut) {
-  Recorder r(1, TimeDomain::kSimulated);
-  r.on_execution(0, 1.0);
-  const Counters taken = r.take();
-  EXPECT_EQ(taken.pe[0].tasks_executed, 1u);
-  EXPECT_TRUE(r.counters().pe.empty());
+  // A run that took no time has no rate (and no steady rate either).
+  c.elapsed_seconds = 0.0;
+  EXPECT_EQ(c.observed_throughput(), 0.0);
+  EXPECT_EQ(c.steady_throughput(), 0.0);
 }
 
 TEST(Recorder, SteadyThroughputUsesMiddleHalf) {
-  Recorder r(1, TimeDomain::kSimulated);
+  Counters c;
+  c.pe.resize(1);
   // 8 instances: slow start (1s apart), fast middle (0.1s), slow tail.
-  const double times[] = {1.0, 2.0, 2.1, 2.2, 2.3, 2.4, 3.4, 4.4};
-  for (double t : times) r.on_instance_complete(t);
-  r.set_elapsed(4.4);
+  c.instance_completion = {1.0, 2.0, 2.1, 2.2, 2.3, 2.4, 3.4, 4.4};
+  c.elapsed_seconds = 4.4;
   // Middle half = instances [2, 6): completions 2.0 .. 2.4 -> 4/0.4 inst/s.
-  EXPECT_NEAR(r.counters().steady_throughput(), 4.0 / 0.4, 1e-9);
-  EXPECT_NEAR(r.counters().observed_throughput(), 8.0 / 4.4, 1e-12);
+  EXPECT_NEAR(c.steady_throughput(), 4.0 / 0.4, 1e-9);
+  EXPECT_NEAR(c.observed_throughput(), 8.0 / 4.4, 1e-12);
 }
 
 // The accounting pin for the interface-direction audit: simulate a

@@ -78,7 +78,7 @@ TEST(HostRuntime, ChainComputesCorrectValuesAcrossPes) {
   EXPECT_EQ(verified.load(), 2000);
   EXPECT_FALSE(mismatch.load());
   EXPECT_EQ(stats.tasks_executed, 3u * 2000u);
-  EXPECT_GT(stats.throughput, 0.0);
+  EXPECT_GT(stats.counters.observed_throughput(), 0.0);
 }
 
 TEST(HostRuntime, PeekDeliversFutureInstancesAndClampsAtStreamEnd) {
@@ -374,7 +374,7 @@ TEST(HostRuntime, MilpMappingRunsRealWorkEndToEnd) {
   EXPECT_FALSE(mismatch.load());
 }
 
-// -- Telemetry (obs::Recorder integration) ---------------------------------
+// -- Telemetry (obs::Counters) ----------------------------------------------
 
 TEST(HostRuntime, TelemetryCountsExecutionsAndPacketBytesPerPe) {
   // source -> mid -> sink over three PEs; every packet is 8 bytes, both
@@ -505,12 +505,12 @@ TEST(HostRuntime, TelemetryTraceRecordsEveryExecutionWhenEnabled) {
 }
 
 TEST(HostRuntime, TelemetryFlushesExactlyOnceOnFailureShutdown) {
-  // A worker that throws mid-stream still flushes its counters exactly
-  // once, and so does every draining peer: if any worker double-flushed,
-  // Recorder::flush_pe would throw from the flush path and the process
-  // would terminate instead of rethrowing the task's exception.  Run it
-  // several times to give interleavings a chance (and TSan, under the
-  // CELLSTREAM_TSAN build, a race-free execution to certify).
+  // A worker that throws mid-stream still shuts down cleanly, and so
+  // does every draining peer: the run joins them all and rethrows the
+  // task's exception (worker counters are only ever read after the join,
+  // by assignment into their PE's slot).  Run it several times to give
+  // interleavings a chance (and TSan, under the CELLSTREAM_TSAN build, a
+  // race-free execution to certify).
   TaskGraph g("flaky");
   g.add_task(make_task());
   g.add_task(make_task());

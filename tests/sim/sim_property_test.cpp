@@ -87,14 +87,14 @@ TEST_P(SimProperties, BusyTimeMatchesWorkDone) {
     for (TaskId t : mapping_.tasks_on(pe)) {
       expected += p.is_ppe(pe) ? graph_.task(t).wppe : graph_.task(t).wspe;
     }
-    EXPECT_NEAR(result_.pe_busy_seconds[pe], expected * 600.0,
+    EXPECT_NEAR(result_.counters.pe[pe].compute_seconds, expected * 600.0,
                 1e-6 * (1.0 + expected * 600.0));
   }
 }
 
 TEST_P(SimProperties, MakespanIsLastCompletion) {
   EXPECT_DOUBLE_EQ(result_.makespan, result_.completion_times.back());
-  EXPECT_GT(result_.overall_throughput, 0.0);
+  EXPECT_GT(result_.counters.observed_throughput(), 0.0);
 }
 
 TEST_P(SimProperties, ReplayIsBitIdentical) {
@@ -123,12 +123,13 @@ TEST_P(SimProperties, TraceDmaQueueDepthsRespectTheHardwareLimits) {
     int change;
   };
   std::vector<std::vector<Delta>> mfc(p.pe_count()), proxy(p.pe_count());
-  for (const TraceEvent& e : result_.trace) {
-    if (e.kind != TraceEvent::Kind::kTransfer) continue;
+  for (const obs::TraceEvent& e : result_.trace) {
+    if (e.kind != obs::TraceEvent::Kind::kTransfer) continue;
     if (p.is_spe(e.pe)) {
       mfc[e.pe].push_back({e.start, +1});
       mfc[e.pe].push_back({e.end, -1});
-    } else if (e.payload == TraceEvent::Payload::kEdge && p.is_spe(e.src_pe)) {
+    } else if (e.payload == obs::TraceEvent::Payload::kEdge &&
+               p.is_spe(e.src_pe)) {
       proxy[e.src_pe].push_back({e.start, +1});
       proxy[e.src_pe].push_back({e.end, -1});
     }

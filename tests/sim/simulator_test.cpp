@@ -183,7 +183,7 @@ TEST(Simulator, OverheadsReduceThroughput) {
   heavy.dispatch_overhead = 0.5e-3;  // +50 % per instance
   const SimResult r = simulate(ss, ppe_only_mapping(g), heavy);
   EXPECT_NEAR(r.steady_throughput, 1.0 / 1.5e-3, 10.0);
-  EXPECT_GT(r.pe_overhead_seconds[0], 0.0);
+  EXPECT_GT(r.counters.pe[0].overhead_seconds, 0.0);
 }
 
 TEST(Simulator, BusyAccountingAddsUp) {
@@ -191,8 +191,10 @@ TEST(Simulator, BusyAccountingAddsUp) {
   g.add_task(make_task(1e-3, 1e-3));
   const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
   const SimResult r = simulate(ss, ppe_only_mapping(g), fast_options(100));
-  EXPECT_NEAR(r.pe_busy_seconds[0], 100 * 1e-3, 1e-6);
-  for (PeId pe = 1; pe < 9; ++pe) EXPECT_DOUBLE_EQ(r.pe_busy_seconds[pe], 0.0);
+  EXPECT_NEAR(r.counters.pe[0].compute_seconds, 100 * 1e-3, 1e-6);
+  for (PeId pe = 1; pe < 9; ++pe) {
+    EXPECT_DOUBLE_EQ(r.counters.pe[pe].compute_seconds, 0.0);
+  }
 }
 
 TEST(Simulator, WindowedThroughputConvergesToSteady) {
@@ -206,12 +208,12 @@ TEST(Simulator, WindowedThroughputConvergesToSteady) {
   m.assign(1, 1);
   m.assign(2, 2);
   const SimResult r = simulate(ss, m, fast_options(2000));
-  const auto curve = r.windowed_throughput(200, 100);
+  const auto curve = r.counters.windowed_throughput(200, 100);
   ASSERT_GT(curve.size(), 3u);
   // The tail of the curve sits near the steady throughput.
   const double last = curve.back().second;
   EXPECT_NEAR(last, r.steady_throughput, 0.05 * r.steady_throughput);
-  EXPECT_THROW(r.windowed_throughput(0, 1), Error);
+  EXPECT_THROW(r.counters.windowed_throughput(0, 1), Error);
 }
 
 TEST(Simulator, ValidatesInputs) {

@@ -1,4 +1,4 @@
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,8 +31,8 @@ TEST(Trace, DisabledByDefault) {
 TEST(Trace, RecordsOneComputeEventPerTaskInstance) {
   const SimResult r = traced_run(20);
   std::size_t computes = 0;
-  for (const TraceEvent& e : r.trace) {
-    if (e.kind == TraceEvent::Kind::kCompute) ++computes;
+  for (const obs::TraceEvent& e : r.trace) {
+    if (e.kind == obs::TraceEvent::Kind::kCompute) ++computes;
   }
   // 9 tasks x 20 instances (audio encoder with 2 subband groups).
   EXPECT_EQ(computes, 9u * 20u);
@@ -41,8 +41,8 @@ TEST(Trace, RecordsOneComputeEventPerTaskInstance) {
 TEST(Trace, TransferEventsMatchDmaCount) {
   const SimResult r = traced_run(20);
   std::size_t transfers = 0;
-  for (const TraceEvent& e : r.trace) {
-    if (e.kind == TraceEvent::Kind::kTransfer) ++transfers;
+  for (const obs::TraceEvent& e : r.trace) {
+    if (e.kind == obs::TraceEvent::Kind::kTransfer) ++transfers;
   }
   EXPECT_EQ(transfers, r.dma_transfers);
 }
@@ -50,7 +50,7 @@ TEST(Trace, TransferEventsMatchDmaCount) {
 TEST(Trace, EventsHaveSaneTimesAndInstances) {
   const SimResult r = traced_run(10);
   ASSERT_FALSE(r.trace.empty());
-  for (const TraceEvent& e : r.trace) {
+  for (const obs::TraceEvent& e : r.trace) {
     EXPECT_GE(e.start, 0.0);
     EXPECT_GE(e.end, e.start);
     EXPECT_LE(e.end, r.makespan * 1.001 + 1e-9);
@@ -64,8 +64,8 @@ TEST(Trace, ComputeEventsNeverOverlapOnOnePe) {
   // Group by PE and check pairwise disjointness (events are appended in
   // completion order, hence sorted by end; starts must follow suit).
   std::vector<double> last_end(16, -1.0);
-  for (const TraceEvent& e : r.trace) {
-    if (e.kind != TraceEvent::Kind::kCompute) continue;
+  for (const obs::TraceEvent& e : r.trace) {
+    if (e.kind != obs::TraceEvent::Kind::kCompute) continue;
     EXPECT_GE(e.start, last_end[e.pe] - 1e-12)
         << e.name << " overlaps on PE " << e.pe;
     last_end[e.pe] = e.end;
@@ -75,7 +75,7 @@ TEST(Trace, ComputeEventsNeverOverlapOnOnePe) {
 TEST(ChromeTrace, ProducesValidLookingJson) {
   const SimResult r = traced_run(5);
   const CellPlatform p = platforms::qs22_single_cell();
-  const std::string json = chrome_trace_json(r.trace, p);
+  const std::string json = obs::chrome_trace_json(r.trace, p);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json[json.size() - 2], ']');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -89,13 +89,13 @@ TEST(ChromeTrace, ProducesValidLookingJson) {
 }
 
 TEST(ChromeTrace, EscapesSpecialCharacters) {
-  std::vector<TraceEvent> events;
-  TraceEvent weird;
+  std::vector<obs::TraceEvent> events;
+  obs::TraceEvent weird;
   weird.name = "weird\"name\\";
   weird.end = 1.0;
   events.push_back(weird);
   const std::string json =
-      chrome_trace_json(events, platforms::qs22_single_cell());
+      obs::chrome_trace_json(events, platforms::qs22_single_cell());
   EXPECT_NE(json.find("weird\\\"name\\\\"), std::string::npos);
 }
 
@@ -103,14 +103,14 @@ TEST(ChromeTrace, ClampsNegativeDurationsToZeroLength) {
   // A clock glitch must not poison the whole trace file: the writer
   // clamps the window to a zero-length event at its start time instead
   // of refusing to serialize (see also obs/trace_escape_test.cpp).
-  std::vector<TraceEvent> events;
-  TraceEvent bad;
+  std::vector<obs::TraceEvent> events;
+  obs::TraceEvent bad;
   bad.name = "bad";
   bad.start = 2.0;
   bad.end = 1.0;
   events.push_back(bad);
   const std::string json =
-      chrome_trace_json(events, platforms::qs22_single_cell());
+      obs::chrome_trace_json(events, platforms::qs22_single_cell());
   EXPECT_NE(json.find("\"name\":\"bad\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":0"), std::string::npos);
 }
