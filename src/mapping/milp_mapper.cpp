@@ -3,44 +3,123 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "mapping/heuristics.hpp"
 #include "mapping/local_search.hpp"
 
 namespace cellstream::mapping {
 
+namespace {
+
+/// Local-store bytes task k needs at least when it sits on a SPE.  Under
+/// the shared-buffer policy the best case co-locates every incident edge,
+/// whose partner task then holds the other copy of its buffer.
+std::vector<double> min_buffer_need(const SteadyStateAnalysis& analysis) {
+  const TaskGraph& graph = analysis.graph();
+  const bool shared =
+      analysis.buffer_policy() == BufferPolicy::kSharedColocated;
+  std::vector<double> need(graph.task_count());
+  for (TaskId k = 0; k < graph.task_count(); ++k) {
+    need[k] = analysis.task_buffer_bytes(k);
+    if (!shared) continue;
+    for (EdgeId e : graph.in_edges(k)) {
+      need[k] -= analysis.buffer_bytes(e) / 2.0;
+    }
+    for (EdgeId e : graph.out_edges(k)) {
+      need[k] -= analysis.buffer_bytes(e) / 2.0;
+    }
+  }
+  return need;
+}
+
+/// Whether (1k) can bind at a memory-feasible mapping.  The tasks on one
+/// SPE fit its local store, so the out-degree sum of the tasks of one SPE
+/// is at most the fractional-knapsack bound with weights `need` and
+/// capacity `budget`; that sum bounds the SPE's transfers to PPEs.
+bool proxy_slots_can_bind(const SteadyStateAnalysis& analysis,
+                          const std::vector<double>& need, double budget) {
+  const TaskGraph& graph = analysis.graph();
+  struct Item {
+    double weight;
+    double value;
+  };
+  std::vector<Item> items;
+  for (TaskId k = 0; k < graph.task_count(); ++k) {
+    const double degree = static_cast<double>(graph.out_edges(k).size());
+    if (need[k] > budget || degree == 0.0) continue;  // never on a SPE
+    items.push_back({need[k], degree});
+  }
+  // Best value per byte first; weightless items come first of all.
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return a.value * b.weight > b.value * a.weight;
+  });
+  double bound = 0.0;
+  double room = budget;
+  for (const Item& item : items) {
+    if (item.weight <= room) {
+      bound += item.value;
+      room -= item.weight;
+    } else {
+      bound += item.value * room / item.weight;
+      break;
+    }
+  }
+  return std::floor(bound) >
+         static_cast<double>(analysis.platform().ppe_to_spe_dma_slots);
+}
+
+}  // namespace
+
 Formulation build_formulation(const SteadyStateAnalysis& analysis) {
   const TaskGraph& graph = analysis.graph();
   const CellPlatform& platform = analysis.platform();
   const std::size_t n = platform.pe_count();
   const std::size_t K = graph.task_count();
+  const std::size_t E = graph.edge_count();
+  const std::size_t nppe = platform.ppe_count;
   const double bw = platform.interface_bandwidth;
   const double budget = static_cast<double>(platform.buffer_budget());
+  const bool shared =
+      analysis.buffer_policy() == BufferPolicy::kSharedColocated;
+  const std::vector<double> need = min_buffer_need(analysis);
+  const bool proxy_rows = proxy_slots_can_bind(analysis, need, budget);
 
   Formulation f;
   lp::Problem& p = f.problem;
 
   // Objective: minimize the period T.
-  f.period_var = p.add_variable(0.0, lp::kInfinity, 1.0, "T");
+  f.period_var = p.add_variable(0.0, lp::kInfinity, 1.0);
 
-  // (1a) alpha and beta domains.
+  // (1a) alpha domains.  A task whose buffers exceed the local store even
+  // in the best case can never sit on a SPE (implied by (1i) at integral
+  // alpha, much tighter in the relaxation).
   f.alpha.assign(K, {});
   for (TaskId k = 0; k < K; ++k) {
     f.alpha[k].reserve(n);
     for (PeId i = 0; i < n; ++i) {
-      f.alpha[k].push_back(p.add_variable(
-          0.0, 1.0, 0.0, "a_" + std::to_string(k) + "_" + std::to_string(i)));
+      const double up = i >= nppe && need[k] > budget ? 0.0 : 1.0;
+      f.alpha[k].push_back(p.add_variable(0.0, up, 0.0));
     }
   }
-  f.beta.assign(graph.edge_count(), {});
-  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    f.beta[e].reserve(n * n);
+  // Routing columns: d_{e,i} (both endpoints of e on PE i), D_{e,c} (both
+  // on chip c; multi-chip only) and q_{e,s,p} (source on SPE s, target on
+  // PPE p; only where (1k) can bind and the source can sit on a SPE).
+  f.colocated.assign(E, {});
+  f.same_chip.assign(E, {});
+  f.to_ppe.assign(E, {});
+  for (EdgeId e = 0; e < E; ++e) {
     for (PeId i = 0; i < n; ++i) {
-      for (PeId j = 0; j < n; ++j) {
-        f.beta[e].push_back(p.add_variable(
-            0.0, 1.0, 0.0,
-            "b_" + std::to_string(e) + "_" + std::to_string(i) + "_" +
-                std::to_string(j)));
+      f.colocated[e].push_back(p.add_variable(0.0, 1.0, 0.0));
+    }
+    if (platform.chip_count > 1) {
+      for (std::size_t c = 0; c < platform.chip_count; ++c) {
+        f.same_chip[e].push_back(p.add_variable(0.0, 1.0, 0.0));
+      }
+    }
+    if (proxy_rows && need[graph.edge(e).from] <= budget) {
+      for (std::size_t pair = 0; pair < platform.spe_count * nppe; ++pair) {
+        f.to_ppe[e].push_back(p.add_variable(0.0, 1.0, 0.0));
       }
     }
   }
@@ -49,28 +128,21 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
   for (TaskId k = 0; k < K; ++k) {
     std::vector<lp::Coefficient> row;
     for (PeId i = 0; i < n; ++i) row.push_back({f.alpha[k][i], 1.0});
-    p.add_row(1.0, 1.0, row, "assign_" + std::to_string(k));
+    p.add_row(1.0, 1.0, row);
   }
 
-  // (1c) the PE computing T_l receives each D_{k,l}:
-  //      sum_i beta[e][i][j] >= alpha[l][j].
-  // (1d) only the PE computing T_k may send D_{k,l}:
-  //      sum_j beta[e][i][j] <= alpha[k][i].
-  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+  // (1c)/(1d) in per-PE form: d_{e,i} <= alpha_i^l and d_{e,i} <= alpha_i^k,
+  // so alpha_i^l - d_{e,i} is the traffic of e into PE i and
+  // alpha_i^k - d_{e,i} the traffic out of it.
+  for (EdgeId e = 0; e < E; ++e) {
     const Edge& edge = graph.edge(e);
-    for (PeId j = 0; j < n; ++j) {
-      std::vector<lp::Coefficient> row;
-      for (PeId i = 0; i < n; ++i) row.push_back({f.beta[e][i * n + j], 1.0});
-      row.push_back({f.alpha[edge.to][j], -1.0});
-      p.add_row(0.0, lp::kInfinity, row,
-                "recv_" + std::to_string(e) + "_" + std::to_string(j));
+    for (PeId i = 0; i < n; ++i) {
+      p.add_row(-lp::kInfinity, 0.0,
+                {{f.colocated[e][i], 1.0}, {f.alpha[edge.to][i], -1.0}});
     }
     for (PeId i = 0; i < n; ++i) {
-      std::vector<lp::Coefficient> row;
-      for (PeId j = 0; j < n; ++j) row.push_back({f.beta[e][i * n + j], 1.0});
-      row.push_back({f.alpha[edge.from][i], -1.0});
-      p.add_row(-lp::kInfinity, 0.0, row,
-                "send_" + std::to_string(e) + "_" + std::to_string(i));
+      p.add_row(-lp::kInfinity, 0.0,
+                {{f.colocated[e][i], 1.0}, {f.alpha[edge.from][i], -1.0}});
     }
   }
 
@@ -83,7 +155,7 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
       if (w != 0.0) row.push_back({f.alpha[k][i], w});
     }
     row.push_back({f.period_var, -1.0});
-    p.add_row(-lp::kInfinity, 0.0, row, "compute_" + std::to_string(i));
+    p.add_row(-lp::kInfinity, 0.0, row);
   }
 
   // (1g)/(1h) interface occupation below T (rows scaled by 1/bw so every
@@ -99,100 +171,87 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
         out_row.push_back({f.alpha[k][i], task.write_bytes / bw});
       }
     }
-    for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-      const double secs = graph.edge(e).data_bytes / bw;
+    for (EdgeId e = 0; e < E; ++e) {
+      const Edge& edge = graph.edge(e);
+      const double secs = edge.data_bytes / bw;
       if (secs == 0.0) continue;
-      for (PeId other = 0; other < n; ++other) {
-        if (other == i) continue;
-        in_row.push_back({f.beta[e][other * n + i], secs});
-        out_row.push_back({f.beta[e][i * n + other], secs});
-      }
+      in_row.push_back({f.alpha[edge.to][i], secs});
+      in_row.push_back({f.colocated[e][i], -secs});
+      out_row.push_back({f.alpha[edge.from][i], secs});
+      out_row.push_back({f.colocated[e][i], -secs});
     }
     in_row.push_back({f.period_var, -1.0});
     out_row.push_back({f.period_var, -1.0});
-    p.add_row(-lp::kInfinity, 0.0, in_row, "bw_in_" + std::to_string(i));
-    p.add_row(-lp::kInfinity, 0.0, out_row, "bw_out_" + std::to_string(i));
+    p.add_row(-lp::kInfinity, 0.0, in_row);
+    p.add_row(-lp::kInfinity, 0.0, out_row);
   }
 
   // Section 7 extension: on multi-chip platforms the inter-chip link is a
-  // shared resource in each direction (rows analogous to (1g)/(1h)).
+  // shared resource in each direction (rows analogous to (1g)/(1h)).  With
+  // D_{e,c} <= the chip-c sums of alpha^k and of alpha^l, the traffic of e
+  // out of chip c is sum_{i in c} alpha_i^k - D_{e,c}, and into it
+  // sum_{i in c} alpha_i^l - D_{e,c}.
   if (platform.chip_count > 1) {
-    for (std::size_t chip = 0; chip < platform.chip_count; ++chip) {
-      std::vector<lp::Coefficient> out_row, in_row;
-      for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-        const double secs =
-            graph.edge(e).data_bytes / platform.cross_chip_bandwidth;
-        if (secs == 0.0) continue;
-        for (PeId i = 0; i < n; ++i) {
-          for (PeId j = 0; j < n; ++j) {
-            if (!platform.crosses_chips(i, j)) continue;
-            if (platform.chip_of(i) == chip) {
-              out_row.push_back({f.beta[e][i * n + j], secs});
-            }
-            if (platform.chip_of(j) == chip) {
-              in_row.push_back({f.beta[e][i * n + j], secs});
+    for (EdgeId e = 0; e < E; ++e) {
+      const Edge& edge = graph.edge(e);
+      for (std::size_t c = 0; c < platform.chip_count; ++c) {
+        for (TaskId end : {edge.from, edge.to}) {
+          std::vector<lp::Coefficient> row{{f.same_chip[e][c], 1.0}};
+          for (PeId i = 0; i < n; ++i) {
+            if (platform.chip_of(i) == c) {
+              row.push_back({f.alpha[end][i], -1.0});
             }
           }
+          p.add_row(-lp::kInfinity, 0.0, row);
         }
       }
-      if (out_row.empty() && in_row.empty()) continue;
+    }
+    for (std::size_t c = 0; c < platform.chip_count; ++c) {
+      std::vector<lp::Coefficient> out_row, in_row;
+      for (EdgeId e = 0; e < E; ++e) {
+        const Edge& edge = graph.edge(e);
+        const double secs = edge.data_bytes / platform.cross_chip_bandwidth;
+        if (secs == 0.0) continue;
+        for (PeId i = 0; i < n; ++i) {
+          if (platform.chip_of(i) != c) continue;
+          out_row.push_back({f.alpha[edge.from][i], secs});
+          in_row.push_back({f.alpha[edge.to][i], secs});
+        }
+        out_row.push_back({f.same_chip[e][c], -secs});
+        in_row.push_back({f.same_chip[e][c], -secs});
+      }
+      if (out_row.empty()) continue;
       out_row.push_back({f.period_var, -1.0});
       in_row.push_back({f.period_var, -1.0});
-      p.add_row(-lp::kInfinity, 0.0, out_row,
-                "xchip_out_" + std::to_string(chip));
-      p.add_row(-lp::kInfinity, 0.0, in_row,
-                "xchip_in_" + std::to_string(chip));
+      p.add_row(-lp::kInfinity, 0.0, out_row);
+      p.add_row(-lp::kInfinity, 0.0, in_row);
     }
   }
 
   // (1i) buffers of tasks on a SPE fit in its local store (scaled to 1).
   // Under the shared-buffer policy (the Section 4.2 optimization), an edge
   // whose endpoints are co-located on the SPE needs its buffer only once:
-  // the relief is linear in beta[e][i][i], which equals 1 exactly when
-  // both endpoints sit on PE i.
-  const bool shared =
-      analysis.buffer_policy() == BufferPolicy::kSharedColocated;
-  for (PeId i = platform.ppe_count; i < n; ++i) {
+  // the relief is linear in d_{e,i}, which equals 1 exactly when both
+  // endpoints sit on PE i.
+  for (PeId i = nppe; i < n; ++i) {
     std::vector<lp::Coefficient> row;
     for (TaskId k = 0; k < K; ++k) {
       const double buf = analysis.task_buffer_bytes(k);
       if (buf != 0.0) row.push_back({f.alpha[k][i], buf / budget});
     }
     if (shared) {
-      for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+      for (EdgeId e = 0; e < E; ++e) {
         const double relief = analysis.buffer_bytes(e) / budget;
-        if (relief != 0.0) {
-          row.push_back({f.beta[e][i * n + i], -relief});
-        }
+        if (relief != 0.0) row.push_back({f.colocated[e][i], -relief});
       }
     }
     if (row.empty()) continue;
-    p.add_row(-lp::kInfinity, 1.0, row, "mem_" + std::to_string(i));
+    p.add_row(-lp::kInfinity, 1.0, row);
   }
 
-  // Strengthening of (1i), both implied by it for integral alpha but much
-  // tighter in the LP relaxation (they close most of the branch-and-bound
-  // gap on memory-tight instances):
-  //  * a task whose buffers exceed the local store can never sit on a SPE;
-  //  * two tasks whose buffers jointly exceed it cannot share one.
-  for (TaskId k = 0; k < K; ++k) {
-    double min_need = analysis.task_buffer_bytes(k);
-    if (shared) {
-      // Best case: every incident edge is co-located and shared (its
-      // partner task contributes the other copy).
-      for (EdgeId e : graph.in_edges(k)) {
-        min_need -= analysis.buffer_bytes(e) / 2.0;
-      }
-      for (EdgeId e : graph.out_edges(k)) {
-        min_need -= analysis.buffer_bytes(e) / 2.0;
-      }
-    }
-    if (min_need > budget) {
-      for (PeId i = platform.ppe_count; i < n; ++i) {
-        p.set_variable_bounds(f.alpha[k][i], 0.0, 0.0);
-      }
-    }
-  }
+  // Strengthening of (1i), implied by it for integral alpha but tighter in
+  // the relaxation: two tasks whose buffers jointly exceed the local store
+  // cannot share a SPE.
   std::size_t conflict_rows = 0;
   const std::size_t kMaxConflictPairs = shared ? 0 : 400;
   for (TaskId k = 0; k < K && conflict_rows < kMaxConflictPairs; ++k) {
@@ -203,41 +262,47 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
       if (buf_l == 0.0 || buf_l > budget) continue;
       if (buf_k + buf_l <= budget) continue;
       ++conflict_rows;
-      for (PeId i = platform.ppe_count; i < n; ++i) {
+      for (PeId i = nppe; i < n; ++i) {
         p.add_row(-lp::kInfinity, 1.0,
-                  {{f.alpha[k][i], 1.0}, {f.alpha[l][i], 1.0}},
-                  "conflict_" + std::to_string(k) + "_" + std::to_string(l) +
-                      "_" + std::to_string(i));
+                  {{f.alpha[k][i], 1.0}, {f.alpha[l][i], 1.0}});
       }
     }
   }
 
   // (1j) at most spe_dma_slots distinct incoming transfers per SPE.
-  for (PeId j = platform.ppe_count; j < n; ++j) {
+  for (PeId j = nppe; j < n; ++j) {
     std::vector<lp::Coefficient> row;
-    for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-      for (PeId i = 0; i < n; ++i) {
-        if (i == j) continue;
-        row.push_back({f.beta[e][i * n + j], 1.0});
-      }
+    for (EdgeId e = 0; e < E; ++e) {
+      row.push_back({f.alpha[graph.edge(e).to][j], 1.0});
+      row.push_back({f.colocated[e][j], -1.0});
     }
     if (row.empty()) continue;
     p.add_row(-lp::kInfinity, static_cast<double>(platform.spe_dma_slots),
-              row, "dma_in_" + std::to_string(j));
+              row);
   }
 
-  // (1k) at most ppe_to_spe_dma_slots transfers from each SPE to PPEs.
-  for (PeId i = platform.ppe_count; i < n; ++i) {
-    std::vector<lp::Coefficient> row;
-    for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-      for (PeId j = 0; j < platform.ppe_count; ++j) {
-        row.push_back({f.beta[e][i * n + j], 1.0});
+  // (1k) at most ppe_to_spe_dma_slots transfers from each SPE to PPEs,
+  // through q_{e,s,p} >= alpha_s^k + alpha_p^l - 1.  Left out when no
+  // memory-feasible mapping can exceed the slots (proxy_slots_can_bind).
+  if (proxy_rows) {
+    for (PeId s = nppe; s < n; ++s) {
+      std::vector<lp::Coefficient> row;
+      for (EdgeId e = 0; e < E; ++e) {
+        if (f.to_ppe[e].empty()) continue;
+        const Edge& edge = graph.edge(e);
+        for (PeId j = 0; j < nppe; ++j) {
+          const lp::VarId q = f.to_ppe[e][(s - nppe) * nppe + j];
+          p.add_row(-1.0, lp::kInfinity,
+                    {{q, 1.0},
+                     {f.alpha[edge.from][s], -1.0},
+                     {f.alpha[edge.to][j], -1.0}});
+          row.push_back({q, 1.0});
+        }
       }
+      if (row.empty()) continue;
+      p.add_row(-lp::kInfinity,
+                static_cast<double>(platform.ppe_to_spe_dma_slots), row);
     }
-    if (row.empty()) continue;
-    p.add_row(-lp::kInfinity,
-              static_cast<double>(platform.ppe_to_spe_dma_slots), row,
-              "dma_ppe_" + std::to_string(i));
   }
 
   return f;
@@ -267,7 +332,7 @@ std::vector<double> encode_mapping(const Formulation& formulation,
                                    const Mapping& mapping) {
   std::vector<double> x(formulation.problem.variable_count(), 0.0);
   const TaskGraph& graph = analysis.graph();
-  const std::size_t n = analysis.platform().pe_count();
+  const CellPlatform& platform = analysis.platform();
   for (TaskId k = 0; k < graph.task_count(); ++k) {
     x[formulation.alpha[k][mapping.pe_of(k)]] = 1.0;
   }
@@ -275,7 +340,16 @@ std::vector<double> encode_mapping(const Formulation& formulation,
     const Edge& edge = graph.edge(e);
     const PeId i = mapping.pe_of(edge.from);
     const PeId j = mapping.pe_of(edge.to);
-    x[formulation.beta[e][i * n + j]] = 1.0;
+    if (i == j) x[formulation.colocated[e][i]] = 1.0;
+    if (!formulation.same_chip[e].empty() &&
+        platform.chip_of(i) == platform.chip_of(j)) {
+      x[formulation.same_chip[e][platform.chip_of(i)]] = 1.0;
+    }
+    if (!formulation.to_ppe[e].empty() && platform.is_spe(i) &&
+        platform.is_ppe(j)) {
+      x[formulation.to_ppe[e][(i - platform.ppe_count) * platform.ppe_count +
+                              j]] = 1.0;
+    }
   }
   x[formulation.period_var] = analysis.period(mapping);
   return x;

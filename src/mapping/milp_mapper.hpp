@@ -1,15 +1,24 @@
 #pragma once
 // The paper's optimal mapping via mixed linear programming (Section 5).
 //
-// Variables:
-//   alpha[k][i]  in {0,1} : task T_k runs on PE_i,
-//   beta[k,l][i][j] in [0,1] : data D_{k,l} is transferred from PE_i to
-//                              PE_j (continuous: once every alpha is
-//                              integral, constraints (1c)/(1d) force beta
-//                              to the product alpha_i^k * alpha_j^l, so
-//                              branching on alpha alone is exact — see
-//                              DESIGN.md and the tests),
+// Variables (e = (k,l) an edge, i a PE, c a chip, s a SPE, p a PPE, nP
+// the PPE count):
+//   alpha[k][i] in {0,1} : task T_k runs on PE_i,
+//   colocated[e][i] in [0,1] : d_{e,i}, both endpoints of e run on PE_i
+//       (d_{e,i} <= alpha_i^k and <= alpha_i^l); alpha_i^l - d_{e,i} is
+//       e's traffic into PE_i and alpha_i^k - d_{e,i} its traffic out,
+//   same_chip[e][c] in [0,1] : both endpoints on chip c (multi-chip only),
+//   to_ppe[e][(s - nP) * nP + p] in [0,1] : e runs from SPE s to PPE p
+//       (>= alpha_s^k + alpha_p^l - 1), only where (1k) can bind,
 //   T >= 0 : period length (seconds); the objective minimizes T.
+//
+// The routing columns are continuous.  Rows read colocated and same_chip
+// only with the sign that makes a larger value looser, and to_ppe may sit
+// at its lower bound, so once every alpha is integral the LP optimum is
+// the mapping's period and branching on alpha alone is exact.  The
+// paper's n^2 transfer variables beta_{i,j}^{k,l} are not needed:
+// docs/FORMULATION.md gives the projection argument, and
+// tests/mapping/formulation_equivalence_test.cpp checks it.
 //
 // Constraints are the paper's (1b)-(1k), with bandwidth rows divided by bw
 // and the local-store row divided by the buffer budget so every
@@ -29,8 +38,15 @@ struct Formulation {
   lp::Problem problem;
   /// alpha[k][i]: assignment binaries.
   std::vector<std::vector<lp::VarId>> alpha;
-  /// beta[e][i * n + j]: routing variables of edge e.
-  std::vector<std::vector<lp::VarId>> beta;
+  /// colocated[e][i]: d_{e,i}, both endpoints of edge e on PE i.
+  std::vector<std::vector<lp::VarId>> colocated;
+  /// same_chip[e][c]: both endpoints of edge e on chip c (empty on one
+  /// chip).
+  std::vector<std::vector<lp::VarId>> same_chip;
+  /// to_ppe[e][(s - ppe_count) * ppe_count + p]: edge e runs from SPE s to
+  /// PPE p.  Empty when (1k) cannot bind, and for edges whose source can
+  /// never sit on a SPE.
+  std::vector<std::vector<lp::VarId>> to_ppe;
   lp::VarId period_var = 0;
 };
 
@@ -41,9 +57,9 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis);
 Mapping extract_mapping(const Formulation& formulation,
                         const std::vector<double>& x);
 
-/// Construct the full variable vector (alpha, beta = products, T = period)
-/// corresponding to a concrete mapping; used to inject heuristic solutions
-/// as incumbents and in tests.
+/// Construct the full variable vector (alpha, routing columns = products,
+/// T = period) corresponding to a concrete mapping; used to inject
+/// heuristic solutions as incumbents and in tests.
 std::vector<double> encode_mapping(const Formulation& formulation,
                                    const SteadyStateAnalysis& analysis,
                                    const Mapping& mapping);

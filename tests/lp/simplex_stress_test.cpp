@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/daggen.hpp"
 #include "lp/simplex.hpp"
 #include "mapping/heuristics.hpp"
@@ -82,49 +85,82 @@ TEST(SimplexStress, MappingRelaxationLowerBoundsEveryFeasibleMapping) {
   }
 }
 
-TEST(SimplexStress, BetaVariablesIntegralOnceAlphaFixed) {
-  // Fix an integral alpha assignment through bounds; the LP must then
-  // produce the product beta (the justification for alpha-only branching).
-  TaskGraph g("trio");
-  Task t;
-  t.wppe = 1e-3;
-  t.wspe = 0.5e-3;
-  g.add_task(t);
-  g.add_task(t);
-  g.add_task(t);
-  g.add_edge(0, 1, 2048.0);
-  g.add_edge(1, 2, 2048.0);
-  SteadyStateAnalysis analysis(std::move(g), platforms::qs22_with_spes(2));
+// Fix an integral alpha through bounds: the routing columns are then
+// forced to the products of alphas, so the LP optimum is the mapping's
+// period (the justification for alpha-only branching).
+void expect_routing_exact(const SteadyStateAnalysis& analysis,
+                          const Mapping& m, const char* what) {
+  const std::vector<std::string> violations = analysis.violations(m);
+  ASSERT_TRUE(violations.empty()) << what << ": " << violations.front();
   mapping::Formulation f = mapping::build_formulation(analysis);
-  Mapping m(3, 0);
-  m.assign(1, 1);
-  m.assign(2, 2);
-  const std::size_t n = 3;
-  for (TaskId k = 0; k < 3; ++k) {
+  const std::size_t n = analysis.platform().pe_count();
+  for (TaskId k = 0; k < m.task_count(); ++k) {
     for (PeId i = 0; i < n; ++i) {
       const double v = m.pe_of(k) == i ? 1.0 : 0.0;
       f.problem.set_variable_bounds(f.alpha[k][i], v, v);
     }
   }
   const SimplexResult r = solve_lp(f.problem);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, analysis.period(m), 1e-9);
-  for (EdgeId e = 0; e < 2; ++e) {
-    const Edge& edge = analysis.graph().edge(e);
-    for (PeId i = 0; i < n; ++i) {
-      for (PeId j = 0; j < n; ++j) {
-        const double expected =
-            (m.pe_of(edge.from) == i && m.pe_of(edge.to) == j) ? 1.0 : 0.0;
-        // Routing variables that carry no cost may float when unused, but
-        // the delivering entry must be 1 and impossible entries 0.
-        const double value = r.x[f.beta[e][i * n + j]];
-        if (expected == 1.0) {
-          EXPECT_NEAR(value, 1.0, 1e-7);
-        } else if (m.pe_of(edge.from) != i) {
-          EXPECT_NEAR(value, 0.0, 1e-7);  // (1d) forbids foreign senders
-        }
-      }
+  ASSERT_EQ(r.status, SolveStatus::kOptimal) << what;
+  const double period = analysis.period(m);
+  EXPECT_NEAR(r.objective, period, 1e-9 * period) << what;
+}
+
+TEST(SimplexStress, RoutingExactOnceAlphaFixed) {
+  TaskGraph trio("trio");
+  Task t;
+  t.wppe = 1e-3;
+  t.wspe = 0.5e-3;
+  trio.add_task(t);
+  trio.add_task(t);
+  trio.add_task(t);
+  trio.add_edge(0, 1, 2048.0);
+  trio.add_edge(1, 2, 2048.0);
+  Mapping spread(3, 0);
+  spread.assign(1, 1);
+  spread.assign(2, 2);
+  expect_routing_exact(
+      SteadyStateAnalysis(trio, platforms::qs22_with_spes(2)), spread,
+      "trio");
+
+  gen::DagGenParams params;
+  params.task_count = 12;
+  params.seed = 5;
+  TaskGraph graph = gen::daggen_random(params);
+  gen::set_ccr(graph, 1.5);
+  const struct {
+    const char* name;
+    CellPlatform platform;
+    BufferPolicy policy;
+  } cases[] = {
+      {"single chip", platforms::qs22_single_cell(), BufferPolicy::kDuplicated},
+      {"shared buffers", platforms::qs22_single_cell(),
+       BufferPolicy::kSharedColocated},
+      {"dual cell", platforms::qs22_dual_cell(), BufferPolicy::kDuplicated},
+  };
+  for (const auto& c : cases) {
+    const SteadyStateAnalysis analysis(graph, c.platform, c.policy);
+    for (const char* name : {"greedy-mem", "greedy-cpu", "greedy-period"}) {
+      const Mapping m = mapping::run_heuristic(name, analysis);
+      expect_routing_exact(analysis, m,
+                           (std::string(c.name) + ", " + name).c_str());
     }
+    // One task per PE in turn, so that most edges cross PEs (and, on the
+    // dual cell, chips); a task whose buffers would overflow its SPE's
+    // local store stays on the first PPE.
+    const double budget = static_cast<double>(c.platform.buffer_budget());
+    std::vector<double> used(c.platform.pe_count(), 0.0);
+    Mapping round_robin(graph.task_count(), 0);
+    for (TaskId k = 0; k < graph.task_count(); ++k) {
+      const PeId pe = static_cast<PeId>(k % c.platform.pe_count());
+      const double bytes =
+          c.platform.is_spe(pe) ? analysis.task_buffer_bytes(k) : 0.0;
+      if (used[pe] + bytes > budget) continue;
+      used[pe] += bytes;
+      round_robin.assign(k, pe);
+    }
+    expect_routing_exact(analysis, round_robin,
+                         (std::string(c.name) + ", round robin").c_str());
   }
 }
 
