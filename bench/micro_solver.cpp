@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the optimization substrates:
-// sparse LU factor/solve, simplex LP solves, and full MILP mapping solves
-// at several graph sizes.  These guard against performance regressions in
-// the solver stack that the figure benches depend on.
+// sparse LU factor/solve, simplex LP solves, full MILP mapping solves at
+// several graph sizes, and the mapping evaluation under the local search.
+// These guard against performance regressions in the solver stack that
+// the figure benches depend on.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,8 @@
 #include "gen/daggen.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse_lu.hpp"
+#include "mapping/heuristics.hpp"
+#include "mapping/local_search.hpp"
 #include "mapping/milp_mapper.hpp"
 #include "support/rng.hpp"
 
@@ -185,6 +188,43 @@ void BM_MilpMappingParallel(benchmark::State& state) {
 BENCHMARK(BM_MilpMappingParallel)
     ->Args({15, 1})->Args({15, 4})->Args({20, 1})->Args({20, 4})
     ->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// Paper graph 1 (94 tasks) at CCR 0.775 on a QS22 with 8 SPEs: the
+// paper-map point whose seeds and roundings the local search polishes.
+SteadyStateAnalysis paper_graph1_8spes() {
+  TaskGraph graph = gen::paper_graph(1);
+  gen::set_ccr(graph, 0.775);
+  return SteadyStateAnalysis(std::move(graph), platforms::qs22_with_spes(8));
+}
+
+// One candidate evaluation of the local search: the numeric account of
+// the greedy-cpu mapping into a reused scratch, then the limit check.
+void BM_EvaluateMapping(benchmark::State& state) {
+  const SteadyStateAnalysis analysis = paper_graph1_8spes();
+  const Mapping mapping = mapping::greedy_cpu(analysis);
+  ResourceUsage scratch;
+  for (auto _ : state) {
+    analysis.account(mapping, scratch);
+    benchmark::DoNotOptimize(analysis.within_limits(scratch));
+    benchmark::DoNotOptimize(scratch.period);
+  }
+}
+BENCHMARK(BM_EvaluateMapping);
+
+// improve_mapping with default options from the greedy-cpu start.
+void BM_ImproveMapping(benchmark::State& state) {
+  const SteadyStateAnalysis analysis = paper_graph1_8spes();
+  const Mapping start = mapping::greedy_cpu(analysis);
+  std::size_t evaluations = 0;
+  for (auto _ : state) {
+    Mapping mapping = start;
+    evaluations = 0;
+    benchmark::DoNotOptimize(
+        mapping::improve_mapping(analysis, mapping, {}, &evaluations));
+  }
+  state.counters["evaluations"] = static_cast<double>(evaluations);
+}
+BENCHMARK(BM_ImproveMapping)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

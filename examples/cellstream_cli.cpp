@@ -217,6 +217,9 @@ int cmd_solve(int argc, char** argv) {
                  "callback %zu/%zu accepted, peak open list %zu\n",
                  s.pruned_by_bound, s.integral_leaves, s.infeasible_nodes,
                  s.callback_accepted, s.callback_candidates, s.max_open_size);
+    std::fprintf(stderr,
+                 "milp: local search evaluated %zu mappings in %.2fs\n",
+                 r.mapping_evaluations, r.polish_seconds);
     mapping = r.mapping;
   } else if (strategy == "local-search") {
     mapping = mapping::local_search_heuristic(analysis);

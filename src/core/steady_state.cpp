@@ -38,33 +38,47 @@ SteadyStateAnalysis::SteadyStateAnalysis(TaskGraph graph,
   first_periods_ = compute_first_periods(graph_);
 
   edge_buffer_depth_.resize(graph_.edge_count());
-  edge_buffer_bytes_.resize(graph_.edge_count());
+  edge_loads_.resize(graph_.edge_count());
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
     const Edge& edge = graph_.edge(e);
     const std::int64_t depth =
         first_periods_[edge.to] - first_periods_[edge.from];
     CS_ASSERT(depth >= 2, "buffer depth below 2 contradicts the recurrence");
     edge_buffer_depth_[e] = depth;
-    edge_buffer_bytes_[e] = edge.data_bytes * static_cast<double>(depth);
+    edge_loads_[e] = {edge.from, edge.to, edge.data_bytes,
+                      edge.data_bytes * static_cast<double>(depth)};
   }
 
-  task_buffer_bytes_.assign(graph_.task_count(), 0.0);
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    const Edge& edge = graph_.edge(e);
+  task_loads_.resize(graph_.task_count());
+  for (TaskId t = 0; t < graph_.task_count(); ++t) {
+    const Task& task = graph_.task(t);
+    task_loads_[t] = {task.wppe, task.wspe, task.read_bytes, task.write_bytes,
+                      0.0};
+  }
+  for (const EdgeLoad& edge : edge_loads_) {
     // Both endpoints allocate the buffer (paper Section 4.2: buffers are
     // duplicated even for co-located neighbours).
-    task_buffer_bytes_[edge.from] += edge_buffer_bytes_[e];
-    task_buffer_bytes_[edge.to] += edge_buffer_bytes_[e];
+    task_loads_[edge.from].buffer_bytes += edge.buffer_bytes;
+    task_loads_[edge.to].buffer_bytes += edge.buffer_bytes;
   }
+
+  chip_of_.resize(platform_.pe_count());
+  for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {
+    chip_of_[pe] = platform_.chip_of(pe);
+  }
+  buffer_budget_ = static_cast<double>(platform_.buffer_budget());
 }
 
-ResourceUsage SteadyStateAnalysis::usage(const Mapping& mapping) const {
-  CS_ENSURE(mapping.task_count() == graph_.task_count(),
-            "usage: mapping size does not match the graph");
+void SteadyStateAnalysis::account(const Mapping& mapping,
+                                  ResourceUsage& u) const {
+  CS_ENSURE(mapping.task_count() == task_loads_.size(),
+            "account: mapping size does not match the graph");
   mapping.validate(platform_);
+  const std::vector<PeId>& pe_of = mapping.raw();
 
+  // PEs [0, ppe_count) are PPEs, the rest SPEs (CellPlatform).
   const std::size_t n = platform_.pe_count();
-  ResourceUsage u;
+  const PeId first_spe = platform_.ppe_count;
   u.compute_seconds.assign(n, 0.0);
   u.incoming_bytes.assign(n, 0.0);
   u.outgoing_bytes.assign(n, 0.0);
@@ -73,82 +87,116 @@ ResourceUsage SteadyStateAnalysis::usage(const Mapping& mapping) const {
   u.to_ppe_transfers.assign(n, 0);
   u.cross_chip_out_bytes.assign(platform_.chip_count, 0.0);
   u.cross_chip_in_bytes.assign(platform_.chip_count, 0.0);
+  u.bottleneck.clear();
 
-  for (TaskId t = 0; t < graph_.task_count(); ++t) {
-    const Task& task = graph_.task(t);
-    const PeId pe = mapping.pe_of(t);
-    u.compute_seconds[pe] +=
-        platform_.is_ppe(pe) ? task.wppe : task.wspe;
+  for (TaskId t = 0; t < task_loads_.size(); ++t) {
+    const TaskLoad& task = task_loads_[t];
+    const PeId pe = pe_of[t];
+    const bool on_spe = pe >= first_spe;
+    u.compute_seconds[pe] += on_spe ? task.wspe : task.wppe;
     // Memory traffic crosses the hosting PE's interface (constraints 1g/1h).
     u.incoming_bytes[pe] += task.read_bytes;
     u.outgoing_bytes[pe] += task.write_bytes;
-    if (platform_.is_spe(pe)) {
-      u.buffer_bytes[pe] += task_buffer_bytes_[t];
-    }
-  }
-  if (buffer_policy_ == BufferPolicy::kSharedColocated) {
-    // Co-located neighbours share one buffer: remove the duplicate copy
-    // charged above (task_buffer_bytes_ counts it at both endpoints).
-    for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-      const Edge& edge = graph_.edge(e);
-      const PeId src = mapping.pe_of(edge.from);
-      if (src == mapping.pe_of(edge.to) && platform_.is_spe(src)) {
-        u.buffer_bytes[src] -= edge_buffer_bytes_[e];
-      }
-    }
+    if (on_spe) u.buffer_bytes[pe] += task.buffer_bytes;
   }
 
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    const Edge& edge = graph_.edge(e);
-    const PeId src = mapping.pe_of(edge.from);
-    const PeId dst = mapping.pe_of(edge.to);
-    if (src == dst) continue;  // co-located: no transfer
+  const bool shared = buffer_policy_ == BufferPolicy::kSharedColocated;
+  for (const EdgeLoad& edge : edge_loads_) {
+    const PeId src = pe_of[edge.from];
+    const PeId dst = pe_of[edge.to];
+    if (src == dst) {
+      // Co-located: no transfer.  Under the shared-buffer policy the
+      // neighbours share one buffer, so remove the duplicate copy charged
+      // above (TaskLoad::buffer_bytes counts it at both endpoints).
+      if (shared && src >= first_spe) u.buffer_bytes[src] -= edge.buffer_bytes;
+      continue;
+    }
     u.outgoing_bytes[src] += edge.data_bytes;
     u.incoming_bytes[dst] += edge.data_bytes;
     u.incoming_transfers[dst] += 1;
-    if (platform_.is_spe(src) && platform_.is_ppe(dst)) {
+    if (src >= first_spe && dst < first_spe) {
       // SPE -> PPE transfers go through the SPE's 8-deep proxy DMA stack.
       u.to_ppe_transfers[src] += 1;
     }
-    if (platform_.crosses_chips(src, dst)) {
-      u.cross_chip_out_bytes[platform_.chip_of(src)] += edge.data_bytes;
-      u.cross_chip_in_bytes[platform_.chip_of(dst)] += edge.data_bytes;
+    if (chip_of_[src] != chip_of_[dst]) {
+      u.cross_chip_out_bytes[chip_of_[src]] += edge.data_bytes;
+      u.cross_chip_in_bytes[chip_of_[dst]] += edge.data_bytes;
     }
   }
 
-  const double bw = platform_.interface_bandwidth;
+  using Resource = ResourceUsage::Resource;
+  const auto consider = [&u](double value, Resource what, std::size_t index) {
+    if (value > u.period) {
+      u.period = value;
+      u.bottleneck_resource = what;
+      u.bottleneck_index = index;
+    }
+  };
   u.period = 0.0;
+  u.bottleneck_resource = Resource::kNone;
+  u.bottleneck_index = 0;
+  const double bw = platform_.interface_bandwidth;
   for (PeId pe = 0; pe < n; ++pe) {
-    struct Candidate {
-      double value;
-      const char* what;
-    };
-    const Candidate candidates[] = {
-        {u.compute_seconds[pe], "compute"},
-        {u.incoming_bytes[pe] / bw, "incoming"},
-        {u.outgoing_bytes[pe] / bw, "outgoing"},
-    };
-    for (const Candidate& c : candidates) {
-      if (c.value > u.period) {
-        u.period = c.value;
-        u.bottleneck = platform_.pe_name(pe) + " " + c.what;
-      }
-    }
+    consider(u.compute_seconds[pe], Resource::kCompute, pe);
+    consider(u.incoming_bytes[pe] / bw, Resource::kIncoming, pe);
+    consider(u.outgoing_bytes[pe] / bw, Resource::kOutgoing, pe);
   }
+  const double xbw = platform_.cross_chip_bandwidth;
   for (std::size_t chip = 0; chip < platform_.chip_count; ++chip) {
-    const double xbw = platform_.cross_chip_bandwidth;
-    const double out_time = u.cross_chip_out_bytes[chip] / xbw;
-    const double in_time = u.cross_chip_in_bytes[chip] / xbw;
-    if (out_time > u.period) {
-      u.period = out_time;
-      u.bottleneck = "chip" + std::to_string(chip) + " link out";
-    }
-    if (in_time > u.period) {
-      u.period = in_time;
-      u.bottleneck = "chip" + std::to_string(chip) + " link in";
-    }
+    consider(u.cross_chip_out_bytes[chip] / xbw, Resource::kLinkOut, chip);
+    consider(u.cross_chip_in_bytes[chip] / xbw, Resource::kLinkIn, chip);
+  }
+}
+
+LimitBreaks SteadyStateAnalysis::broken_limits(const ResourceUsage& u,
+                                               PeId spe) const {
+  CS_ENSURE(spe >= platform_.ppe_count && spe < u.buffer_bytes.size(),
+            "broken_limits: not a SPE of this account");
+  LimitBreaks out;
+  out.buffers = u.buffer_bytes[spe] > buffer_budget_;
+  out.dma_slots = u.incoming_transfers[spe] > platform_.spe_dma_slots;
+  out.proxy_slots = u.to_ppe_transfers[spe] > platform_.ppe_to_spe_dma_slots;
+  return out;
+}
+
+bool SteadyStateAnalysis::within_limits(const ResourceUsage& u) const {
+  for (PeId pe = platform_.ppe_count; pe < platform_.pe_count(); ++pe) {
+    if (broken_limits(u, pe).any()) return false;
+  }
+  return true;
+}
+
+ResourceUsage SteadyStateAnalysis::usage(const Mapping& mapping) const {
+  ResourceUsage u;
+  account(mapping, u);
+  using Resource = ResourceUsage::Resource;
+  const std::size_t i = u.bottleneck_index;
+  switch (u.bottleneck_resource) {
+    case Resource::kNone:
+      break;
+    case Resource::kCompute:
+      u.bottleneck = platform_.pe_name(i) + " compute";
+      break;
+    case Resource::kIncoming:
+      u.bottleneck = platform_.pe_name(i) + " incoming";
+      break;
+    case Resource::kOutgoing:
+      u.bottleneck = platform_.pe_name(i) + " outgoing";
+      break;
+    case Resource::kLinkOut:
+      u.bottleneck = "chip" + std::to_string(i) + " link out";
+      break;
+    case Resource::kLinkIn:
+      u.bottleneck = "chip" + std::to_string(i) + " link in";
+      break;
   }
   return u;
+}
+
+double SteadyStateAnalysis::period(const Mapping& mapping) const {
+  ResourceUsage u;
+  account(mapping, u);
+  return u.period;
 }
 
 double SteadyStateAnalysis::throughput(const Mapping& mapping) const {
@@ -157,28 +205,34 @@ double SteadyStateAnalysis::throughput(const Mapping& mapping) const {
   return 1.0 / t;
 }
 
+bool SteadyStateAnalysis::feasible(const Mapping& mapping) const {
+  ResourceUsage u;
+  account(mapping, u);
+  return within_limits(u);
+}
+
 std::vector<std::string> SteadyStateAnalysis::violations(
     const Mapping& mapping) const {
-  const ResourceUsage u = usage(mapping);
+  ResourceUsage u;
+  account(mapping, u);
   std::vector<std::string> out;
-  const double budget = static_cast<double>(platform_.buffer_budget());
-  for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {
-    if (!platform_.is_spe(pe)) continue;
-    if (u.buffer_bytes[pe] > budget) {
+  for (PeId pe = platform_.ppe_count; pe < platform_.pe_count(); ++pe) {
+    const LimitBreaks broken = broken_limits(u, pe);
+    if (broken.buffers) {
       std::ostringstream os;
       os << platform_.pe_name(pe) << ": buffers "
          << format_bytes(u.buffer_bytes[pe]) << " exceed local-store budget "
-         << format_bytes(budget);
+         << format_bytes(buffer_budget_);
       out.push_back(os.str());
     }
-    if (u.incoming_transfers[pe] > platform_.spe_dma_slots) {
+    if (broken.dma_slots) {
       std::ostringstream os;
       os << platform_.pe_name(pe) << ": " << u.incoming_transfers[pe]
          << " incoming transfers exceed " << platform_.spe_dma_slots
          << " DMA slots";
       out.push_back(os.str());
     }
-    if (u.to_ppe_transfers[pe] > platform_.ppe_to_spe_dma_slots) {
+    if (broken.proxy_slots) {
       std::ostringstream os;
       os << platform_.pe_name(pe) << ": " << u.to_ppe_transfers[pe]
          << " transfers to PPEs exceed " << platform_.ppe_to_spe_dma_slots

@@ -23,6 +23,19 @@
 // per-instance occupation over all resources — PE compute time, and each
 // PE interface's incoming and outgoing transfer time (memory reads/writes
 // included) — and the throughput is rho = 1/T.
+//
+// Evaluating a mapping is split in two layers.  The numeric *account*
+// (account() and within_limits()) fills per-PE and per-chip totals and the
+// period into a ResourceUsage the caller owns, and decides the hard limits
+// (1i)-(1k); once the caller's ResourceUsage is sized it allocates nothing
+// and builds no strings, so the mapping searches (local search, annealing,
+// the greedy constructions, exhaustive search, the MILP mapper's seeds and
+// rounding callback) keep one per call and evaluate hundreds of thousands
+// of candidates through it.  The *reports* are thin wrappers on top:
+// usage() adds the bottleneck label, violations() one message per broken
+// limit, and feasible() / period() / throughput() read single fields.
+// Both layers compute every sum and comparison in the same order, so a
+// search sees the same bits whichever one it calls.
 
 #include <cstdint>
 #include <string>
@@ -72,8 +85,31 @@ struct ResourceUsage {
 
   /// Steady-state period: max over PEs of compute and transfer times.
   double period = 0.0;
-  /// The resource that determines the period ("SPE3 compute", ...).
+
+  /// The kind of resource that determines the period, and the PE (compute,
+  /// incoming, outgoing) or chip (link out, link in) it belongs to;
+  /// kNone while the period is 0.
+  enum class Resource : std::uint8_t {
+    kNone,
+    kCompute,
+    kIncoming,
+    kOutgoing,
+    kLinkOut,
+    kLinkIn,
+  };
+  Resource bottleneck_resource = Resource::kNone;
+  std::size_t bottleneck_index = 0;
+  /// The same resource as a label ("SPE3 compute", ...); filled by
+  /// SteadyStateAnalysis::usage() only, empty after account().
   std::string bottleneck;
+};
+
+/// Which of the hard limits one SPE breaks in an account.
+struct LimitBreaks {
+  bool buffers = false;      ///< (1i) local-store budget.
+  bool dma_slots = false;    ///< (1j) incoming DMA slots.
+  bool proxy_slots = false;  ///< (1k) SPE->PPE proxy DMA slots.
+  bool any() const { return buffers || dma_slots || proxy_slots; }
 };
 
 /// Precomputed steady-state quantities for one (graph, platform) pair.
@@ -81,7 +117,8 @@ struct ResourceUsage {
 /// Owns copies of the graph and platform (both cheap), so the analysis can
 /// outlive its constructor arguments; the mapping varies per query so one
 /// analysis serves many candidate mappings (the heuristics and the B&B
-/// incumbent checks evaluate thousands).
+/// incumbent checks evaluate thousands).  All queries are const and keep
+/// no state between calls, so one analysis serves concurrent callers.
 class SteadyStateAnalysis {
  public:
   SteadyStateAnalysis(TaskGraph graph, CellPlatform platform,
@@ -99,8 +136,8 @@ class SteadyStateAnalysis {
 
   /// buff_{k,l} in bytes for every edge.
   double buffer_bytes(EdgeId edge) const {
-    CS_ENSURE(edge < edge_buffer_bytes_.size(), "buffer_bytes: bad edge");
-    return edge_buffer_bytes_[edge];
+    CS_ENSURE(edge < edge_loads_.size(), "buffer_bytes: bad edge");
+    return edge_loads_[edge].buffer_bytes;
   }
 
   /// Number of instances the buffer of `edge` holds:
@@ -114,16 +151,31 @@ class SteadyStateAnalysis {
   /// of all its incoming and outgoing edges (both allocated even when the
   /// neighbour is co-located — paper Section 4.2).
   double task_buffer_bytes(TaskId t) const {
-    CS_ENSURE(t < task_buffer_bytes_.size(), "task_buffer_bytes: bad task");
-    return task_buffer_bytes_[t];
+    CS_ENSURE(t < task_loads_.size(), "task_buffer_bytes: bad task");
+    return task_loads_[t].buffer_bytes;
   }
 
-  /// Full per-resource accounting for `mapping`.
+  /// The numeric account of `mapping`: every field of `out` except the
+  /// bottleneck label, which is left empty.  Reuses `out`'s storage, so
+  /// a caller that keeps one ResourceUsage across calls allocates only
+  /// when the platform grows.  Throws on a mapping of the wrong size or
+  /// onto unknown PEs.
+  void account(const Mapping& mapping, ResourceUsage& out) const;
+
+  /// Limits (1i)-(1k) that SPE `spe` breaks in the account `usage`.
+  LimitBreaks broken_limits(const ResourceUsage& usage, PeId spe) const;
+
+  /// True when no SPE breaks a limit in the account `usage`: the mapping
+  /// it was filled from is feasible.
+  bool within_limits(const ResourceUsage& usage) const;
+
+  /// Full per-resource accounting for `mapping`, with the bottleneck
+  /// label.
   ResourceUsage usage(const Mapping& mapping) const;
 
   /// Steady-state period of `mapping` (max resource occupation); ignores
   /// feasibility of memory/DMA constraints — check those separately.
-  double period(const Mapping& mapping) const { return usage(mapping).period; }
+  double period(const Mapping& mapping) const;
 
   /// Throughput rho = 1/period, in instances per second.
   double throughput(const Mapping& mapping) const;
@@ -133,18 +185,35 @@ class SteadyStateAnalysis {
   /// Empty result means the mapping is feasible.
   std::vector<std::string> violations(const Mapping& mapping) const;
 
-  bool feasible(const Mapping& mapping) const {
-    return violations(mapping).empty();
-  }
+  bool feasible(const Mapping& mapping) const;
 
  private:
   TaskGraph graph_;
   CellPlatform platform_;
   BufferPolicy buffer_policy_ = BufferPolicy::kDuplicated;
+  /// What a task charges the PE that hosts it, per instance.
+  struct TaskLoad {
+    double wppe = 0.0;
+    double wspe = 0.0;
+    double read_bytes = 0.0;
+    double write_bytes = 0.0;
+    double buffer_bytes = 0.0;  ///< On a SPE: the buffers of all its edges.
+  };
+  /// What an edge charges when its endpoints sit apart (or, for the
+  /// shared-buffer policy, together).
+  struct EdgeLoad {
+    TaskId from = 0;
+    TaskId to = 0;
+    double data_bytes = 0.0;
+    double buffer_bytes = 0.0;  ///< buff_{k,l}.
+  };
+
   std::vector<std::int64_t> first_periods_;
   std::vector<std::int64_t> edge_buffer_depth_;
-  std::vector<double> edge_buffer_bytes_;
-  std::vector<double> task_buffer_bytes_;
+  std::vector<TaskLoad> task_loads_;
+  std::vector<EdgeLoad> edge_loads_;
+  std::vector<std::size_t> chip_of_;  ///< Per PE.
+  double buffer_budget_ = 0.0;        ///< Local-store bytes for buffers.
 };
 
 /// Standalone firstPeriod computation (exposed for tests and the simulator).

@@ -10,7 +10,10 @@ namespace cellstream::mapping {
 Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
                        const Mapping& start,
                        const AnnealingOptions& options) {
-  CS_ENSURE(analysis.feasible(start), "anneal_mapping: infeasible start");
+  ResourceUsage scratch;  // the account of every candidate
+  analysis.account(start, scratch);
+  CS_ENSURE(analysis.within_limits(scratch),
+            "anneal_mapping: infeasible start");
   CS_ENSURE(options.iterations >= 1, "anneal_mapping: zero iterations");
   CS_ENSURE(options.start_temperature > 0.0 &&
                 options.end_temperature > 0.0 &&
@@ -23,7 +26,7 @@ Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
 
   Rng rng(options.seed);
   Mapping current = start;
-  double current_period = analysis.period(current);
+  double current_period = scratch.period;
   Mapping best = current;
   double best_period = current_period;
 
@@ -43,11 +46,12 @@ Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
     if (new_pe == old_pe) continue;
 
     current.assign(task, new_pe);
-    if (!analysis.feasible(current)) {
+    analysis.account(current, scratch);
+    if (!analysis.within_limits(scratch)) {
       current.assign(task, old_pe);
       continue;
     }
-    const double candidate_period = analysis.period(current);
+    const double candidate_period = scratch.period;
     const double delta = candidate_period - current_period;
     const bool accept =
         delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature);

@@ -62,15 +62,17 @@ bool cell_mapping_reaches_bound(const TwoMachineInstance& instance) {
   const SteadyStateAnalysis analysis(graph, platform);
   const std::size_t n = graph.task_count();
   CS_ENSURE(n <= 24, "cell_mapping_reaches_bound: instance too large");
+  Mapping mapping(n, 0);
+  ResourceUsage scratch;  // the account of every mask
   for (std::size_t mask = 0; mask < (static_cast<std::size_t>(1) << n);
        ++mask) {
-    Mapping mapping(n, 0);
     for (std::size_t k = 0; k < n; ++k) {
-      if (mask & (static_cast<std::size_t>(1) << k)) mapping.assign(k, 1);
+      mapping.assign(k, (mask >> k) & 1);
     }
-    if (!analysis.feasible(mapping)) continue;
+    analysis.account(mapping, scratch);
+    if (!analysis.within_limits(scratch)) continue;
     // Throughput >= 1/B  <=>  period <= B.
-    if (analysis.period(mapping) <= instance.bound + 1e-12) return true;
+    if (scratch.period <= instance.bound + 1e-12) return true;
   }
   return false;
 }

@@ -8,11 +8,12 @@ namespace cellstream::mapping {
 namespace {
 
 void search(const SteadyStateAnalysis& analysis, Mapping& mapping, TaskId next,
-            std::optional<ExhaustiveResult>& best) {
+            ResourceUsage& scratch, std::optional<ExhaustiveResult>& best) {
   const TaskGraph& graph = analysis.graph();
   if (next == graph.task_count()) {
-    if (!analysis.feasible(mapping)) return;
-    const double period = analysis.period(mapping);
+    analysis.account(mapping, scratch);
+    if (!analysis.within_limits(scratch)) return;
+    const double period = scratch.period;
     if (!best || period < best->period) best = ExhaustiveResult{mapping, period};
     return;
   }
@@ -34,7 +35,7 @@ void search(const SteadyStateAnalysis& analysis, Mapping& mapping, TaskId next,
       untouched = true;
     }
     mapping.assign(next, pe);
-    search(analysis, mapping, next + 1, best);
+    search(analysis, mapping, next + 1, scratch, best);
   }
   mapping.assign(next, 0);
 }
@@ -56,8 +57,9 @@ std::optional<ExhaustiveResult> exhaustive_optimal_mapping(
   CS_ENSURE(states <= static_cast<double>(max_states),
             "exhaustive_optimal_mapping: search space too large");
   Mapping mapping(analysis.graph().task_count(), 0);
+  ResourceUsage scratch;  // the account of every complete mapping
   std::optional<ExhaustiveResult> best;
-  search(analysis, mapping, 0, best);
+  search(analysis, mapping, 0, scratch, best);
   return best;
 }
 

@@ -109,6 +109,7 @@ Mapping greedy_period(const SteadyStateAnalysis& analysis) {
   const CellPlatform& platform = analysis.platform();
   GreedyState state(analysis);
   Mapping mapping(graph.task_count(), 0);
+  ResourceUsage scratch;  // the account of every partial mapping
   for (TaskId t : graph.topological_order()) {
     PeId best = 0;
     double best_period = std::numeric_limits<double>::infinity();
@@ -118,7 +119,8 @@ Mapping greedy_period(const SteadyStateAnalysis& analysis) {
       // Evaluate the partial mapping: tasks not yet placed sit on PPE0,
       // which biases toward spreading early, exactly what we want from a
       // constructive heuristic.
-      const double period = analysis.period(mapping);
+      analysis.account(mapping, scratch);
+      const double period = scratch.period;
       if (period < best_period) {
         best_period = period;
         best = pe;

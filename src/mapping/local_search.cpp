@@ -6,11 +6,26 @@ namespace cellstream::mapping {
 
 namespace {
 
+/// The state one improve_mapping call shares between its passes: the
+/// scratch account every candidate is evaluated into, and their count.
+struct Search {
+  const SteadyStateAnalysis& analysis;
+  ResourceUsage scratch;
+  std::size_t evaluations = 0;
+
+  /// Account `mapping` into the scratch; true when it meets (1i)-(1k),
+  /// and then scratch.period is its period.
+  bool evaluate(const Mapping& mapping) {
+    ++evaluations;
+    analysis.account(mapping, scratch);
+    return analysis.within_limits(scratch);
+  }
+};
+
 /// Try every single-task move; apply the first strict improvement found
 /// per task (first-improvement keeps a pass linear in K * n).
-bool move_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
-               double& period) {
-  const std::size_t n = analysis.platform().pe_count();
+bool move_pass(Search& search, Mapping& mapping, double& period) {
+  const std::size_t n = search.analysis.platform().pe_count();
   bool improved = false;
   for (TaskId t = 0; t < mapping.task_count(); ++t) {
     const PeId original = mapping.pe_of(t);
@@ -19,12 +34,10 @@ bool move_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
     for (PeId pe = 0; pe < n; ++pe) {
       if (pe == original) continue;
       mapping.assign(t, pe);
-      if (analysis.feasible(mapping)) {
-        const double candidate = analysis.period(mapping);
-        if (candidate < best_period - 1e-15) {
-          best_period = candidate;
-          best_pe = pe;
-        }
+      if (search.evaluate(mapping) &&
+          search.scratch.period < best_period - 1e-15) {
+        best_period = search.scratch.period;
+        best_pe = pe;
       }
     }
     mapping.assign(t, best_pe);
@@ -37,8 +50,7 @@ bool move_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
 }
 
 /// Try swapping the hosts of every task pair on distinct PEs.
-bool swap_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
-               double& period) {
+bool swap_pass(Search& search, Mapping& mapping, double& period) {
   bool improved = false;
   for (TaskId a = 0; a < mapping.task_count(); ++a) {
     for (TaskId b = a + 1; b < mapping.task_count(); ++b) {
@@ -47,13 +59,11 @@ bool swap_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
       if (pa == pb) continue;
       mapping.assign(a, pb);
       mapping.assign(b, pa);
-      if (analysis.feasible(mapping)) {
-        const double candidate = analysis.period(mapping);
-        if (candidate < period - 1e-15) {
-          period = candidate;
-          improved = true;
-          continue;  // keep the swap
-        }
+      if (search.evaluate(mapping) &&
+          search.scratch.period < period - 1e-15) {
+        period = search.scratch.period;
+        improved = true;
+        continue;  // keep the swap
       }
       mapping.assign(a, pa);
       mapping.assign(b, pb);
@@ -65,17 +75,20 @@ bool swap_pass(const SteadyStateAnalysis& analysis, Mapping& mapping,
 }  // namespace
 
 double improve_mapping(const SteadyStateAnalysis& analysis, Mapping& mapping,
-                       const LocalSearchOptions& options) {
-  CS_ENSURE(analysis.feasible(mapping),
+                       const LocalSearchOptions& options,
+                       std::size_t* evaluations) {
+  Search search{analysis, {}, 0};
+  CS_ENSURE(search.evaluate(mapping),
             "improve_mapping: starting mapping is infeasible");
-  double period = analysis.period(mapping);
+  double period = search.scratch.period;
   for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
-    bool improved = move_pass(analysis, mapping, period);
+    bool improved = move_pass(search, mapping, period);
     if (options.use_swaps) {
-      improved = swap_pass(analysis, mapping, period) || improved;
+      improved = swap_pass(search, mapping, period) || improved;
     }
     if (!improved) break;
   }
+  if (evaluations != nullptr) *evaluations += search.evaluations;
   return period;
 }
 

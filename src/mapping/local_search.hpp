@@ -18,9 +18,12 @@ struct LocalSearchOptions {
 };
 
 /// Improve `mapping` in place; returns the resulting period.  The input
-/// must be feasible; the output stays feasible.
+/// must be feasible; the output stays feasible.  Every candidate is
+/// evaluated through one scratch account (SteadyStateAnalysis::account);
+/// when `evaluations` is given, their number is added to it.
 double improve_mapping(const SteadyStateAnalysis& analysis, Mapping& mapping,
-                       const LocalSearchOptions& options = {});
+                       const LocalSearchOptions& options = {},
+                       std::size_t* evaluations = nullptr);
 
 /// Convenience: greedy-cpu start + local search.
 Mapping local_search_heuristic(const SteadyStateAnalysis& analysis,

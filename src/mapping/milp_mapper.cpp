@@ -1,7 +1,10 @@
 #include "mapping/milp_mapper.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -357,38 +360,60 @@ std::vector<double> encode_mapping(const Formulation& formulation,
 
 namespace {
 
-/// Make a rounded mapping feasible by evicting tasks from violating SPEs
-/// to the PPE.  Terminates: each step strictly shrinks some SPE's task
-/// set, and the PPE-only mapping is always feasible.
-bool repair_mapping(const SteadyStateAnalysis& analysis, Mapping& mapping) {
+/// Make a rounded mapping feasible by evicting, from the first SPE that
+/// breaks a limit, its task with the largest buffers to the PPE.
+/// Terminates: each step strictly shrinks some SPE's task set, and the
+/// PPE-only mapping is always feasible.  `scratch` holds the account.
+bool repair_mapping(const SteadyStateAnalysis& analysis, Mapping& mapping,
+                    ResourceUsage& scratch) {
   const CellPlatform& platform = analysis.platform();
   for (std::size_t round = 0; round <= mapping.task_count(); ++round) {
-    const ResourceUsage u = analysis.usage(mapping);
-    const double budget = static_cast<double>(platform.buffer_budget());
+    analysis.account(mapping, scratch);
     PeId violating = platform.pe_count();
     for (PeId pe = platform.ppe_count; pe < platform.pe_count(); ++pe) {
-      if (u.buffer_bytes[pe] > budget ||
-          u.incoming_transfers[pe] > platform.spe_dma_slots ||
-          u.to_ppe_transfers[pe] > platform.ppe_to_spe_dma_slots) {
+      if (analysis.broken_limits(scratch, pe).any()) {
         violating = pe;
         break;
       }
     }
     if (violating == platform.pe_count()) return true;  // feasible
-    const std::vector<TaskId> tasks = mapping.tasks_on(violating);
-    if (tasks.empty()) return false;  // cannot happen; defensive
-    TaskId evict = tasks.front();
+    // The first of the heaviest tasks in task-id order.
+    std::optional<TaskId> evict;
     double heaviest = -1.0;
-    for (TaskId t : tasks) {
+    for (TaskId t = 0; t < mapping.task_count(); ++t) {
+      if (mapping.pe_of(t) != violating) continue;
       if (analysis.task_buffer_bytes(t) > heaviest) {
         heaviest = analysis.task_buffer_bytes(t);
         evict = t;
       }
     }
-    mapping.assign(evict, 0);
+    if (!evict) return false;  // cannot happen; defensive
+    mapping.assign(*evict, 0);
   }
   return false;
 }
+
+/// Local-search work of one mapper solve, shared by the rounding callback
+/// on every B&B thread.  The evaluation count is a sum over the same
+/// calls whatever the thread count; the seconds are a sum of wall times.
+struct PolishTally {
+  std::atomic<std::size_t> evaluations{0};
+  std::atomic<double> seconds{0.0};
+
+  /// improve_mapping, counted and timed.
+  double polish(const SteadyStateAnalysis& analysis, Mapping& mapping,
+                const LocalSearchOptions& options = {}) {
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t count = 0;
+    const double period = improve_mapping(analysis, mapping, options, &count);
+    evaluations.fetch_add(count, std::memory_order_relaxed);
+    seconds.fetch_add(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count(),
+                      std::memory_order_relaxed);
+    return period;
+  }
+};
 
 }  // namespace
 
@@ -416,14 +441,17 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
     }
   }
 
+  PolishTally tally;
+  ResourceUsage scratch;  // the account of every seed and warm start
   if (options.seed_with_heuristics) {
     for (const char* name :
          {"ppe-only", "greedy-mem", "greedy-cpu", "greedy-period"}) {
       Mapping m = run_heuristic(name, analysis);
-      if (!analysis.feasible(m)) continue;
+      analysis.account(m, scratch);
+      if (!analysis.within_limits(scratch)) continue;
       // Polish every seed with local search: strong incumbents let the
       // branch-and-bound prune aggressively from the root.
-      const double period = improve_mapping(analysis, m);
+      const double period = tally.polish(analysis, m);
       solver.add_initial_incumbent(
           {period, encode_mapping(formulation, analysis, m)});
     }
@@ -432,23 +460,27 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
   for (const Mapping& warm : options.extra_incumbents) {
     CS_ENSURE(warm.task_count() == graph.task_count(),
               "solve_optimal_mapping: extra incumbent does not match graph");
-    if (!analysis.feasible(warm)) continue;
+    analysis.account(warm, scratch);
+    if (!analysis.within_limits(scratch)) continue;
     Mapping m = warm;
-    const double period = improve_mapping(analysis, m);
+    const double period = tally.polish(analysis, m);
     solver.add_initial_incumbent(
         {period, encode_mapping(formulation, analysis, m)});
   }
 
   if (options.rounding_heuristic) {
     solver.set_rounding_callback(
-        [&formulation, &analysis](const std::vector<double>& x)
+        [&formulation, &analysis, &tally](const std::vector<double>& x)
             -> std::optional<milp::Candidate> {
           Mapping rounded = extract_mapping(formulation, x);
-          if (!repair_mapping(analysis, rounded)) return std::nullopt;
+          ResourceUsage repair_scratch;
+          if (!repair_mapping(analysis, rounded, repair_scratch)) {
+            return std::nullopt;
+          }
           LocalSearchOptions polish;
           polish.max_passes = 2;
           polish.use_swaps = false;  // keep per-node cost low
-          const double period = improve_mapping(analysis, rounded, polish);
+          const double period = tally.polish(analysis, rounded, polish);
           return milp::Candidate{
               period, encode_mapping(formulation, analysis, rounded)};
         });
@@ -470,6 +502,8 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
   out.nodes = result.nodes;
   out.lp_iterations = result.lp_iterations;
   out.solve_seconds = result.solve_seconds;
+  out.mapping_evaluations = tally.evaluations.load();
+  out.polish_seconds = tally.seconds.load();
   out.stats = result.stats;
   return out;
 }
@@ -486,6 +520,8 @@ obs::SolverStats solver_stats(const MilpMapperResult& result) {
   out.best_bound = result.best_bound;
   out.gap = result.gap;
   out.solve_seconds = result.solve_seconds;
+  out.mapping_evaluations = result.mapping_evaluations;
+  out.polish_seconds = result.polish_seconds;
   out.incumbents.reserve(result.stats.incumbents.size());
   for (const auto& p : result.stats.incumbents)
     out.incumbents.push_back({p.round, p.nodes, p.objective});

@@ -100,6 +100,12 @@ struct MilpMapperResult {
   std::size_t nodes = 0;
   std::size_t lp_iterations = 0;
   double solve_seconds = 0.0;
+  /// Mappings the local search evaluated while polishing the heuristic
+  /// seeds, the warm starts and the LP roundings; the same for every
+  /// thread count.
+  std::size_t mapping_evaluations = 0;
+  /// Wall seconds of that local search, summed over the B&B threads.
+  double polish_seconds = 0.0;
   /// Solver observability: rounds, warm-start hit rate, prune counts,
   /// callback accept/reject counts, peak open list, threads used.
   milp::SearchStats stats;

@@ -95,6 +95,10 @@ struct SolverStats {
   double best_bound = 0.0;
   double gap = 0.0;
   double solve_seconds = 0.0;
+  /// Local-search evaluations and their wall seconds (mapper polish of
+  /// seeds, warm starts and LP roundings).
+  std::size_t mapping_evaluations = 0;
+  double polish_seconds = 0.0;
   /// Incumbent trajectory: each improvement of the best known objective,
   /// stamped with the deterministic search position it was committed at.
   struct Incumbent {

@@ -30,6 +30,9 @@ json::Value solver_to_json(const obs::SolverStats& solver) {
   v.set("best_bound", json::Value(solver.best_bound));
   v.set("gap", json::Value(solver.gap));
   v.set("solve_seconds", json::Value(solver.solve_seconds));
+  v.set("mapping_evaluations",
+        json::Value(static_cast<std::uint64_t>(solver.mapping_evaluations)));
+  v.set("polish_seconds", json::Value(solver.polish_seconds));
   json::Value trajectory = json::Value::array();
   for (const auto& point : solver.incumbents) {
     json::Value p = json::Value::object();
@@ -301,6 +304,13 @@ std::vector<std::string> validate_stats_json(const json::Value& document) {
       expect(solver, "best_bound", Kind::kNumber, "solver", problems);
       expect(solver, "gap", Kind::kNumber, "solver", problems);
       expect(solver, "solve_seconds", Kind::kNumber, "solver", problems);
+      // Optional: documents written before the mapper counted its local
+      // search carry neither key.
+      for (const char* key : {"mapping_evaluations", "polish_seconds"}) {
+        if (solver.has(key)) {
+          expect(solver, key, Kind::kNumber, "solver", problems);
+        }
+      }
       if (const json::Value* incumbents = expect(
               solver, "incumbents", Kind::kArray, "solver", problems)) {
         for (std::size_t i = 0; i < incumbents->size(); ++i) {

@@ -188,6 +188,36 @@ TEST(MilpMapper, ZeroSpesForcesPpe) {
   EXPECT_NEAR(result.period, 2e-3, 1e-9);
 }
 
+// The local-search count covers the seeds and every LP rounding; the
+// B&B commits the same roundings at any thread count, so the count is
+// equal too.
+TEST(MilpMapper, MappingEvaluationsIndependentOfThreads) {
+  gen::DagGenParams params;
+  params.task_count = 15;
+  params.seed = 2;
+  TaskGraph g = gen::daggen_random(params);
+  gen::set_ccr(g, 0.775);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  MilpMapperOptions opts;
+  opts.milp.relative_gap = 0.0;  // a tree with LP roundings
+  opts.milp.time_limit_seconds = 3600.0;
+  const MilpMapperResult one = solve_optimal_mapping(ss, opts.with_threads(1));
+  const MilpMapperResult four = solve_optimal_mapping(ss, opts.with_threads(4));
+  EXPECT_GT(one.stats.callback_candidates, 0u);
+  EXPECT_GT(one.mapping_evaluations, 0u);
+  EXPECT_EQ(one.mapping_evaluations, four.mapping_evaluations);
+  EXPECT_EQ(one.nodes, four.nodes);
+  EXPECT_GT(one.polish_seconds, 0.0);
+  EXPECT_GT(four.polish_seconds, 0.0);
+
+  // Without seeds and roundings nothing is polished.
+  opts.seed_with_heuristics = false;
+  opts.rounding_heuristic = false;
+  const MilpMapperResult bare = solve_optimal_mapping(ss, opts);
+  EXPECT_EQ(bare.mapping_evaluations, 0u);
+  EXPECT_EQ(bare.polish_seconds, 0.0);
+}
+
 TEST(Exhaustive, RejectsHugeSearchSpaces) {
   gen::DagGenParams params;
   params.task_count = 40;

@@ -176,6 +176,50 @@ TEST(StatsRoundTrip, SolverSectionRoundTripsForMilpMappings) {
   EXPECT_NEAR(prev, solved.period, 0.05 * solved.period + 1e-12);
 }
 
+// The mapper's local-search counters ride in the solver section as
+// optional keys: documents written before they existed still validate.
+TEST(StatsRoundTrip, SolverLocalSearchKeysAreOptional) {
+  WorkedExample ex;
+  const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
+  const mapping::MilpMapperResult solved = mapping::solve_optimal_mapping(ss);
+  obs::Report report = simulate_report(ex, 50);
+  report.solver = mapping::solver_stats(solved);
+  const json::Value doc = stats_to_json(report);
+  ASSERT_TRUE(validate_stats_json(doc).empty());
+  const json::Value& solver = doc.at("solver");
+  EXPECT_GT(solved.mapping_evaluations, 0u);
+  EXPECT_EQ(solver.at("mapping_evaluations").as_number(),
+            static_cast<double>(solved.mapping_evaluations));
+  EXPECT_EQ(solver.at("polish_seconds").as_number(), solved.polish_seconds);
+
+  // The same section without the two keys (json::Value has no erase).
+  json::Value older = json::Value::object();
+  for (const char* key :
+       {"status", "nodes", "rounds", "lp_iterations", "threads", "objective",
+        "best_bound", "gap", "solve_seconds", "incumbents"}) {
+    older.set(key, solver.at(key));
+  }
+  json::Value v2 = doc;
+  v2.set("solver", older);
+  EXPECT_TRUE(validate_stats_json(v2).empty());
+  json::Value v1 = json::Value::object();
+  v1.set("schema", json::Value(kStatsSchemaV1));
+  for (const char* key :
+       {"graph", "platform", "run", "predicted", "observed", "crosscheck",
+        "resources", "convergence"}) {
+    v1.set(key, doc.at(key));
+  }
+  v1.set("solver", older);
+  EXPECT_TRUE(validate_stats_json(v1).empty());
+
+  // Present but of the wrong type is drift.
+  json::Value drift = solver;
+  drift.set("mapping_evaluations", json::Value("many"));
+  json::Value drifted = doc;
+  drifted.set("solver", drift);
+  EXPECT_FALSE(validate_stats_json(drifted).empty());
+}
+
 TEST(StatsRoundTrip, FaultSectionRoundTripsForFaultedRuns) {
   WorkedExample ex;
   const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
