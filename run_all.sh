@@ -32,6 +32,23 @@ if [ "$1" = "tsan" ]; then
   exit $?
 fi
 
+# ./run_all.sh asan — AddressSanitizer + UndefinedBehaviorSanitizer sweep
+# (heap misuse such as a reference into a reallocated vector, signed
+# overflow, misaligned access) plus libstdc++'s checked containers:
+# separate instrumented build tree, then the unit + property labels.  The
+# flags go in through the standard CMake variables, so no project option
+# is involved.
+if [ "$1" = "asan" ]; then
+  flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  flags="$flags -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+  cmake -B build-asan -S . -DCMAKE_CXX_FLAGS="$flags" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" || exit 1
+  cmake --build build-asan -j "$(nproc)" || exit 1
+  run_logged asan_output.txt \
+    ctest --test-dir build-asan -L 'unit|property' --output-on-failure
+  exit $?
+fi
+
 # ./run_all.sh stress — race hunt on the lock-free host runtime: the
 # HostRuntime and FailoverRuntime tests under TSan (same build-tsan tree),
 # each repeated until it fails, at most 50 times.  A race shows up only

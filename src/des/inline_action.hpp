@@ -15,7 +15,9 @@ namespace cellstream::des {
 class InlineAction {
  public:
   /// Inline buffer size in bytes.  The simulator's largest closure (the
-  /// edge-fetch completion: this + 2 ids + 2 flags + a time) is ~40 bytes.
+  /// compute completion: this, a PE, a task id and the injected stall in
+  /// seconds and ticks) is 40 bytes; its DMA closures hold this and a slot
+  /// index.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineAction() = default;

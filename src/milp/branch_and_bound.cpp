@@ -151,7 +151,7 @@ double Solver::prune_threshold() const {
 }
 
 bool Solver::out_of_budget() const {
-  return nodes_ >= options_.max_nodes || now_seconds() >= deadline_;
+  return stats_.nodes >= options_.max_nodes || now_seconds() >= deadline_;
 }
 
 void Solver::note_closed_bound(double bound) {
@@ -193,7 +193,7 @@ bool Solver::try_incumbent(const Candidate& candidate) {
   // Trajectory point for the telemetry layer.  try_incumbent only runs on
   // the sequential commit thread (or before solve(), for the initial
   // incumbent), so the stamp is deterministic for every thread count.
-  stats_.incumbents.push_back({stats_.rounds, nodes_, true_obj});
+  stats_.incumbents.push_back({stats_.rounds, stats_.nodes, true_obj});
   return true;
 }
 
@@ -328,9 +328,7 @@ void Solver::push_children(const Node& node, const NodeOutcome& outcome) {
 }
 
 void Solver::commit_outcome(const Node& node, NodeOutcome& outcome) {
-  ++nodes_;
   ++stats_.nodes;
-  lp_iterations_ += outcome.lp_iterations;
   stats_.lp_iterations += outcome.lp_iterations;
   stats_.phase1_iterations += outcome.phase1_iterations;
   if (outcome.warm_hit) {
@@ -338,7 +336,7 @@ void Solver::commit_outcome(const Node& node, NodeOutcome& outcome) {
   } else {
     ++stats_.warm_start_misses;
   }
-  if (nodes_ == 1 && outcome.bound_valid) {
+  if (stats_.nodes == 1 && outcome.bound_valid) {
     root_bound_ = outcome.bound;  // valid global LB even if we stop early
     have_root_bound_ = true;
   }
@@ -381,8 +379,6 @@ void Solver::commit_outcome(const Node& node, NodeOutcome& outcome) {
 Result Solver::solve() {
   const double start = now_seconds();
   deadline_ = start + options_.time_limit_seconds;
-  nodes_ = 0;
-  lp_iterations_ = 0;
   stopped_ = false;
   frontier_seen_ = false;
   frontier_bound_ = 0.0;
@@ -457,7 +453,8 @@ Result Solver::solve() {
       return a.seq < b.seq;
     };
     std::size_t k = std::min(round_size, open_.size());
-    k = std::min(k, options_.max_nodes - nodes_);  // nodes_ < max_nodes here
+    // stats_.nodes < max_nodes here
+    k = std::min(k, options_.max_nodes - stats_.nodes);
     if (k < open_.size()) {
       std::nth_element(open_.begin(),
                        open_.begin() + static_cast<std::ptrdiff_t>(k),
@@ -531,8 +528,8 @@ Result Solver::solve() {
   }
 
   Result result;
-  result.nodes = nodes_;
-  result.lp_iterations = lp_iterations_;
+  result.nodes = stats_.nodes;
+  result.lp_iterations = stats_.lp_iterations;
   result.solve_seconds = now_seconds() - start;
   if (has_incumbent_) {
     result.objective = incumbent_obj_;

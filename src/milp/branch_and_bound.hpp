@@ -199,8 +199,6 @@ class Solver {
   bool frontier_seen_ = false;
   double root_bound_ = 0.0;      // LP bound of the root node (global LB)
   bool have_root_bound_ = false;
-  std::size_t nodes_ = 0;
-  std::size_t lp_iterations_ = 0;
   SearchStats stats_;
   double deadline_ = 0.0;
   bool stopped_ = false;

@@ -71,6 +71,39 @@ struct Overloaded : Fs... {
   using Fs::operator()...;
 };
 
+/// One DMA channel's progress: a remote edge's fetches, or a task's
+/// main-memory reads or writes.  Each instance is issued once, in order,
+/// and lands once; under injected retry stalls a later DMA can land before
+/// an earlier one, so landings past a gap park until the contiguous
+/// frontier reaches them.  Consumers read their cyclic buffers in order,
+/// so fetched and read data become usable at the frontier; a written
+/// instance frees its buffer slot as soon as it lands.
+struct DmaStream {
+  std::int64_t issued = 0;    // DMAs ever issued
+  std::int64_t frontier = 0;  // instances [0, frontier) have all landed
+  LandingSet parked;          // landed instances past the frontier
+
+  void land(std::int64_t inst) {
+    if (inst != frontier) {
+      parked.insert(inst);
+      return;
+    }
+    frontier = parked.advance_frontier(frontier + 1);
+  }
+  std::int64_t landed() const {
+    return frontier + static_cast<std::int64_t>(parked.size());
+  }
+
+  /// A stream the state does not have stays at zero: pass kPinned.  The
+  /// DMAs in the air (issued - landed()) follow from these fields.
+  template <typename F>
+  void visit(F&& f, Progress progress) {
+    f(issued, progress);
+    f(frontier, progress);
+    f(parked);
+  }
+};
+
 // Each state struct declares its progress once, in visit(f): f(counter,
 // Progress) per counter and f(landing_set) per out-of-order landing set.
 // The fast-forward's signature, jump horizon and translation are loops
@@ -82,26 +115,14 @@ struct EdgeState {
   std::int64_t depth = 0;   // buffer capacity in instances
   double bytes = 0.0;
   std::int64_t produced = 0;  // instances written by the producer
-  std::int64_t fetched = 0;   // contiguous landing frontier at the consumer
-  std::int64_t issued = 0;    // DMAs ever issued (remote)
-  std::int64_t inflight = 0;  // DMAs in the air (remote)
+  DmaStream fetch;            // consumer-issued fetches (remote only)
   std::int64_t consumed = 0;  // instances the consumer is finished with
-  /// Instances whose DMA completed while an earlier one is still in the
-  /// air (possible only under injected retry stalls).  The consumer reads
-  /// its cyclic buffer in order, so data becomes *usable* only when the
-  /// contiguous frontier reaches it.
-  LandingSet landed_ooo;
 
   template <typename F>
   void visit(F&& f) {
-    // A local edge never fetches: its fetch/issue progress stays at zero.
-    const Progress fetch = remote ? Progress::kAdvancing : Progress::kPinned;
     f(produced, Progress::kAdvancing);
-    f(fetched, fetch);
-    f(issued, fetch);
+    fetch.visit(f, remote ? Progress::kAdvancing : Progress::kPinned);
     f(consumed, Progress::kAdvancing);
-    f(inflight, Progress::kPinned);
-    f(landed_ooo);
   }
 };
 
@@ -111,27 +132,16 @@ struct TaskState {
   double work_ticks = 0.0;  // the same, on the event grid
   int peek = 0;
   std::int64_t next_instance = 0;
-  // Main-memory streams (same frontier discipline as EdgeState).
-  double read_bytes = 0.0;
-  std::int64_t mem_fetched = 0, mem_issued = 0, mem_inflight = 0;
-  LandingSet mem_landed_ooo;
+  double read_bytes = 0.0;  // main-memory streams (none at 0 bytes)
   double write_bytes = 0.0;
-  std::int64_t writes_started = 0, writes_done = 0;
+  DmaStream read, write;
 
   template <typename F>
   void visit(F&& f) {
-    // A memory stream the task does not have stays at zero.
-    const Progress read =
-        read_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned;
-    const Progress write =
-        write_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned;
     f(next_instance, Progress::kAdvancing);
-    f(mem_fetched, read);
-    f(mem_issued, read);
-    f(mem_inflight, Progress::kPinned);
-    f(writes_started, write);
-    f(writes_done, write);
-    f(mem_landed_ooo);
+    read.visit(f, read_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned);
+    write.visit(f,
+                write_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned);
   }
 };
 
@@ -163,15 +173,29 @@ struct PeState {
   double injected_seconds = 0.0;     // fault stalls booked as overhead
   std::size_t mfc_peak = 0;
   std::size_t proxy_peak = 0;
+
+  /// The scheduler state the signature encodes as it is: f(word) each.
+  /// None of it moves with the stream, so a jump never translates it.
+  template <typename F>
+  void visit(F&& f) const {
+    f(task_cursor);
+    f(channel_cursor);
+    f(static_cast<std::uint64_t>(busy) |
+      (static_cast<std::uint64_t>(wake_scheduled) << 1));
+    f(gets_outstanding);
+    f(proxy_outstanding);
+  }
 };
 
-/// In-flight transfer identity.  Completion closures capture a slot index
-/// and read `inst` through it at fire time, so a fast-forward time shift
-/// updates the instance a pending completion will land (the closure itself
-/// cannot be rewritten once scheduled).
+/// One DMA from issue to landing.  Both the retry-stall launch and the
+/// completion capture only the slot index and read the DMA through it at
+/// fire time, so a fast-forward time shift updates the instance a pending
+/// completion will land (the closure itself cannot be rewritten once
+/// scheduled).
 struct InflightSlot {
-  std::uint32_t kind = 0;   // Channel::Kind
-  std::uint32_t index = 0;  // edge or task id
+  Channel channel{};
+  PeId issuer = 0;   // the PE whose communication phase issued it
+  double t0 = 0.0;   // issue tick: the queue slot is held from here
   std::int64_t inst = 0;
 };
 
@@ -190,10 +214,10 @@ class Simulator {
     CS_ENSURE(mapping.task_count() == graph_.task_count(),
               "simulate: mapping does not match the graph");
     if (opt_.enforce_local_store) {
-      const ResourceUsage u = ss_.usage(mapping);
+      ResourceUsage u;
+      ss_.account(mapping, u);
       for (PeId pe = platform_.ppe_count; pe < platform_.pe_count(); ++pe) {
-        CS_ENSURE(u.buffer_bytes[pe] <=
-                      static_cast<double>(platform_.buffer_budget()),
+        CS_ENSURE(!ss_.broken_limits(u, pe).buffers,
                   "simulate: buffers of " + platform_.pe_name(pe) +
                       " exceed the local store (" +
                       format_bytes(u.buffer_bytes[pe]) + "); mapping cannot "
@@ -254,21 +278,45 @@ class Simulator {
     return net_.start_transfer(e.src, dst, e.bytes, std::move(done));
   }
 
+  /// The stream a channel moves: an edge's fetches, a task's reads or
+  /// its writes.
+  const DmaStream& stream(const Channel& ch) const {
+    switch (ch.kind) {
+      case Channel::Kind::kEdgeFetch: return edges_[ch.index].fetch;
+      case Channel::Kind::kMemRead: return tasks_[ch.index].read;
+      case Channel::Kind::kMemWrite: break;
+    }
+    return tasks_[ch.index].write;
+  }
+  DmaStream& stream(const Channel& ch) {
+    return const_cast<DmaStream&>(std::as_const(*this).stream(ch));
+  }
+  /// The SPE whose proxy queue a DMA issued by `pe` occupies: a PPE's
+  /// fetch from a SPE's local store.
+  std::optional<PeId> proxy_of(PeId pe, const Channel& ch) const {
+    if (ch.kind != Channel::Kind::kEdgeFetch || platform_.is_spe(pe)) {
+      return std::nullopt;
+    }
+    const PeId src = edges_[ch.index].src;
+    if (!platform_.is_spe(src)) return std::nullopt;
+    return src;
+  }
+
   void wake(PeId pe);
   void step(PeId pe);
   std::optional<Channel> find_issuable(PeId pe);
   bool channel_issuable(PeId pe, const Channel& channel) const;
   void issue(PeId pe, const Channel& channel);
+  void launch(std::uint32_t slot);
+  void land(std::uint32_t slot);
   std::optional<TaskId> find_runnable(PeId pe);
   bool task_runnable(TaskId t) const;
   void complete_instance(TaskId t);
   void advance_done_counter(std::int64_t completed_instance);
 
   // Steady-state fast-forward (docs/PERFORMANCE.md).
-  std::uint32_t alloc_inflight(Channel::Kind kind, std::size_t index,
-                               std::int64_t inst);
-  void bind_inflight(std::uint32_t slot, des::TransferId id);
-  std::int64_t finish_inflight(std::uint32_t slot);
+  std::uint32_t alloc_inflight(const InflightSlot& dma);
+  InflightSlot finish_inflight(std::uint32_t slot);
   const InflightSlot* find_inflight(des::TransferId id) const;
   /// Every edge's, then every task's visit(f), in signature order.
   template <typename F>
@@ -339,11 +387,13 @@ class Simulator {
   std::int64_t last_snapshot_done_ = -1;
   std::vector<std::uint64_t> sig_scratch_;
   std::int64_t max_peek_ = 0;
-  // Slot slab for in-flight transfers plus the active set by id (ids
+  // Slot slab of the DMAs between issue and landing (a slot is taken at
+  // issue, before any retry stall) plus the launched transfers by id (ids
   // issue monotonically, so `inflight_` stays sorted) — gives the
   // signature a stable, instance-relative identity for every flow the
   // network reports, and gives pending completions a handle whose `inst`
-  // a fast-forward shift can rewrite.
+  // a fast-forward shift can rewrite.  Hold slot indices, not references:
+  // alloc_inflight may grow the slab.
   std::vector<InflightSlot> islots_;
   std::vector<std::uint32_t> islot_free_;
   std::vector<std::pair<des::TransferId, std::uint32_t>> inflight_;
@@ -507,43 +557,35 @@ void Simulator::step(PeId pe) {
 }
 
 bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
-  const PeState& state = pes_[pe];
-  const bool is_spe = platform_.is_spe(pe);
+  const std::int64_t next = stream(channel).issued;
   switch (channel.kind) {
     case Channel::Kind::kEdgeFetch: {
       const EdgeState& e = edges_[channel.index];
-      const std::int64_t next_fetch = e.issued;
-      if (next_fetch >= e.produced) return false;             // nothing new
-      if (!dataflow::has_free_slot(next_fetch, e.consumed, e.depth)) {
+      if (next >= e.produced) return false;  // nothing new
+      if (!dataflow::has_free_slot(next, e.consumed, e.depth)) {
         return false;  // in-buf full
       }
-      if (is_spe) {
-        if (state.gets_outstanding >= platform_.spe_dma_slots) return false;
-      } else if (platform_.is_spe(e.src)) {
-        // PPE reading from a SPE local store uses that SPE's proxy stack.
-        if (pes_[e.src].proxy_outstanding >= platform_.ppe_to_spe_dma_slots) {
-          return false;
-        }
-      }
-      return true;
+      break;
     }
-    case Channel::Kind::kMemRead: {
-      const TaskState& t = tasks_[channel.index];
-      const std::int64_t next_fetch = t.mem_issued;
-      if (next_fetch >= stream_len()) return false;  // stream exhausted
-      if (next_fetch - t.next_instance >=
+    case Channel::Kind::kMemRead:
+      if (next >= stream_len()) return false;  // stream exhausted
+      if (next - tasks_[channel.index].next_instance >=
           static_cast<std::int64_t>(opt_.memory_stream_depth)) {
         return false;
       }
-      return !is_spe || state.gets_outstanding < platform_.spe_dma_slots;
-    }
-    case Channel::Kind::kMemWrite: {
-      const TaskState& t = tasks_[channel.index];
-      if (t.writes_started >= t.next_instance) return false;  // no new data
-      return !is_spe || state.gets_outstanding < platform_.spe_dma_slots;
-    }
+      break;
+    case Channel::Kind::kMemWrite:
+      if (next >= tasks_[channel.index].next_instance) return false;  // no data
+      break;
   }
-  return false;
+  // A SPE issues into its own MFC queue; a PPE reading from a SPE local
+  // store uses that SPE's proxy stack.
+  if (platform_.is_spe(pe)) {
+    return pes_[pe].gets_outstanding < platform_.spe_dma_slots;
+  }
+  const std::optional<PeId> proxy = proxy_of(pe, channel);
+  return !proxy ||
+         pes_[*proxy].proxy_outstanding < platform_.ppe_to_spe_dma_slots;
 }
 
 std::optional<Channel> Simulator::find_issuable(PeId pe) {
@@ -559,8 +601,7 @@ std::optional<Channel> Simulator::find_issuable(PeId pe) {
   return std::nullopt;
 }
 
-std::uint32_t Simulator::alloc_inflight(Channel::Kind kind, std::size_t index,
-                                        std::int64_t inst) {
+std::uint32_t Simulator::alloc_inflight(const InflightSlot& dma) {
   std::uint32_t slot;
   if (!islot_free_.empty()) {
     slot = islot_free_.back();
@@ -569,27 +610,21 @@ std::uint32_t Simulator::alloc_inflight(Channel::Kind kind, std::size_t index,
     slot = static_cast<std::uint32_t>(islots_.size());
     islots_.emplace_back();
   }
-  islots_[slot] = {static_cast<std::uint32_t>(kind),
-                   static_cast<std::uint32_t>(index), inst};
+  islots_[slot] = dma;
   return slot;
 }
 
-void Simulator::bind_inflight(std::uint32_t slot, des::TransferId id) {
-  inflight_.emplace_back(id, slot);
-}
-
-std::int64_t Simulator::finish_inflight(std::uint32_t slot) {
+InflightSlot Simulator::finish_inflight(std::uint32_t slot) {
   // The set is tiny (bounded by the DMA queue depths).
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (it->second == slot) {
       inflight_.erase(it);
-      const std::int64_t inst = islots_[slot].inst;
       islot_free_.push_back(slot);
-      return inst;
+      return islots_[slot];
     }
   }
   CS_ASSERT(false, "simulate: completed transfer was never registered");
-  return 0;
+  return {};
 }
 
 const InflightSlot* Simulator::find_inflight(des::TransferId id) const {
@@ -601,197 +636,103 @@ const InflightSlot* Simulator::find_inflight(des::TransferId id) const {
 }
 
 void Simulator::issue(PeId pe, const Channel& channel) {
-  PeState& state = pes_[pe];
-  const bool is_spe = platform_.is_spe(pe);
-  switch (channel.kind) {
-    case Channel::Kind::kEdgeFetch: {
-      const EdgeId eid = channel.index;
-      EdgeState& e = edges_[eid];
-      ++e.inflight;
-      const bool proxy = !is_spe && platform_.is_spe(e.src);
-      if (is_spe) {
-        ++state.gets_outstanding;
-        if (state.gets_outstanding > state.mfc_peak) {
-          state.mfc_peak = state.gets_outstanding;
-        }
-      }
-      if (proxy) {
-        PeState& src = pes_[e.src];
-        ++src.proxy_outstanding;
-        if (src.proxy_outstanding > src.proxy_peak) {
-          src.proxy_peak = src.proxy_outstanding;
-        }
-      }
-      const double t0 = engine_.now();
-      const std::int64_t inst = e.issued;
-      ++e.issued;
-      // A failed DMA attempt holds its queue slot through the seeded
-      // retry/backoff delay, then the transfer proceeds normally — data is
-      // delayed, never lost.  The trace window [t0, end] spans the stall,
-      // matching the slot-occupancy convention the I4 replay checks.
-      const double stall =
-          injector_ ? injector_->dma_delay(
-                          fault::FaultInjector::TransferKind::kEdge, eid,
-                          inst + opt_.instance_offset, &faults_.dma_retries)
-                    : 0.0;
-      auto launch = [this, eid, pe, proxy, t0, inst] {
-        const std::uint32_t slot =
-            alloc_inflight(Channel::Kind::kEdgeFetch, eid, inst);
-        const des::TransferId tid = start_edge_transfer(
-            edges_[eid], pe, [this, eid, pe, proxy, t0, slot] {
-        EdgeState& edge = edges_[eid];
-        const std::int64_t landed = finish_inflight(slot);
-        --edge.inflight;
-        // Land the instance, then advance the contiguous frontier: under
-        // injected retry stalls a later DMA can complete first, but the
-        // consumer reads its cyclic buffer in order, so the data (and the
-        // producer's slot) only unlock frontier-contiguously.
-        edge.landed_ooo.insert(landed);
-        edge.fetched = edge.landed_ooo.advance_frontier(edge.fetched);
-        if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
-        if (proxy) --pes_[edge.src].proxy_outstanding;
-        if (opt_.record_trace) {
-          const Edge& ge = graph_.edge(eid);
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEvent::Kind::kTransfer;
-          ev.payload = obs::TraceEvent::Payload::kEdge;
-          ev.name = graph_.task(ge.from).name + "->" + graph_.task(ge.to).name;
-          ev.pe = pe;
-          ev.src_pe = edge.src;
-          ev.start = t0 * kSecondsPerTick;
-          ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = landed;
-          ev.edge = static_cast<std::int64_t>(eid);
-          trace_.push_back(std::move(ev));
-        }
-        wake(edge.src);  // output buffer slot freed
-        wake(pe);        // input data available
-        });
-        bind_inflight(slot, tid);
-      };
-      if (stall > 0.0) {
-        faults_.backoff_seconds += stall;
-        engine_.schedule_in(to_ticks(stall, "dma retry stall"),
-                            std::move(launch));
-      } else {
-        launch();
-      }
-      return;
-    }
-    case Channel::Kind::kMemRead: {
-      const TaskId tid = channel.index;
-      TaskState& t = tasks_[tid];
-      ++t.mem_inflight;
-      if (is_spe) {
-        ++state.gets_outstanding;
-        if (state.gets_outstanding > state.mfc_peak) {
-          state.mfc_peak = state.gets_outstanding;
-        }
-      }
-      const double t0 = engine_.now();
-      const std::int64_t inst = t.mem_issued;
-      ++t.mem_issued;
-      const double read_stall =
-          injector_ ? injector_->dma_delay(
-                          fault::FaultInjector::TransferKind::kMemRead, tid,
-                          inst + opt_.instance_offset,
-                          &faults_.dma_retries)
-                    : 0.0;
-      auto launch_read = [this, tid, pe, t0, inst] {
-        const std::uint32_t slot =
-            alloc_inflight(Channel::Kind::kMemRead, tid, inst);
-        const des::TransferId xid = net_.start_transfer(
-            memory_node(), pe, tasks_[tid].read_bytes,
-            [this, tid, pe, t0, slot] {
-        TaskState& task = tasks_[tid];
-        const std::int64_t landed = finish_inflight(slot);
-        --task.mem_inflight;
-        // Same contiguous-frontier discipline as edge fetches: a stalled
-        // read must not let a later one unlock this instance's compute.
-        task.mem_landed_ooo.insert(landed);
-        task.mem_fetched = task.mem_landed_ooo.advance_frontier(task.mem_fetched);
-        if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
-        if (opt_.record_trace) {
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEvent::Kind::kTransfer;
-          ev.payload = obs::TraceEvent::Payload::kMemRead;
-          ev.name = "read:" + graph_.task(tid).name;
-          ev.pe = pe;
-          ev.src_pe = pe;
-          ev.start = t0 * kSecondsPerTick;
-          ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = landed;
-          ev.task = static_cast<std::int64_t>(tid);
-          trace_.push_back(std::move(ev));
-        }
-        wake(pe);
-        });
-        bind_inflight(slot, xid);
-      };
-      if (read_stall > 0.0) {
-        faults_.backoff_seconds += read_stall;
-        engine_.schedule_in(to_ticks(read_stall, "dma retry stall"),
-                            std::move(launch_read));
-      } else {
-        launch_read();
-      }
-      return;
-    }
-    case Channel::Kind::kMemWrite: {
-      const TaskId tid = channel.index;
-      TaskState& t = tasks_[tid];
-      ++t.writes_started;
-      if (is_spe) {
-        ++state.gets_outstanding;
-        if (state.gets_outstanding > state.mfc_peak) {
-          state.mfc_peak = state.gets_outstanding;
-        }
-      }
-      const double t0 = engine_.now();
-      const std::int64_t inst = t.writes_started - 1;
-      const double write_stall =
-          injector_ ? injector_->dma_delay(
-                          fault::FaultInjector::TransferKind::kMemWrite, tid,
-                          inst + opt_.instance_offset,
-                          &faults_.dma_retries)
-                    : 0.0;
-      auto launch_write = [this, tid, pe, t0, inst] {
-        const std::uint32_t slot =
-            alloc_inflight(Channel::Kind::kMemWrite, tid, inst);
-        const des::TransferId xid = net_.start_transfer(
-            pe, memory_node(), tasks_[tid].write_bytes,
-            [this, tid, pe, t0, slot] {
-        TaskState& task = tasks_[tid];
-        const std::int64_t landed = finish_inflight(slot);
-        ++task.writes_done;
-        if (platform_.is_spe(pe)) --pes_[pe].gets_outstanding;
-        if (opt_.record_trace) {
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEvent::Kind::kTransfer;
-          ev.payload = obs::TraceEvent::Payload::kMemWrite;
-          ev.name = "write:" + graph_.task(tid).name;
-          ev.pe = pe;
-          ev.src_pe = pe;
-          ev.start = t0 * kSecondsPerTick;
-          ev.end = engine_.now() * kSecondsPerTick;
-          ev.instance = landed;
-          ev.task = static_cast<std::int64_t>(tid);
-          trace_.push_back(std::move(ev));
-        }
-        wake(pe);
-        });
-        bind_inflight(slot, xid);
-      };
-      if (write_stall > 0.0) {
-        faults_.backoff_seconds += write_stall;
-        engine_.schedule_in(to_ticks(write_stall, "dma retry stall"),
-                            std::move(launch_write));
-      } else {
-        launch_write();
-      }
-      return;
-    }
+  const auto occupy = [](std::size_t& outstanding, std::size_t& peak) {
+    ++outstanding;
+    peak = std::max(peak, outstanding);
+  };
+  if (platform_.is_spe(pe)) {
+    occupy(pes_[pe].gets_outstanding, pes_[pe].mfc_peak);
   }
+  if (const std::optional<PeId> proxy = proxy_of(pe, channel)) {
+    occupy(pes_[*proxy].proxy_outstanding, pes_[*proxy].proxy_peak);
+  }
+  const std::int64_t inst = stream(channel).issued++;
+  const std::uint32_t slot =
+      alloc_inflight({channel, pe, engine_.now(), inst});
+  // A failed DMA attempt holds its queue slot through the seeded
+  // retry/backoff delay, then the transfer proceeds normally — data is
+  // delayed, never lost.  The trace window [t0, end] spans the stall,
+  // matching the slot-occupancy convention the I4 replay checks.
+  using Kind = fault::FaultInjector::TransferKind;
+  static constexpr Kind kTransferKind[] = {  // indexed by Channel::Kind
+      Kind::kEdge, Kind::kMemRead, Kind::kMemWrite};
+  const double stall =
+      injector_ ? injector_->dma_delay(
+                      kTransferKind[static_cast<int>(channel.kind)],
+                      channel.index, inst + opt_.instance_offset,
+                      &faults_.dma_retries)
+                : 0.0;
+  if (stall > 0.0) {
+    faults_.backoff_seconds += stall;
+    engine_.schedule_in(to_ticks(stall, "dma retry stall"),
+                        [this, slot] { launch(slot); });
+  } else {
+    launch(slot);
+  }
+}
+
+void Simulator::launch(std::uint32_t slot) {
+  const Channel ch = islots_[slot].channel;
+  const PeId pe = islots_[slot].issuer;
+  des::InlineAction done = [this, slot] { land(slot); };
+  des::TransferId id = 0;
+  switch (ch.kind) {
+    case Channel::Kind::kEdgeFetch:
+      id = start_edge_transfer(edges_[ch.index], pe, std::move(done));
+      break;
+    case Channel::Kind::kMemRead:
+      id = net_.start_transfer(memory_node(), pe, tasks_[ch.index].read_bytes,
+                               std::move(done));
+      break;
+    case Channel::Kind::kMemWrite:
+      id = net_.start_transfer(pe, memory_node(), tasks_[ch.index].write_bytes,
+                               std::move(done));
+      break;
+  }
+  inflight_.emplace_back(id, slot);
+}
+
+void Simulator::land(std::uint32_t slot) {
+  const InflightSlot dma = finish_inflight(slot);
+  const Channel& ch = dma.channel;
+  stream(ch).land(dma.inst);
+  if (platform_.is_spe(dma.issuer)) --pes_[dma.issuer].gets_outstanding;
+  const std::optional<PeId> proxy = proxy_of(dma.issuer, ch);
+  if (proxy) --pes_[*proxy].proxy_outstanding;
+  if (opt_.record_trace) {
+    obs::TraceEvent ev;
+    ev.kind = obs::TraceEvent::Kind::kTransfer;
+    ev.pe = dma.issuer;
+    ev.src_pe = dma.issuer;
+    ev.start = dma.t0 * kSecondsPerTick;
+    ev.end = engine_.now() * kSecondsPerTick;
+    ev.instance = dma.inst;
+    switch (ch.kind) {
+      case Channel::Kind::kEdgeFetch: {
+        const Edge& ge = graph_.edge(ch.index);
+        ev.payload = obs::TraceEvent::Payload::kEdge;
+        ev.name = graph_.task(ge.from).name + "->" + graph_.task(ge.to).name;
+        ev.src_pe = edges_[ch.index].src;
+        ev.edge = static_cast<std::int64_t>(ch.index);
+        break;
+      }
+      case Channel::Kind::kMemRead:
+        ev.payload = obs::TraceEvent::Payload::kMemRead;
+        ev.name = "read:" + graph_.task(ch.index).name;
+        ev.task = static_cast<std::int64_t>(ch.index);
+        break;
+      case Channel::Kind::kMemWrite:
+        ev.payload = obs::TraceEvent::Payload::kMemWrite;
+        ev.name = "write:" + graph_.task(ch.index).name;
+        ev.task = static_cast<std::int64_t>(ch.index);
+        break;
+    }
+    trace_.push_back(std::move(ev));
+  }
+  if (ch.kind == Channel::Kind::kEdgeFetch) {
+    wake(edges_[ch.index].src);  // output buffer slot freed
+  }
+  wake(dma.issuer);  // data landed, or a queue slot freed
 }
 
 bool Simulator::task_runnable(TaskId tid) const {
@@ -804,22 +745,24 @@ bool Simulator::task_runnable(TaskId tid) const {
   const std::int64_t need = dataflow::inputs_needed(i, t.peek, stream_len());
   for (EdgeId e : graph_.in_edges(tid)) {
     const EdgeState& edge = edges_[e];
-    const std::int64_t available = edge.remote ? edge.fetched : edge.produced;
+    const std::int64_t available =
+        edge.remote ? edge.fetch.frontier : edge.produced;
     if (available < need) return false;
   }
-  if (t.read_bytes > 0.0 && t.mem_fetched < i + 1) return false;
+  if (t.read_bytes > 0.0 && t.read.frontier < i + 1) return false;
 
   // Output buffers: one free slot per out-edge (producer side frees on
   // remote fetch / local consumption).
   for (EdgeId e : graph_.out_edges(tid)) {
     const EdgeState& edge = edges_[e];
-    const std::int64_t freed = edge.remote ? edge.fetched : edge.consumed;
+    const std::int64_t freed =
+        edge.remote ? edge.fetch.frontier : edge.consumed;
     if (!dataflow::has_free_slot(edge.produced, freed, edge.depth)) {
       return false;
     }
   }
   if (t.write_bytes > 0.0 &&
-      i - t.writes_done >=
+      i - t.write.landed() >=
           static_cast<std::int64_t>(opt_.memory_stream_depth)) {
     return false;
   }
@@ -954,14 +897,7 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
         push_i(static_cast<std::int64_t>(landed.size()));
         landed.for_each([&](std::int64_t v) { push_i(v - d); });
       }});
-  for (const PeState& p : pes_) {
-    push(p.task_cursor);
-    push(p.channel_cursor);
-    push(static_cast<std::uint64_t>(p.busy) |
-         (static_cast<std::uint64_t>(p.wake_scheduled) << 1));
-    push(p.gets_outstanding);
-    push(p.proxy_outstanding);
-  }
+  for (const PeState& p : pes_) p.visit(push);
 
   // Pending engine events: behavior tag, relative fire tick, and their
   // mutual (seq) order.  Every event the simulator can have in flight is
@@ -1009,7 +945,8 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
           known = false;
           return;
         }
-        push((static_cast<std::uint64_t>(tag->kind) << 32) | tag->index);
+        push((static_cast<std::uint64_t>(tag->channel.kind) << 32) |
+             tag->channel.index);
         push_i(tag->inst - d);
         push_bits(remaining);
         push_bits(rate);
@@ -1124,14 +1061,12 @@ SimResult Simulator::run() {
     c.compute_seconds += executed * ts.work;
     c.overhead_seconds += executed * opt_.dispatch_overhead;
     if (ts.read_bytes > 0.0) {
-      const double landed = static_cast<double>(
-          ts.mem_fetched + static_cast<std::int64_t>(ts.mem_landed_ooo.size()));
-      c.bytes_in += landed * ts.read_bytes;
-      c.transfers_issued += static_cast<std::uint64_t>(ts.mem_issued);
+      c.bytes_in += static_cast<double>(ts.read.landed()) * ts.read_bytes;
+      c.transfers_issued += static_cast<std::uint64_t>(ts.read.issued);
     }
     if (ts.write_bytes > 0.0) {
-      c.bytes_out += static_cast<double>(ts.writes_done) * ts.write_bytes;
-      c.transfers_issued += static_cast<std::uint64_t>(ts.writes_started);
+      c.bytes_out += static_cast<double>(ts.write.landed()) * ts.write_bytes;
+      c.transfers_issued += static_cast<std::uint64_t>(ts.write.issued);
     }
   }
   for (EdgeId e = 0; e < edges_.size(); ++e) {
@@ -1140,12 +1075,11 @@ SimResult Simulator::run() {
     // Interface accounting: a remote edge crosses the producer's out
     // interface and the consumer's in interface (constraints 1e/1f);
     // bytes count per completed landing, frontier-contiguous or not.
-    const double landed = static_cast<double>(
-        es.fetched + static_cast<std::int64_t>(es.landed_ooo.size()));
+    const double landed = static_cast<double>(es.fetch.landed());
     counters.pe[es.src].bytes_out += landed * es.bytes;
     counters.pe[es.dst].bytes_in += landed * es.bytes;
     counters.pe[es.dst].transfers_issued +=
-        static_cast<std::uint64_t>(es.issued);
+        static_cast<std::uint64_t>(es.fetch.issued);
   }
   for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {
     const PeState& p = pes_[pe];
@@ -1167,7 +1101,7 @@ SimResult Simulator::run() {
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
     result.edge_produced[e] = edges_[e].produced;
     result.edge_delivered[e] =
-        edges_[e].remote ? edges_[e].fetched : edges_[e].produced;
+        edges_[e].remote ? edges_[e].fetch.frontier : edges_[e].produced;
   }
   result.fast_forward = ff_info_;
   return result;
