@@ -63,11 +63,16 @@ if [ "$1" = "stress" ]; then
   exit $?
 fi
 
-# ./run_all.sh werror — warning-clean build: a separate build tree with
-# -DCELLSTREAM_WERROR=ON, so any compiler warning fails the build.
+# ./run_all.sh werror — warning-clean builds: two separate build trees
+# with -DCELLSTREAM_WERROR=ON, so any compiler warning fails the build.
+# build-werror/ is the default RelWithDebInfo build; build-werror-release/
+# is Release (-O3), whose inlining exposes warnings -O2 does not.
 if [ "$1" = "werror" ]; then
   cmake -B build-werror -S . -DCELLSTREAM_WERROR=ON || exit 1
   cmake --build build-werror -j "$(nproc)" || exit 1
+  cmake -B build-werror-release -S . -DCELLSTREAM_WERROR=ON \
+    -DCMAKE_BUILD_TYPE=Release || exit 1
+  cmake --build build-werror-release -j "$(nproc)" || exit 1
   exit 0
 fi
 

@@ -10,7 +10,11 @@
 namespace cellstream {
 
 TaskId TaskGraph::add_task(Task task) {
-  if (task.name.empty()) task.name = "T" + std::to_string(tasks_.size());
+  // Not "T" + to_string(...): GCC 12 at -O3 flags that with a false
+  // -Wrestrict.
+  if (task.name.empty()) {
+    task.name = std::to_string(tasks_.size()).insert(0, 1, 'T');
+  }
   tasks_.push_back(std::move(task));
   invalidate_cache();
   return tasks_.size() - 1;

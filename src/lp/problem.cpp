@@ -5,21 +5,17 @@
 
 namespace cellstream::lp {
 
-VarId Problem::add_variable(double lo, double up, double cost,
-                            std::string name) {
+VarId Problem::add_variable(double lo, double up, double cost) {
   CS_ENSURE(lo <= up, "add_variable: empty bound interval");
   CS_ENSURE(!std::isnan(lo) && !std::isnan(up) && !std::isnan(cost),
             "add_variable: NaN parameter");
-  if (name.empty()) name = "x" + std::to_string(cost_.size());
   cost_.push_back(cost);
   var_lo_.push_back(lo);
   var_up_.push_back(up);
-  var_names_.push_back(std::move(name));
   return cost_.size() - 1;
 }
 
-RowId Problem::add_row(double lo, double up, std::vector<Coefficient> coefs,
-                       std::string name) {
+RowId Problem::add_row(double lo, double up, std::vector<Coefficient> coefs) {
   CS_ENSURE(lo <= up, "add_row: empty bound interval");
   for (const Coefficient& c : coefs) {
     CS_ENSURE(c.var < variable_count(), "add_row: unknown variable");
@@ -41,11 +37,9 @@ RowId Problem::add_row(double lo, double up, std::vector<Coefficient> coefs,
   }
   std::erase_if(merged, [](const Coefficient& c) { return c.value == 0.0; });
 
-  if (name.empty()) name = "r" + std::to_string(row_lo_.size());
   row_lo_.push_back(lo);
   row_up_.push_back(up);
   rows_.push_back(std::move(merged));
-  row_names_.push_back(std::move(name));
   return row_lo_.size() - 1;
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -35,13 +34,11 @@ struct Coefficient {
 class Problem {
  public:
   /// Add a variable with bounds [lo, up] and objective coefficient `cost`.
-  VarId add_variable(double lo, double up, double cost,
-                     std::string name = {});
+  VarId add_variable(double lo, double up, double cost);
 
   /// Add a ranged row  lo <= sum coef_i * x_i <= up.  Coefficients with
   /// duplicate variables are summed.
-  RowId add_row(double lo, double up, std::vector<Coefficient> coefs,
-                std::string name = {});
+  RowId add_row(double lo, double up, std::vector<Coefficient> coefs);
 
   std::size_t variable_count() const { return cost_.size(); }
   std::size_t row_count() const { return row_lo_.size(); }
@@ -51,8 +48,6 @@ class Problem {
   double var_up(VarId v) const { return var_up_[v]; }
   double row_lo(RowId r) const { return row_lo_[r]; }
   double row_up(RowId r) const { return row_up_[r]; }
-  const std::string& var_name(VarId v) const { return var_names_[v]; }
-  const std::string& row_name(RowId r) const { return row_names_[r]; }
   const std::vector<Coefficient>& row(RowId r) const { return rows_[r]; }
 
   /// Tighten the bounds of a variable (used by branch-and-bound to fix
@@ -74,12 +69,10 @@ class Problem {
   std::vector<double> cost_;
   std::vector<double> var_lo_;
   std::vector<double> var_up_;
-  std::vector<std::string> var_names_;
 
   std::vector<double> row_lo_;
   std::vector<double> row_up_;
   std::vector<std::vector<Coefficient>> rows_;
-  std::vector<std::string> row_names_;
 };
 
 }  // namespace cellstream::lp

@@ -10,7 +10,8 @@ TaskGraph reduce_to_cell_mapping(const TwoMachineInstance& instance) {
   TaskGraph graph("theorem1_reduction");
   for (std::size_t k = 0; k < instance.lengths.size(); ++k) {
     Task t;
-    t.name = "T" + std::to_string(k + 1);
+    // Not "T" + to_string(...): see TaskGraph::add_task.
+    t.name = std::to_string(k + 1).insert(0, 1, 'T');
     t.wppe = instance.lengths[k][0];
     t.wspe = instance.lengths[k][1];
     graph.add_task(t);

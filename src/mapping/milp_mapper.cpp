@@ -36,42 +36,6 @@ std::vector<double> min_buffer_need(const SteadyStateAnalysis& analysis) {
   return need;
 }
 
-/// Whether (1k) can bind at a memory-feasible mapping.  The tasks on one
-/// SPE fit its local store, so the out-degree sum of the tasks of one SPE
-/// is at most the fractional-knapsack bound with weights `need` and
-/// capacity `budget`; that sum bounds the SPE's transfers to PPEs.
-bool proxy_slots_can_bind(const SteadyStateAnalysis& analysis,
-                          const std::vector<double>& need, double budget) {
-  const TaskGraph& graph = analysis.graph();
-  struct Item {
-    double weight;
-    double value;
-  };
-  std::vector<Item> items;
-  for (TaskId k = 0; k < graph.task_count(); ++k) {
-    const double degree = static_cast<double>(graph.out_edges(k).size());
-    if (need[k] > budget || degree == 0.0) continue;  // never on a SPE
-    items.push_back({need[k], degree});
-  }
-  // Best value per byte first; weightless items come first of all.
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    return a.value * b.weight > b.value * a.weight;
-  });
-  double bound = 0.0;
-  double room = budget;
-  for (const Item& item : items) {
-    if (item.weight <= room) {
-      bound += item.value;
-      room -= item.weight;
-    } else {
-      bound += item.value * room / item.weight;
-      break;
-    }
-  }
-  return std::floor(bound) >
-         static_cast<double>(analysis.platform().ppe_to_spe_dma_slots);
-}
-
 }  // namespace
 
 Formulation build_formulation(const SteadyStateAnalysis& analysis) {
@@ -86,7 +50,6 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
   const bool shared =
       analysis.buffer_policy() == BufferPolicy::kSharedColocated;
   const std::vector<double> need = min_buffer_need(analysis);
-  const bool proxy_rows = proxy_slots_can_bind(analysis, need, budget);
 
   Formulation f;
   lp::Problem& p = f.problem;
@@ -105,12 +68,10 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
       f.alpha[k].push_back(p.add_variable(0.0, up, 0.0));
     }
   }
-  // Routing columns: d_{e,i} (both endpoints of e on PE i), D_{e,c} (both
-  // on chip c; multi-chip only) and q_{e,s,p} (source on SPE s, target on
-  // PPE p; only where (1k) can bind and the source can sit on a SPE).
+  // Routing columns: d_{e,i} (both endpoints of e on PE i) and D_{e,c}
+  // (both on chip c; multi-chip only).
   f.colocated.assign(E, {});
   f.same_chip.assign(E, {});
-  f.to_ppe.assign(E, {});
   for (EdgeId e = 0; e < E; ++e) {
     for (PeId i = 0; i < n; ++i) {
       f.colocated[e].push_back(p.add_variable(0.0, 1.0, 0.0));
@@ -118,11 +79,6 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
     if (platform.chip_count > 1) {
       for (std::size_t c = 0; c < platform.chip_count; ++c) {
         f.same_chip[e].push_back(p.add_variable(0.0, 1.0, 0.0));
-      }
-    }
-    if (proxy_rows && need[graph.edge(e).from] <= budget) {
-      for (std::size_t pair = 0; pair < platform.spe_count * nppe; ++pair) {
-        f.to_ppe[e].push_back(p.add_variable(0.0, 1.0, 0.0));
       }
     }
   }
@@ -284,30 +240,8 @@ Formulation build_formulation(const SteadyStateAnalysis& analysis) {
               row);
   }
 
-  // (1k) at most ppe_to_spe_dma_slots transfers from each SPE to PPEs,
-  // through q_{e,s,p} >= alpha_s^k + alpha_p^l - 1.  Left out when no
-  // memory-feasible mapping can exceed the slots (proxy_slots_can_bind).
-  if (proxy_rows) {
-    for (PeId s = nppe; s < n; ++s) {
-      std::vector<lp::Coefficient> row;
-      for (EdgeId e = 0; e < E; ++e) {
-        if (f.to_ppe[e].empty()) continue;
-        const Edge& edge = graph.edge(e);
-        for (PeId j = 0; j < nppe; ++j) {
-          const lp::VarId q = f.to_ppe[e][(s - nppe) * nppe + j];
-          p.add_row(-1.0, lp::kInfinity,
-                    {{q, 1.0},
-                     {f.alpha[edge.from][s], -1.0},
-                     {f.alpha[edge.to][j], -1.0}});
-          row.push_back({q, 1.0});
-        }
-      }
-      if (row.empty()) continue;
-      p.add_row(-lp::kInfinity,
-                static_cast<double>(platform.ppe_to_spe_dma_slots), row);
-    }
-  }
-
+  // (1k) has no rows here: solve_optimal_mapping adds proxy-slot cuts
+  // only when an answer breaks it (add_proxy_cuts).
   return f;
 }
 
@@ -348,14 +282,36 @@ std::vector<double> encode_mapping(const Formulation& formulation,
         platform.chip_of(i) == platform.chip_of(j)) {
       x[formulation.same_chip[e][platform.chip_of(i)]] = 1.0;
     }
-    if (!formulation.to_ppe[e].empty() && platform.is_spe(i) &&
-        platform.is_ppe(j)) {
-      x[formulation.to_ppe[e][(i - platform.ppe_count) * platform.ppe_count +
-                              j]] = 1.0;
-    }
   }
   x[formulation.period_var] = analysis.period(mapping);
   return x;
+}
+
+std::size_t add_proxy_cuts(Formulation& f, const SteadyStateAnalysis& analysis,
+                           const Mapping& mapping, PeId spe) {
+  const TaskGraph& graph = analysis.graph();
+  const CellPlatform& platform = analysis.platform();
+  std::vector<EdgeId> cut;
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+    if (mapping.pe_of(graph.edge(e).from) == spe &&
+        platform.is_ppe(mapping.pe_of(graph.edge(e).to))) {
+      cut.push_back(e);
+    }
+  }
+  for (PeId s = platform.ppe_count; s < platform.pe_count(); ++s) {
+    std::vector<lp::Coefficient> row;
+    for (EdgeId e : cut) {
+      row.push_back({f.alpha[graph.edge(e).from][s], 1.0});
+      for (PeId p = 0; p < platform.ppe_count; ++p) {
+        row.push_back({f.alpha[graph.edge(e).to][p], 1.0});
+      }
+    }
+    f.problem.add_row(-lp::kInfinity,
+                      static_cast<double>(platform.ppe_to_spe_dma_slots +
+                                          cut.size()),
+                      std::move(row));
+  }
+  return platform.spe_count;
 }
 
 namespace {
@@ -421,90 +377,126 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
                                        const MilpMapperOptions& options) {
   const TaskGraph& graph = analysis.graph();
   const CellPlatform& platform = analysis.platform();
-  const std::size_t n = platform.pe_count();
 
   Formulation formulation = build_formulation(analysis);
-
   std::vector<lp::VarId> integer_vars;
   for (const auto& row : formulation.alpha) {
     integer_vars.insert(integer_vars.end(), row.begin(), row.end());
   }
-  milp::Solver solver(formulation.problem, integer_vars, options.milp);
 
-  for (TaskId k = 0; k < graph.task_count(); ++k) {
-    solver.add_exactly_one_group(formulation.alpha[k]);
-    // Branch heavy tasks first: their placement moves the bound most.
-    const double weight =
-        std::max(graph.task(k).wppe, graph.task(k).wspe);
-    for (PeId i = 0; i < n; ++i) {
-      solver.set_branch_priority(formulation.alpha[k][i], weight);
-    }
-  }
-
+  // Polish every seed with local search once: strong incumbents let the
+  // branch-and-bound prune aggressively from the root.  Cuts add no
+  // columns, so the encoded seeds stay valid in every round.
   PolishTally tally;
-  ResourceUsage scratch;  // the account of every seed and warm start
+  ResourceUsage scratch;  // the account of every seed and answer
+  std::vector<milp::Candidate> seeds;
+  const auto add_seed = [&](Mapping m) {
+    analysis.account(m, scratch);
+    if (!analysis.within_limits(scratch)) return;
+    const double period = tally.polish(analysis, m);
+    seeds.push_back({period, encode_mapping(formulation, analysis, m)});
+  };
   if (options.seed_with_heuristics) {
     for (const char* name :
          {"ppe-only", "greedy-mem", "greedy-cpu", "greedy-period"}) {
-      Mapping m = run_heuristic(name, analysis);
-      analysis.account(m, scratch);
-      if (!analysis.within_limits(scratch)) continue;
-      // Polish every seed with local search: strong incumbents let the
-      // branch-and-bound prune aggressively from the root.
-      const double period = tally.polish(analysis, m);
-      solver.add_initial_incumbent(
-          {period, encode_mapping(formulation, analysis, m)});
+      add_seed(run_heuristic(name, analysis));
     }
   }
-
   for (const Mapping& warm : options.extra_incumbents) {
     CS_ENSURE(warm.task_count() == graph.task_count(),
               "solve_optimal_mapping: extra incumbent does not match graph");
-    analysis.account(warm, scratch);
-    if (!analysis.within_limits(scratch)) continue;
-    Mapping m = warm;
-    const double period = tally.polish(analysis, m);
-    solver.add_initial_incumbent(
-        {period, encode_mapping(formulation, analysis, m)});
+    add_seed(warm);
   }
 
-  if (options.rounding_heuristic) {
-    solver.set_rounding_callback(
-        [&formulation, &analysis, &tally](const std::vector<double>& x)
-            -> std::optional<milp::Candidate> {
-          Mapping rounded = extract_mapping(formulation, x);
-          ResourceUsage repair_scratch;
-          if (!repair_mapping(analysis, rounded, repair_scratch)) {
-            return std::nullopt;
-          }
-          LocalSearchOptions polish;
-          polish.max_passes = 2;
-          polish.use_swaps = false;  // keep per-node cost low
-          const double period = tally.polish(analysis, rounded, polish);
-          return milp::Candidate{
-              period, encode_mapping(formulation, analysis, rounded)};
-        });
-  }
+  milp::RoundingCallback rounding =
+      [&formulation, &analysis, &tally](const std::vector<double>& x)
+      -> std::optional<milp::Candidate> {
+    Mapping rounded = extract_mapping(formulation, x);
+    ResourceUsage repair_scratch;
+    if (!repair_mapping(analysis, rounded, repair_scratch)) {
+      return std::nullopt;
+    }
+    LocalSearchOptions polish;
+    polish.max_passes = 2;
+    polish.use_swaps = false;  // keep per-node cost low
+    const double period = tally.polish(analysis, rounded, polish);
+    return milp::Candidate{period,
+                           encode_mapping(formulation, analysis, rounded)};
+  };
 
-  const milp::Result result = solver.solve();
-  CS_ENSURE(result.status == milp::Status::kOptimal ||
-                result.status == milp::Status::kLimitFeasible,
-            "solve_optimal_mapping: no feasible mapping found (status " +
-                std::string(milp::to_string(result.status)) + ")");
-
+  // Solve, and while the answer breaks (1k), cut it off and solve again;
+  // the node and time limits are one budget for every round.
   MilpMapperResult out;
-  out.mapping = extract_mapping(formulation, result.x);
+  std::size_t phase1_iterations = 0;
+  milp::Result result;
+  for (;;) {
+    milp::Options round_options = options.milp;
+    round_options.max_nodes -= out.nodes;
+    round_options.time_limit_seconds -= out.solve_seconds;
+    milp::Solver solver(formulation.problem, integer_vars, round_options);
+    for (TaskId k = 0; k < graph.task_count(); ++k) {
+      solver.add_exactly_one_group(formulation.alpha[k]);
+      // Branch heavy tasks first: their placement moves the bound most.
+      const double weight =
+          std::max(graph.task(k).wppe, graph.task(k).wspe);
+      for (lp::VarId v : formulation.alpha[k]) {
+        solver.set_branch_priority(v, weight);
+      }
+    }
+    for (const milp::Candidate& seed : seeds) {
+      solver.add_initial_incumbent(seed);
+    }
+    if (options.rounding_heuristic) solver.set_rounding_callback(rounding);
+
+    result = solver.solve();
+    CS_ENSURE(result.status == milp::Status::kOptimal ||
+                  result.status == milp::Status::kLimitFeasible,
+              "solve_optimal_mapping: no feasible mapping found (status " +
+                  std::string(milp::to_string(result.status)) + ")");
+    out.nodes += result.nodes;
+    out.lp_iterations += result.lp_iterations;
+    out.solve_seconds += result.solve_seconds;
+    phase1_iterations += result.stats.phase1_iterations;
+
+    out.mapping = extract_mapping(formulation, result.x);
+    analysis.account(out.mapping, scratch);
+    PeId broken = platform.ppe_count;
+    while (broken < platform.pe_count() &&
+           !analysis.broken_limits(scratch, broken).proxy_slots) {
+      ++broken;
+    }
+    if (broken == platform.pe_count()) break;
+    if (result.status == milp::Status::kOptimal &&
+        out.nodes < options.milp.max_nodes &&
+        out.solve_seconds < options.milp.time_limit_seconds) {
+      out.proxy_cuts +=
+          add_proxy_cuts(formulation, analysis, out.mapping, broken);
+      continue;
+    }
+    // Out of budget: repair the answer, or fall back to a better seed.
+    repair_mapping(analysis, out.mapping, scratch);
+    for (const milp::Candidate& seed : seeds) {
+      if (seed.objective < analysis.period(out.mapping)) {
+        out.mapping = extract_mapping(formulation, seed.x);
+      }
+    }
+    result.status = milp::Status::kLimitFeasible;
+    const double period = analysis.period(out.mapping);
+    result.gap = (period - result.best_bound) / period;
+    break;
+  }
+
   out.period = analysis.period(out.mapping);
   out.throughput = 1.0 / out.period;
   out.status = result.status;
   out.gap = result.gap;
   out.best_bound = result.best_bound;
-  out.nodes = result.nodes;
-  out.lp_iterations = result.lp_iterations;
-  out.solve_seconds = result.solve_seconds;
   out.mapping_evaluations = tally.evaluations.load();
   out.polish_seconds = tally.seconds.load();
   out.stats = result.stats;
+  out.stats.nodes = out.nodes;
+  out.stats.lp_iterations = out.lp_iterations;
+  out.stats.phase1_iterations = phase1_iterations;
   return out;
 }
 
@@ -522,6 +514,7 @@ obs::SolverStats solver_stats(const MilpMapperResult& result) {
   out.solve_seconds = result.solve_seconds;
   out.mapping_evaluations = result.mapping_evaluations;
   out.polish_seconds = result.polish_seconds;
+  out.proxy_cuts = result.proxy_cuts;
   out.incumbents.reserve(result.stats.incumbents.size());
   for (const auto& p : result.stats.incumbents)
     out.incumbents.push_back({p.round, p.nodes, p.objective});

@@ -99,6 +99,8 @@ struct SolverStats {
   /// seeds, warm starts and LP roundings).
   std::size_t mapping_evaluations = 0;
   double polish_seconds = 0.0;
+  /// Proxy-slot (1k) cut rows the mapper appended and re-solved with.
+  std::size_t proxy_cuts = 0;
   /// Incumbent trajectory: each improvement of the best known objective,
   /// stamped with the deterministic search position it was committed at.
   struct Incumbent {

@@ -33,6 +33,8 @@ json::Value solver_to_json(const obs::SolverStats& solver) {
   v.set("mapping_evaluations",
         json::Value(static_cast<std::uint64_t>(solver.mapping_evaluations)));
   v.set("polish_seconds", json::Value(solver.polish_seconds));
+  v.set("proxy_cuts",
+        json::Value(static_cast<std::uint64_t>(solver.proxy_cuts)));
   json::Value trajectory = json::Value::array();
   for (const auto& point : solver.incumbents) {
     json::Value p = json::Value::object();
@@ -305,8 +307,9 @@ std::vector<std::string> validate_stats_json(const json::Value& document) {
       expect(solver, "gap", Kind::kNumber, "solver", problems);
       expect(solver, "solve_seconds", Kind::kNumber, "solver", problems);
       // Optional: documents written before the mapper counted its local
-      // search carry neither key.
-      for (const char* key : {"mapping_evaluations", "polish_seconds"}) {
+      // search and its (1k) cuts carry none of these keys.
+      for (const char* key :
+           {"mapping_evaluations", "polish_seconds", "proxy_cuts"}) {
         if (solver.has(key)) {
           expect(solver, key, Kind::kNumber, "solver", problems);
         }

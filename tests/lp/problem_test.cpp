@@ -7,19 +7,18 @@ namespace {
 
 TEST(Problem, AddVariableStoresAttributes) {
   Problem p;
-  const VarId v = p.add_variable(0.0, 1.0, 2.5, "alpha");
+  const VarId v = p.add_variable(0.0, 1.0, 2.5);
   EXPECT_EQ(v, 0u);
   EXPECT_DOUBLE_EQ(p.var_lo(v), 0.0);
   EXPECT_DOUBLE_EQ(p.var_up(v), 1.0);
   EXPECT_DOUBLE_EQ(p.cost(v), 2.5);
-  EXPECT_EQ(p.var_name(v), "alpha");
 }
 
-TEST(Problem, DefaultNamesAreSequential) {
+TEST(Problem, VariableIdsAreSequential) {
   Problem p;
-  p.add_variable(0, 1, 0);
-  p.add_variable(0, 1, 0);
-  EXPECT_EQ(p.var_name(1), "x1");
+  EXPECT_EQ(p.add_variable(0, 1, 0), 0u);
+  EXPECT_EQ(p.add_variable(0, 1, 0), 1u);
+  EXPECT_EQ(p.variable_count(), 2u);
 }
 
 TEST(Problem, AddVariableRejectsEmptyInterval) {

@@ -4,12 +4,16 @@
 //
 // The compact polytope contains the projection of the reference one (the
 // reference's send/receive sums are tight, so beta_{i,i} <= min(alpha_i^k,
-// alpha_i^l) and beta_{s,p} >= alpha_s^k + alpha_p^l - 1), so its
+// alpha_i^l)), and it leaves (1k) to the mapper's proxy-slot cuts, so its
 // relaxation bound can only be lower; on the paper and DagGen instances
 // the two bounds are equal.  At an integral alpha both equal the period.
+// Where an answer breaks (1k), the mapper's cut loop must still reach the
+// reference program's optimum.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "gen/daggen.hpp"
 #include "lp/simplex.hpp"
 #include "mapping/heuristics.hpp"
+#include "milp/branch_and_bound.hpp"
 #include "mapping/milp_mapper.hpp"
 #include "reference_formulation.hpp"
 
@@ -45,9 +50,17 @@ void expect_root_bounds(const Instance& in, bool equal) {
 }
 
 // Every seed heuristic's mapping encodes to a feasible point whose
-// objective is its period.
+// objective is its period, also once proxy-slot cuts are appended (here
+// for the edges from even tasks on the first SPE to odd tasks on a PPE).
 void expect_heuristics_encode(const Instance& in) {
-  const Formulation f = build_formulation(in.analysis);
+  Formulation f = build_formulation(in.analysis);
+  const CellPlatform& platform = in.analysis.platform();
+  Mapping split(in.analysis.graph().task_count(), 0);
+  for (TaskId k = 0; k < split.task_count(); k += 2) {
+    split.assign(k, platform.ppe_count);
+  }
+  ASSERT_EQ(add_proxy_cuts(f, in.analysis, split, platform.ppe_count),
+            platform.spe_count);
   for (const char* name :
        {"ppe-only", "greedy-mem", "greedy-cpu", "greedy-period"}) {
     const Mapping m = run_heuristic(name, in.analysis);
@@ -81,8 +94,7 @@ const char* policy_name(BufferPolicy policy) {
   return policy == BufferPolicy::kDuplicated ? "duplicated" : "shared";
 }
 
-// Paper graphs 0-2 at CCR 0.775 with 4 SPEs (graph 1 keeps the (1k) pair
-// rows there), under both buffer policies.
+// Paper graphs 0-2 at CCR 0.775 with 4 SPEs, under both buffer policies.
 std::vector<Instance> paper_instances() {
   std::vector<Instance> out;
   for (BufferPolicy policy :
@@ -167,47 +179,113 @@ SteadyStateAnalysis fan_in(std::size_t sources, double data) {
   return SteadyStateAnalysis(std::move(graph), platforms::qs22_single_cell());
 }
 
-bool has_proxy_columns(const Formulation& f) {
-  for (const auto& columns : f.to_ppe) {
-    if (!columns.empty()) return true;
+// One source cheap on a SPE feeding nine sinks cheap on the PPE, over
+// 64-byte edges.  Without (1k) the best mapping puts the source on a SPE
+// and all nine sinks on the PPE: nine transfers for eight proxy slots.
+SteadyStateAnalysis fan_out() {
+  TaskGraph graph("fan-out");
+  Task source;
+  source.wspe = 1e-5;
+  source.wppe = 1e-2;
+  Task sink;
+  sink.wspe = 1e-2;
+  sink.wppe = 1e-5;
+  const TaskId root = graph.add_task(source);
+  for (int s = 0; s < 9; ++s) graph.add_edge(root, graph.add_task(sink), 64.0);
+  return SteadyStateAnalysis(std::move(graph), platforms::qs22_single_cell());
+}
+
+// Solve a mapping program, compact or reference, to optimality with the
+// bare branch-and-bound over its alpha binaries: no seeds, no cuts.
+template <typename F>
+milp::Result solve_exactly(const F& f) {
+  std::vector<lp::VarId> integer_vars;
+  for (const auto& row : f.alpha) {
+    integer_vars.insert(integer_vars.end(), row.begin(), row.end());
   }
-  return false;
+  milp::Options options;
+  options.relative_gap = 0.0;
+  milp::Solver solver(f.problem, integer_vars, options);
+  for (const auto& row : f.alpha) solver.add_exactly_one_group(row);
+  const milp::Result r = solver.solve();
+  EXPECT_EQ(r.status, milp::Status::kOptimal);
+  return r;
 }
 
-// Nine small sources fit one local store together, so a mapping can put
-// nine SPE -> PPE transfers on one SPE: (1k) must be kept and must reject
-// that mapping.
-TEST(FormulationEquivalence, ProxySlotRowsKeptWhereTheyCanBind) {
-  const SteadyStateAnalysis analysis = fan_in(9, 1024.0);
-  const Formulation f = build_formulation(analysis);
-  ASSERT_TRUE(has_proxy_columns(f));
-  Mapping m(analysis.graph().task_count(), 1);  // every source on SPE 1
-  m.assign(0, 0);                               // the sink on the PPE
-  ASSERT_FALSE(analysis.feasible(m));
-  ASSERT_EQ(analysis.usage(m).to_ppe_transfers[1], 9u);
-  EXPECT_GE(f.problem.max_violation(encode_mapping(f, analysis, m)),
+MilpMapperOptions exact_options(std::size_t threads) {
+  MilpMapperOptions options;
+  options.milp.relative_gap = 0.0;
+  options.with_threads(threads);
+  return options;
+}
+
+// The compact program alone answers with nine SPE -> PPE transfers on one
+// SPE; one cut round rejects that answer and the mapper reaches the
+// optimum of the reference program, which carries (1k) as rows.
+TEST(FormulationEquivalence, ProxySlotCutReachesReferenceOptimum) {
+  const SteadyStateAnalysis analysis = fan_out();
+  Formulation f = build_formulation(analysis);
+  const Mapping uncut = extract_mapping(f, solve_exactly(f).x);
+  ASSERT_FALSE(analysis.feasible(uncut));
+  ASSERT_EQ(analysis.usage(uncut).to_ppe_transfers[uncut.pe_of(0)], 9u);
+  // The cut rejects that answer.
+  add_proxy_cuts(f, analysis, uncut, uncut.pe_of(0));
+  EXPECT_GE(f.problem.max_violation(encode_mapping(f, analysis, uncut)),
             1.0 - 1e-9);
+
+  const double reference =
+      solve_exactly(reference::build_beta_formulation(analysis)).objective;
+  const MilpMapperResult one = solve_optimal_mapping(analysis, exact_options(1));
+  EXPECT_GE(one.proxy_cuts, 1u);
+  EXPECT_EQ(one.status, milp::Status::kOptimal);
+  EXPECT_TRUE(analysis.feasible(one.mapping));
+  EXPECT_NEAR(one.period, reference, 1e-9 * reference);
+
+  // D5: the cut rounds are as deterministic as one solve.
+  const MilpMapperResult four =
+      solve_optimal_mapping(analysis, exact_options(4));
+  EXPECT_EQ(four.mapping, one.mapping);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(four.period),
+            std::bit_cast<std::uint64_t>(one.period));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(four.best_bound),
+            std::bit_cast<std::uint64_t>(one.best_bound));
+  EXPECT_EQ(four.nodes, one.nodes);
+  EXPECT_EQ(four.lp_iterations, one.lp_iterations);
+  EXPECT_EQ(four.proxy_cuts, one.proxy_cuts);
 }
 
-// With at most eight sources, or with sources so large that at most 8.5
-// of them fit one local store, no memory-feasible mapping exceeds the
-// eight proxy slots and the pair rows are left out.
-TEST(FormulationEquivalence, ProxySlotRowsPrunedWhereTheyCannotBind) {
-  EXPECT_FALSE(has_proxy_columns(build_formulation(fan_in(8, 1024.0))));
+// Nine small sources feeding one sink fit one local store together; the
+// mapper's answer keeps the eight proxy slots.  The symmetric instance
+// does not close its gap within the default 200000 nodes, so a smaller
+// budget keeps the case fast.
+TEST(FormulationEquivalence, FanInAnswerKeepsProxySlots) {
+  const SteadyStateAnalysis analysis = fan_in(9, 1024.0);
+  MilpMapperOptions options;
+  options.milp.max_nodes = 1024;
+  EXPECT_TRUE(
+      analysis.feasible(solve_optimal_mapping(analysis, options).mapping));
+}
 
-  // Each source's footprint is its edge buffer, 2 instances deep.
-  const double budget =
-      static_cast<double>(platforms::qs22_single_cell().buffer_budget());
-  const SteadyStateAnalysis big = fan_in(9, budget / (2.0 * 8.5));
-  ASSERT_DOUBLE_EQ(big.task_buffer_bytes(1), budget / 8.5);
-  const Formulation f = build_formulation(big);
-  EXPECT_FALSE(has_proxy_columns(f));
-  // The pruned rows were implied: nine sources on one SPE overflow its
-  // local store, which (1i) rejects.
-  Mapping m(big.graph().task_count(), 1);
-  m.assign(0, 0);
-  EXPECT_FALSE(big.feasible(m));
-  EXPECT_GT(f.problem.max_violation(encode_mapping(f, big, m)), 1e-3);
+// A node budget that runs out before the cut round: the first solve
+// accepts the (1k)-breaking answer at node 74 and would prove it at node
+// 89, so 80 nodes stop it with that answer in hand.  The mapper returns a
+// feasible mapping in its place, as a limit result.
+TEST(FormulationEquivalence, ProxySlotBreakRepairedWhenBudgetRunsOut) {
+  const SteadyStateAnalysis analysis = fan_out();
+  MilpMapperOptions options = exact_options(1);
+  options.milp.max_nodes = 80;
+  const MilpMapperResult r = solve_optimal_mapping(analysis, options);
+  EXPECT_EQ(r.status, milp::Status::kLimitFeasible);
+  EXPECT_EQ(r.proxy_cuts, 0u);
+  EXPECT_EQ(r.nodes, 80u);
+  EXPECT_TRUE(analysis.feasible(r.mapping));
+  // The solver's last incumbent broke (1k); the returned mapping is not
+  // it, and is no worse than the best seed (the initial incumbent).
+  ASSERT_FALSE(r.stats.incumbents.empty());
+  EXPECT_LT(r.stats.incumbents.back().objective, r.period);
+  EXPECT_LE(r.period, r.stats.incumbents.front().objective);
+  EXPECT_LE(r.best_bound, r.period);
+  EXPECT_EQ(r.gap, (r.period - r.best_bound) / r.period);
 }
 
 }  // namespace

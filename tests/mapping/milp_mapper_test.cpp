@@ -25,15 +25,14 @@ TEST(Formulation, HasExpectedShape) {
   const CellPlatform p = platforms::qs22_with_spes(2);  // n = 3
   const SteadyStateAnalysis ss(g, p);
   const Formulation f = build_formulation(ss);
-  // 1 period + K*n alpha + |E|*n co-location columns; one chip, and one
-  // out-edge cannot exceed the 8 proxy slots, so no (1k) pair columns.
+  // 1 period + K*n alpha + |E|*n co-location columns on one chip; (1k)
+  // adds no columns.
   EXPECT_EQ(f.problem.variable_count(), 1u + 2 * 3 + 1 * 3);
   EXPECT_EQ(f.alpha.size(), 2u);
   EXPECT_EQ(f.alpha[0].size(), 3u);
   ASSERT_EQ(f.colocated.size(), 1u);
   EXPECT_EQ(f.colocated[0].size(), 3u);
   EXPECT_TRUE(f.same_chip[0].empty());
-  EXPECT_TRUE(f.to_ppe[0].empty());
   // (1b) K + co-location 2n|E| + compute n + bandwidth 2n + (1i) per SPE
   // + (1j) per SPE.
   EXPECT_EQ(f.problem.row_count(), 2u + 2 * 3 + 3 + 2 * 3 + 2 + 2);

@@ -279,7 +279,7 @@ TEST(SearchGolden, SolveOptimalMappingPaperGraph1) {
   MilpMapperOptions options;  // 5 % gap, one thread
   options.milp.time_limit_seconds = 3600.0;
   expect_solve(paper(1, 8, 0.775), options,
-               {1, 3268, 95, 0, 0,
+               {1, 257, 95, 0, 0,
                 {{0, 0, 0x3fafef3c89012b30ULL}},
                 {0x3fafef3c89012b30ULL,
                  {1, 6, 3, 0, 0, 7, 7, 6, 3, 0, 0, 3, 5, 0, 0, 0, 8, 0, 0, 0,
@@ -289,8 +289,8 @@ TEST(SearchGolden, SolveOptimalMappingPaperGraph1) {
                   8, 0, 0, 0, 0, 0, 2, 0, 4, 0, 0, 0, 4, 1}}});
 }
 
-// A gap-0 DagGen search whose LP roundings reach the callback, one of
-// them improving the incumbent.
+// A gap-0 DagGen search whose LP roundings reach the callback; an
+// integral leaf improves the incumbent.
 TEST(SearchGolden, SolveOptimalMappingWithRoundings) {
   MilpMapperOptions options;
   options.milp.relative_gap = 0.0;
@@ -298,12 +298,11 @@ TEST(SearchGolden, SolveOptimalMappingWithRoundings) {
   expect_solve(daggen(15, 2, 0.775, platforms::qs22_single_cell(),
                       BufferPolicy::kDuplicated),
                options,
-               {47, 970, 433, 37, 1,
+               {31, 514, 174, 22, 0,
                 {{0, 0, 0x3f6c08e63b1e7105ULL},
-                 {13, 34, 0x3f68500f3f51437fULL},
-                 {13, 37, 0x3f68500f3f51437eULL}},
+                 {12, 30, 0x3f68500f3f51437eULL}},
                 {0x3f68500f3f51437fULL,
-                 {8, 8, 3, 0, 7, 8, 7, 0, 6, 5, 2, 6, 3, 4, 7}}});
+                 {5, 8, 8, 0, 3, 4, 8, 0, 1, 7, 6, 4, 7, 5, 1}}});
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST(StatsRoundTrip, SolverSectionRoundTripsForMilpMappings) {
   EXPECT_NEAR(prev, solved.period, 0.05 * solved.period + 1e-12);
 }
 
-// The mapper's local-search counters ride in the solver section as
+// The mapper's local-search and cut counters ride in the solver section as
 // optional keys: documents written before they existed still validate.
 TEST(StatsRoundTrip, SolverLocalSearchKeysAreOptional) {
   WorkedExample ex;
@@ -191,8 +191,10 @@ TEST(StatsRoundTrip, SolverLocalSearchKeysAreOptional) {
   EXPECT_EQ(solver.at("mapping_evaluations").as_number(),
             static_cast<double>(solved.mapping_evaluations));
   EXPECT_EQ(solver.at("polish_seconds").as_number(), solved.polish_seconds);
+  EXPECT_EQ(solver.at("proxy_cuts").as_number(),
+            static_cast<double>(solved.proxy_cuts));
 
-  // The same section without the two keys (json::Value has no erase).
+  // The same section without the three keys (json::Value has no erase).
   json::Value older = json::Value::object();
   for (const char* key :
        {"status", "nodes", "rounds", "lp_iterations", "threads", "objective",
