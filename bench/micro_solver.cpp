@@ -215,14 +215,15 @@ BENCHMARK(BM_EvaluateMapping);
 void BM_ImproveMapping(benchmark::State& state) {
   const SteadyStateAnalysis analysis = paper_graph1_8spes();
   const Mapping start = mapping::greedy_cpu(analysis);
-  std::size_t evaluations = 0;
+  mapping::LocalSearchWork work;
   for (auto _ : state) {
     Mapping mapping = start;
-    evaluations = 0;
+    work = {};
     benchmark::DoNotOptimize(
-        mapping::improve_mapping(analysis, mapping, {}, &evaluations));
+        mapping::improve_mapping(analysis, mapping, {}, &work));
   }
-  state.counters["evaluations"] = static_cast<double>(evaluations);
+  state.counters["candidates"] = static_cast<double>(work.candidates);
+  state.counters["evaluations"] = static_cast<double>(work.evaluations);
 }
 BENCHMARK(BM_ImproveMapping)->Unit(benchmark::kMillisecond);
 

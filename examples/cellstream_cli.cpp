@@ -218,9 +218,10 @@ int cmd_solve(int argc, char** argv) {
                  s.pruned_by_bound, s.integral_leaves, s.infeasible_nodes,
                  s.callback_accepted, s.callback_candidates, s.max_open_size);
     std::fprintf(stderr,
-                 "milp: local search evaluated %zu mappings in %.2fs, "
-                 "%zu proxy-slot cuts\n",
-                 r.mapping_evaluations, r.polish_seconds, r.proxy_cuts);
+                 "milp: local search considered %zu mappings, evaluated "
+                 "%zu in %.2fs, %zu proxy-slot cuts\n",
+                 r.mapping_candidates, r.mapping_evaluations,
+                 r.polish_seconds, r.proxy_cuts);
     mapping = r.mapping;
   } else if (strategy == "local-search") {
     mapping = mapping::local_search_heuristic(analysis);

@@ -2,6 +2,8 @@
 
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "fault/failover.hpp"
 #include "fault/fault_plan.hpp"
@@ -76,9 +78,13 @@ std::string FuzzCase::to_string() const {
 std::vector<Violation> run_case(const FuzzCase& scenario,
                                 const FuzzOptions& options) {
   std::vector<Violation> violations;
+  // A fuzz report is a developer log: keep the failed condition and its
+  // source line next to the message.
   const auto pipeline_error = [&violations](const std::string& stage,
-                                            const std::string& what) {
-    violations.push_back({"pipeline", stage + ": " + what});
+                                            const Error& e) {
+    std::string detail = stage + ": " + e.what();
+    if (*e.context() != '\0') detail += std::string(" [") + e.context() + "]";
+    violations.push_back({"pipeline", std::move(detail)});
   };
 
   // Generate.  Graph-shape knobs come from a child stream of the case
@@ -96,7 +102,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
     graph = gen::daggen_random(params);
     gen::set_ccr(graph, scenario.ccr);
   } catch (const Error& e) {
-    pipeline_error("generate", e.what());
+    pipeline_error("generate", e);
     return violations;
   }
 
@@ -108,7 +114,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
   try {
     mapping = mapping::run_heuristic(scenario.strategy, analysis);
   } catch (const Error& e) {
-    pipeline_error("map", e.what());
+    pipeline_error("map", e);
     return violations;
   }
   std::vector<Violation> store = check_local_store(analysis, mapping);
@@ -126,7 +132,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
     schedule::PeriodicSchedule sched(analysis, mapping);
     sched.validate();
   } catch (const Error& e) {
-    pipeline_error("schedule", e.what());
+    pipeline_error("schedule", e);
   }
 
   // Simulate with a full trace, then run the invariant oracle.  A faulted
@@ -151,7 +157,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
                         std::make_move_iterator(report.violations.begin()),
                         std::make_move_iterator(report.violations.end()));
     } catch (const Error& e) {
-      pipeline_error("failover", e.what());
+      pipeline_error("failover", e);
     }
   } else {
     try {
@@ -166,7 +172,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
                         std::make_move_iterator(report.violations.begin()),
                         std::make_move_iterator(report.violations.end()));
     } catch (const Error& e) {
-      pipeline_error("simulate", e.what());
+      pipeline_error("simulate", e);
     }
   }
 
@@ -181,7 +187,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
                         std::make_move_iterator(report.violations.begin()),
                         std::make_move_iterator(report.violations.end()));
     } catch (const Error& e) {
-      pipeline_error("differential", e.what());
+      pipeline_error("differential", e);
     }
   }
   return violations;

@@ -61,6 +61,14 @@ SteadyStateAnalysis::SteadyStateAnalysis(TaskGraph graph,
     task_loads_[edge.from].buffer_bytes += edge.buffer_bytes;
     task_loads_[edge.to].buffer_bytes += edge.buffer_bytes;
   }
+  incident_begin_.reserve(graph_.task_count() + 1);
+  incident_begin_.assign(1, 0);
+  incident_.reserve(2 * graph_.edge_count());
+  for (TaskId t = 0; t < graph_.task_count(); ++t) {
+    for (EdgeId e : graph_.out_edges(t)) incident_.push_back(e);
+    for (EdgeId e : graph_.in_edges(t)) incident_.push_back(e);
+    incident_begin_.push_back(incident_.size());
+  }
 
   chip_of_.resize(platform_.pe_count());
   for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {

@@ -35,9 +35,13 @@
 // usage() adds the bottleneck label, violations() one message per broken
 // limit, and feasible() / period() / throughput() read single fields.
 // Both layers compute every sum and comparison in the same order, so a
-// search sees the same bits whichever one it calls.
+// search sees the same bits whichever one it calls.  The per-task,
+// per-edge and per-PE tables the account sums are public read-only, so
+// the local search can estimate a move's effect on the current account
+// before it pays for a new one.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,6 +159,37 @@ class SteadyStateAnalysis {
     return task_loads_[t].buffer_bytes;
   }
 
+  /// What a task charges the PE that hosts it, per instance.
+  struct TaskLoad {
+    double wppe = 0.0;
+    double wspe = 0.0;
+    double read_bytes = 0.0;
+    double write_bytes = 0.0;
+    double buffer_bytes = 0.0;  ///< On a SPE: the buffers of all its edges.
+  };
+  /// What an edge charges when its endpoints sit apart (or, for the
+  /// shared-buffer policy, together).
+  struct EdgeLoad {
+    TaskId from = 0;
+    TaskId to = 0;
+    double data_bytes = 0.0;
+    double buffer_bytes = 0.0;  ///< buff_{k,l}.
+  };
+
+  /// The read-only tables account() sums, for searches that update an
+  /// account incrementally (mapping/local_search.cpp): one TaskLoad per
+  /// task, one EdgeLoad per edge, the edges incident to each task (out
+  /// edges, then in edges, each in edge-id order), the chip of each PE
+  /// and the local-store bytes available for buffers.
+  const std::vector<TaskLoad>& task_loads() const { return task_loads_; }
+  const std::vector<EdgeLoad>& edge_loads() const { return edge_loads_; }
+  std::span<const EdgeId> incident_edges(TaskId t) const {
+    return {incident_.data() + incident_begin_[t],
+            incident_.data() + incident_begin_[t + 1]};
+  }
+  const std::vector<std::size_t>& chip_of() const { return chip_of_; }
+  double buffer_budget() const { return buffer_budget_; }
+
   /// The numeric account of `mapping`: every field of `out` except the
   /// bottleneck label, which is left empty.  Reuses `out`'s storage, so
   /// a caller that keeps one ResourceUsage across calls allocates only
@@ -191,27 +226,12 @@ class SteadyStateAnalysis {
   TaskGraph graph_;
   CellPlatform platform_;
   BufferPolicy buffer_policy_ = BufferPolicy::kDuplicated;
-  /// What a task charges the PE that hosts it, per instance.
-  struct TaskLoad {
-    double wppe = 0.0;
-    double wspe = 0.0;
-    double read_bytes = 0.0;
-    double write_bytes = 0.0;
-    double buffer_bytes = 0.0;  ///< On a SPE: the buffers of all its edges.
-  };
-  /// What an edge charges when its endpoints sit apart (or, for the
-  /// shared-buffer policy, together).
-  struct EdgeLoad {
-    TaskId from = 0;
-    TaskId to = 0;
-    double data_bytes = 0.0;
-    double buffer_bytes = 0.0;  ///< buff_{k,l}.
-  };
-
   std::vector<std::int64_t> first_periods_;
   std::vector<std::int64_t> edge_buffer_depth_;
   std::vector<TaskLoad> task_loads_;
   std::vector<EdgeLoad> edge_loads_;
+  std::vector<std::size_t> incident_begin_;  ///< Per task, K + 1 offsets.
+  std::vector<EdgeId> incident_;
   std::vector<std::size_t> chip_of_;  ///< Per PE.
   double buffer_budget_ = 0.0;        ///< Local-store bytes for buffers.
 };

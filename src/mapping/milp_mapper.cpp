@@ -350,9 +350,10 @@ bool repair_mapping(const SteadyStateAnalysis& analysis, Mapping& mapping,
 }
 
 /// Local-search work of one mapper solve, shared by the rounding callback
-/// on every B&B thread.  The evaluation count is a sum over the same
-/// calls whatever the thread count; the seconds are a sum of wall times.
+/// on every B&B thread.  The counts are sums over the same calls whatever
+/// the thread count; the seconds are a sum of wall times.
 struct PolishTally {
+  std::atomic<std::size_t> candidates{0};
   std::atomic<std::size_t> evaluations{0};
   std::atomic<double> seconds{0.0};
 
@@ -360,9 +361,10 @@ struct PolishTally {
   double polish(const SteadyStateAnalysis& analysis, Mapping& mapping,
                 const LocalSearchOptions& options = {}) {
     const auto start = std::chrono::steady_clock::now();
-    std::size_t count = 0;
-    const double period = improve_mapping(analysis, mapping, options, &count);
-    evaluations.fetch_add(count, std::memory_order_relaxed);
+    LocalSearchWork work;
+    const double period = improve_mapping(analysis, mapping, options, &work);
+    candidates.fetch_add(work.candidates, std::memory_order_relaxed);
+    evaluations.fetch_add(work.evaluations, std::memory_order_relaxed);
     seconds.fetch_add(std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count(),
@@ -491,6 +493,7 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
   out.status = result.status;
   out.gap = result.gap;
   out.best_bound = result.best_bound;
+  out.mapping_candidates = tally.candidates.load();
   out.mapping_evaluations = tally.evaluations.load();
   out.polish_seconds = tally.seconds.load();
   out.stats = result.stats;
@@ -512,6 +515,7 @@ obs::SolverStats solver_stats(const MilpMapperResult& result) {
   out.best_bound = result.best_bound;
   out.gap = result.gap;
   out.solve_seconds = result.solve_seconds;
+  out.mapping_candidates = result.mapping_candidates;
   out.mapping_evaluations = result.mapping_evaluations;
   out.polish_seconds = result.polish_seconds;
   out.proxy_cuts = result.proxy_cuts;

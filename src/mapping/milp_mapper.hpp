@@ -112,9 +112,11 @@ struct MilpMapperResult {
   /// Proxy-slot cut rows appended because an answer broke (1k); 0 when
   /// the first solve's answer kept it.
   std::size_t proxy_cuts = 0;
-  /// Mappings the local search evaluated while polishing the heuristic
-  /// seeds, the warm starts and the LP roundings; the same for every
-  /// thread count.
+  /// Mappings the local search considered while polishing the heuristic
+  /// seeds, the warm starts and the LP roundings, and those of them it
+  /// fully accounted (the rest its screen rejected); both the same for
+  /// every thread count.
+  std::size_t mapping_candidates = 0;
   std::size_t mapping_evaluations = 0;
   /// Wall seconds of that local search, summed over the B&B threads.
   double polish_seconds = 0.0;

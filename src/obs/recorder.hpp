@@ -95,8 +95,9 @@ struct SolverStats {
   double best_bound = 0.0;
   double gap = 0.0;
   double solve_seconds = 0.0;
-  /// Local-search evaluations and their wall seconds (mapper polish of
-  /// seeds, warm starts and LP roundings).
+  /// Local-search candidates considered, those fully accounted, and their
+  /// wall seconds (mapper polish of seeds, warm starts and LP roundings).
+  std::size_t mapping_candidates = 0;
   std::size_t mapping_evaluations = 0;
   double polish_seconds = 0.0;
   /// Proxy-slot (1k) cut rows the mapper appended and re-solved with.

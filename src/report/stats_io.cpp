@@ -30,6 +30,8 @@ json::Value solver_to_json(const obs::SolverStats& solver) {
   v.set("best_bound", json::Value(solver.best_bound));
   v.set("gap", json::Value(solver.gap));
   v.set("solve_seconds", json::Value(solver.solve_seconds));
+  v.set("mapping_candidates",
+        json::Value(static_cast<std::uint64_t>(solver.mapping_candidates)));
   v.set("mapping_evaluations",
         json::Value(static_cast<std::uint64_t>(solver.mapping_evaluations)));
   v.set("polish_seconds", json::Value(solver.polish_seconds));
@@ -309,7 +311,8 @@ std::vector<std::string> validate_stats_json(const json::Value& document) {
       // Optional: documents written before the mapper counted its local
       // search and its (1k) cuts carry none of these keys.
       for (const char* key :
-           {"mapping_evaluations", "polish_seconds", "proxy_cuts"}) {
+           {"mapping_candidates", "mapping_evaluations", "polish_seconds",
+            "proxy_cuts"}) {
         if (solver.has(key)) {
           expect(solver, key, Kind::kNumber, "solver", problems);
         }

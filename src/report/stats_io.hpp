@@ -8,8 +8,9 @@
 // "cellstream-stats-v2", which adds the `faults` section (fault-injection
 // and failover counters, null for runs without a fault plan); the
 // validator also accepts "cellstream-stats-v1" documents, where `faults`
-// does not exist.  The solver section's `mapping_evaluations`,
-// `polish_seconds` and `proxy_cuts` are optional in both versions.  The
+// does not exist.  The solver section's `mapping_candidates`,
+// `mapping_evaluations`, `polish_seconds` and `proxy_cuts` are optional
+// in both versions.  The
 // CSV export is the per-resource occupation table only (one row per PE
 // interface direction / compute resource) — handy for spreadsheets and
 // plotting, while JSON is the complete document.

@@ -59,9 +59,12 @@ class LandingSet {
   void compact() {
     // Reclaim the consumed prefix once it dominates the storage; keeps
     // the vector from creeping even on endless retry-stall runs.
+    // (An element loop rather than erase(): GCC 12 at -O3 reports a
+    // spurious -Wstringop-overread on erase's memmove once inlined.)
     if (head_ >= 8 && head_ * 2 >= values_.size()) {
-      values_.erase(values_.begin(),
-                    values_.begin() + static_cast<std::ptrdiff_t>(head_));
+      const std::size_t live = values_.size() - head_;
+      for (std::size_t i = 0; i < live; ++i) values_[i] = values_[head_ + i];
+      values_.resize(live);
       head_ = 0;
     }
   }

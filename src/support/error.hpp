@@ -14,9 +14,20 @@
 namespace cellstream {
 
 /// Exception type thrown on any contract violation or invalid input.
+/// what() is the message alone, fit to show a user; a CS_ENSURE failure
+/// also carries the failed condition and its source location in
+/// context(), for tests and logs.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what, const std::string& context = "")
+      : std::runtime_error(what), context_(context) {}
+
+  /// "<condition> failed at <file>:<line>" for a CS_ENSURE failure; empty
+  /// otherwise.
+  const char* context() const noexcept { return context_.what(); }
+
+ private:
+  std::runtime_error context_;  // a string that copies without throwing
 };
 
 namespace detail {
@@ -26,7 +37,8 @@ namespace detail {
 
 }  // namespace cellstream
 
-/// Validate a condition; throw cellstream::Error with context on failure.
+/// Validate a condition; on failure throw cellstream::Error with `msg` as
+/// its message and the condition and source line as its context.
 #define CS_ENSURE(cond, msg)                                              \
   do {                                                                    \
     if (!(cond)) {                                                        \

@@ -21,7 +21,7 @@ TraceEvent compute_event(TaskId task, PeId pe, std::int64_t instance,
                          double start, double end) {
   TraceEvent e;
   e.kind = TraceEvent::Kind::kCompute;
-  e.name = "T" + std::to_string(task);
+  e.name = std::to_string(task).insert(0, 1, 'T');
   e.pe = pe;
   e.src_pe = pe;
   e.start = start;

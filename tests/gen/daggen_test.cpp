@@ -56,8 +56,12 @@ TEST(DagGen, EveryNonSourceHasAParentAndEveryNonSinkAChild) {
         std::find(sources.begin(), sources.end(), t) != sources.end();
     const bool is_sink =
         std::find(sinks.begin(), sinks.end(), t) != sinks.end();
-    if (!is_source) EXPECT_FALSE(g.in_edges(t).empty());
-    if (!is_sink) EXPECT_FALSE(g.out_edges(t).empty());
+    if (!is_source) {
+      EXPECT_FALSE(g.in_edges(t).empty());
+    }
+    if (!is_sink) {
+      EXPECT_FALSE(g.out_edges(t).empty());
+    }
   }
 }
 
@@ -168,8 +172,12 @@ TEST(Diamond, EveryMiddleTaskConnected) {
   for (TaskId t = 0; t < g.task_count(); ++t) {
     const bool is_src = t == sources[0];
     const bool is_sink = t == sinks[0];
-    if (!is_src) EXPECT_FALSE(g.in_edges(t).empty()) << t;
-    if (!is_sink) EXPECT_FALSE(g.out_edges(t).empty()) << t;
+    if (!is_src) {
+      EXPECT_FALSE(g.in_edges(t).empty()) << t;
+    }
+    if (!is_sink) {
+      EXPECT_FALSE(g.out_edges(t).empty()) << t;
+    }
   }
 }
 

@@ -46,7 +46,9 @@ void expect_root_bounds(const Instance& in, bool equal) {
   const double reference = root_objective(
       reference::build_beta_formulation(in.analysis).problem);
   EXPECT_LE(compact, reference * (1.0 + 1e-9)) << in.name;
-  if (equal) EXPECT_NEAR(compact, reference, 1e-9 * reference) << in.name;
+  if (equal) {
+    EXPECT_NEAR(compact, reference, 1e-9 * reference) << in.name;
+  }
 }
 
 // Every seed heuristic's mapping encodes to a feasible point whose

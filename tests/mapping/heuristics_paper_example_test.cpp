@@ -1,13 +1,13 @@
 // Hand-computed worked example for the paper's two heuristics (Section
 // 6.3) on a diamond-and-tail graph in the style of Fig. 5:
 //
-//        T0
-//       /  \
-//      T1    T2          wspe(T0) = 1.0 ms   wppe(T0) = 1.2 ms
-//       \  /             wspe(T3) = 0.9 ms   wppe(T3) = 1.5 ms
-//        T3              others: wspe 0.6 ms, wppe 1.5 ms
+//        T0              wspe(T0) = 1.0 ms   wppe(T0) = 1.2 ms
+//       /  \             wspe(T3) = 0.9 ms   wppe(T3) = 1.5 ms
+//      T1    T2          others: wspe 0.6 ms, wppe 1.5 ms
+//       \  /             every edge carries 4 kB per instance
+//        T3
 //        |
-//        T4 -- T5        every edge carries 4 kB per instance
+//        T4 -- T5
 //
 // Platform: QS22 single Cell (PPE0 = PE 0, SPE0..7 = PEs 1..8).  Interface
 // occupation is at most 3 edges x 4 kB / 25 GB/s ~ 0.5 us per PE, three

@@ -187,8 +187,8 @@ TEST(MilpMapper, ZeroSpesForcesPpe) {
   EXPECT_NEAR(result.period, 2e-3, 1e-9);
 }
 
-// The local-search count covers the seeds and every LP rounding; the
-// B&B commits the same roundings at any thread count, so the count is
+// The local-search counts cover the seeds and every LP rounding; the
+// B&B commits the same roundings at any thread count, so the counts are
 // equal too.
 TEST(MilpMapper, MappingEvaluationsIndependentOfThreads) {
   gen::DagGenParams params;
@@ -205,6 +205,8 @@ TEST(MilpMapper, MappingEvaluationsIndependentOfThreads) {
   EXPECT_GT(one.stats.callback_candidates, 0u);
   EXPECT_GT(one.mapping_evaluations, 0u);
   EXPECT_EQ(one.mapping_evaluations, four.mapping_evaluations);
+  EXPECT_EQ(one.mapping_candidates, four.mapping_candidates);
+  EXPECT_GT(one.mapping_candidates, one.mapping_evaluations);
   EXPECT_EQ(one.nodes, four.nodes);
   EXPECT_GT(one.polish_seconds, 0.0);
   EXPECT_GT(four.polish_seconds, 0.0);
@@ -214,6 +216,7 @@ TEST(MilpMapper, MappingEvaluationsIndependentOfThreads) {
   opts.rounding_heuristic = false;
   const MilpMapperResult bare = solve_optimal_mapping(ss, opts);
   EXPECT_EQ(bare.mapping_evaluations, 0u);
+  EXPECT_EQ(bare.mapping_candidates, 0u);
   EXPECT_EQ(bare.polish_seconds, 0.0);
 }
 

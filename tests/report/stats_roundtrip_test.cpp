@@ -188,13 +188,16 @@ TEST(StatsRoundTrip, SolverLocalSearchKeysAreOptional) {
   ASSERT_TRUE(validate_stats_json(doc).empty());
   const json::Value& solver = doc.at("solver");
   EXPECT_GT(solved.mapping_evaluations, 0u);
+  EXPECT_GE(solved.mapping_candidates, solved.mapping_evaluations);
+  EXPECT_EQ(solver.at("mapping_candidates").as_number(),
+            static_cast<double>(solved.mapping_candidates));
   EXPECT_EQ(solver.at("mapping_evaluations").as_number(),
             static_cast<double>(solved.mapping_evaluations));
   EXPECT_EQ(solver.at("polish_seconds").as_number(), solved.polish_seconds);
   EXPECT_EQ(solver.at("proxy_cuts").as_number(),
             static_cast<double>(solved.proxy_cuts));
 
-  // The same section without the three keys (json::Value has no erase).
+  // The same section without the four keys (json::Value has no erase).
   json::Value older = json::Value::object();
   for (const char* key :
        {"status", "nodes", "rounds", "lp_iterations", "threads", "objective",

@@ -420,11 +420,9 @@ TEST(SimGolden, LocalStoreOverflowMessage) {
     simulate(analysis, mapping, traced(10));
     ADD_FAILURE() << "over-budget mapping was simulated";
   } catch (const Error& e) {
-    // The message, without the failed condition and source line after it.
-    const std::string what = e.what();
-    EXPECT_EQ(what.substr(0, what.find(" [")),
-              "simulate: buffers of SPE2 exceed the local store (800 kB); "
-              "mapping cannot be loaded on real hardware");
+    EXPECT_STREQ(e.what(),
+                 "simulate: buffers of SPE2 exceed the local store (800 kB); "
+                 "mapping cannot be loaded on real hardware");
   }
 }
 

@@ -161,9 +161,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{6, 2.3, "ppe-only"},
                       Scenario{7, 3.4, "greedy-cpu"},
                       Scenario{8, 4.6, "greedy-period"}),
-    [](const ::testing::TestParamInfo<Scenario>& info) {
-      std::string name = std::string(info.param.strategy) + "_seed" +
-                         std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<Scenario>& scenario) {
+      std::string name = std::string(scenario.param.strategy) + "_seed" +
+                         std::to_string(scenario.param.seed);
       for (char& c : name) {
         if (c == '-') c = '_';
       }

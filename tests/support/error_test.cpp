@@ -20,11 +20,17 @@ TEST(Ensure, MessageContainsContext) {
     CS_ENSURE(2 < 1, "ordering violated");
     FAIL() << "expected throw";
   } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("ordering violated"), std::string::npos);
-    EXPECT_NE(what.find("2 < 1"), std::string::npos);
-    EXPECT_NE(what.find("error_test.cpp"), std::string::npos);
+    EXPECT_STREQ(e.what(), "ordering violated");
+    const std::string context = e.context();
+    EXPECT_NE(context.find("2 < 1"), std::string::npos);
+    EXPECT_NE(context.find("error_test.cpp"), std::string::npos);
   }
+}
+
+TEST(Error, PlainErrorHasNoContext) {
+  const Error error("bad input");
+  EXPECT_STREQ(error.what(), "bad input");
+  EXPECT_STREQ(error.context(), "");
 }
 
 TEST(Error, IsARuntimeError) {
