@@ -10,7 +10,9 @@
 //   * simulated instances/sec with the steady-state fast-forward off
 //     vs. on (results must stay bit-identical),
 //   * batched scenario sweep, serial vs. thread pool (results must be
-//     byte-identical at any thread count).
+//     byte-identical at any thread count),
+//   * the invariant oracle (check_invariants, I1-I8 with the trace
+//     replay) on a traced 5000-instance run, best of 5.
 // Scales honor CELLSTREAM_BENCH_EVENTS / CELLSTREAM_BENCH_INSTANCES so
 // the bench-smoke ctest can run a reduced version of the same code path.
 
@@ -22,6 +24,7 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
+#include "check/invariants.hpp"
 #include "des/engine.hpp"
 #include "des/flow_network.hpp"
 #include "gen/daggen.hpp"
@@ -220,6 +223,43 @@ int run_json_mode(const std::string& path) {
               ff.fast_forward.engaged ? 1 : 0,
               ff_seconds > 0.0 ? full_seconds / ff_seconds : 0.0);
 
+  // -- oracle: check_invariants on a traced run ----------------------------
+  // The same graph and mapping with a full trace, so the I4-I6 replay runs;
+  // the run is clean, so any violation is an oracle (or simulator) fault.
+  sim::SimOptions traced_options =
+      bench::paper_sim_options(std::min<std::size_t>(instances, 5000));
+  traced_options.record_trace = true;
+  timer.reset();
+  const sim::SimResult traced = sim::simulate(analysis, m, traced_options);
+  const double traced_seconds = timer.seconds();
+  check::InvariantReport report;
+  double check_seconds = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    timer.reset();
+    report = check::check_invariants(analysis, m, traced);
+    const double seconds = timer.seconds();
+    if (rep == 0 || seconds < check_seconds) check_seconds = seconds;
+  }
+  CS_ENSURE(report.ok(),
+            "bench: the oracle flagged a clean run: " + report.to_string());
+  json::Value oracle = json::Value::object();
+  oracle.set("instances",
+             static_cast<std::uint64_t>(traced_options.instances));
+  oracle.set("trace_events",
+             static_cast<std::uint64_t>(report.trace_events_seen));
+  oracle.set("violations",
+             static_cast<std::uint64_t>(report.violations.size()));
+  oracle.set("simulate_seconds", traced_seconds);
+  oracle.set("check_seconds", check_seconds);
+  oracle.set("check_events_per_sec",
+             check_seconds > 0.0 ? report.trace_events_seen / check_seconds
+                                 : 0.0);
+  section.set("oracle", std::move(oracle));
+  std::printf("oracle: %zu instances, %zu trace events, traced simulation "
+              "%.3fs, check_invariants %.3fs (best of 5, %zu violations)\n",
+              traced_options.instances, report.trace_events_seen,
+              traced_seconds, check_seconds, report.violations.size());
+
   // -- batch: serial vs. thread-pool scenario sweep ------------------------
   const std::size_t scenarios = 12;
   const std::size_t batch_instances = std::max<std::size_t>(
@@ -264,7 +304,8 @@ int run_json_mode(const std::string& path) {
 
   bench::update_bench_json(path, "micro_sim", std::move(section));
   bench::check_bench_json(path, "micro_sim",
-                          {"schema", "engine", "simulation", "batch"});
+                          {"schema", "engine", "simulation", "oracle",
+                           "batch"});
   std::printf("wrote section \"micro_sim\" to %s\n", path.c_str());
   return 0;
 }

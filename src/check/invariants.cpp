@@ -1,7 +1,6 @@
 #include "check/invariants.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "obs/report.hpp"
@@ -26,29 +25,74 @@ void add(std::vector<Violation>& out, std::string invariant,
   out.push_back({std::move(invariant), std::move(detail)});
 }
 
-/// Per-task compute events and per-edge fetch events, indexed by instance.
-/// Built once and shared by the trace-replay checkers.  Events are placed
-/// by their instance number — under fault injection a stalled DMA retry
-/// legitimately lets instance i+1's fetch complete before instance i's, so
-/// arrival order proves nothing — and each sequence is then verified to be
-/// a gap-free, duplicate-free 0..L-1 (a checker working from a corrupted
-/// trace would otherwise prove nothing).
+std::string edge_label(const TaskGraph& graph, EdgeId e) {
+  const Edge& edge = graph.edge(e);
+  return graph.task(edge.from).name + "->" + graph.task(edge.to).name;
+}
+
+/// The execution trace, indexed in one pass: per task the compute window
+/// of every instance, per edge the fetch window of every instance, and the
+/// DMA windows of every SPE's MFC queue and proxy queue.  Compute
+/// and fetch events are placed by their instance number — under fault
+/// injection a stalled DMA retry legitimately lets instance i+1's fetch
+/// complete before instance i's, so arrival order proves nothing.  A
+/// malformed event, a duplicated instance and the first instance missing
+/// from a sequence are trace-consistency defects, each reported once; a
+/// missing instance is never replayed as an event.
 struct TraceIndex {
   struct Window {
     double start = 0.0;
     double end = 0.0;
   };
-  // computes[t][i] / fetches[e][i]: event window of instance i.
-  std::vector<std::vector<Window>> computes;
-  std::vector<std::vector<Window>> fetches;
+  /// The windows of one task's computes or of one edge's fetches.
+  struct Sequence {
+    std::vector<Window> at;  ///< at[i]: window of instance i, when held.
+    std::vector<char> held;  ///< held[i]: instance i is in the trace.
+    std::size_t prefix = 0;  ///< Instances 0..prefix-1 are all held.
+
+    template <typename Fn>
+    void for_each_held(Fn&& fn) const {
+      for (std::size_t i = 0; i < at.size(); ++i) {
+        if (held[i]) fn(i, at[i]);
+      }
+    }
+  };
+  /// One end of a DMA window in a queue: +1 when the command is issued,
+  /// -1 when it completes.  Ordered by queue, then time, completions first.
+  struct QueueDelta {
+    std::uint32_t queue;  ///< 2 pe: SPE pe's MFC queue; 2 pe + 1: its proxy.
+    int change;
+    double time;
+    bool operator<(const QueueDelta& other) const {
+      if (queue != other.queue) return queue < other.queue;
+      if (time != other.time) return time < other.time;
+      return change < other.change;
+    }
+  };
+  std::vector<Sequence> computes;    // per task
+  std::vector<Sequence> fetches;     // per edge
+  std::vector<QueueDelta> queues;    // all MFC (1j) and proxy (1k) windows
   std::vector<Violation> defects;
 
-  TraceIndex(const TaskGraph& graph, const std::vector<TraceEvent>& trace) {
-    computes.resize(graph.task_count());
-    fetches.resize(graph.edge_count());
-    std::vector<std::vector<char>> compute_seen(graph.task_count());
-    std::vector<std::vector<char>> fetch_seen(graph.edge_count());
+  TraceIndex(const TaskGraph& graph, const CellPlatform& platform,
+             const std::vector<TraceEvent>& trace)
+      : computes(graph.task_count()),
+        fetches(graph.edge_count()) {
     for (const TraceEvent& e : trace) {
+      if (e.kind == TraceEvent::Kind::kTransfer) {
+        // A transfer occupies one slot of its issuer's MFC queue while in
+        // flight when the issuer is a SPE (constraint 1j's runtime
+        // analogue); a PPE-issued fetch from a SPE local store occupies
+        // the source SPE's proxy queue (constraint 1k's).
+        const bool spe_issued = platform.is_spe(e.pe);
+        if (spe_issued || (e.payload == TraceEvent::Payload::kEdge &&
+                           platform.is_spe(e.src_pe))) {
+          const auto queue = static_cast<std::uint32_t>(
+              spe_issued ? 2 * e.pe : 2 * e.src_pe + 1);
+          queues.push_back({queue, +1, e.start});
+          queues.push_back({queue, -1, e.end});
+        }
+      }
       if (e.end < e.start) {
         add(defects, "trace-consistency",
             "event '" + e.name + "' ends before it starts");
@@ -61,8 +105,7 @@ struct TraceIndex {
               "compute event '" + e.name + "' has no valid task id");
           continue;
         }
-        const auto t = static_cast<std::size_t>(e.task);
-        place(computes[t], compute_seen[t], e, "compute");
+        place(computes[static_cast<std::size_t>(e.task)], e, "compute");
       } else if (e.payload == TraceEvent::Payload::kEdge) {
         if (e.edge < 0 ||
             static_cast<std::size_t>(e.edge) >= graph.edge_count()) {
@@ -70,62 +113,278 @@ struct TraceIndex {
               "edge transfer '" + e.name + "' has no valid edge id");
           continue;
         }
-        const auto edge = static_cast<std::size_t>(e.edge);
-        place(fetches[edge], fetch_seen[edge], e, "fetch");
+        place(fetches[static_cast<std::size_t>(e.edge)], e, "fetch");
       }
     }
     for (TaskId t = 0; t < graph.task_count(); ++t) {
-      report_gaps(compute_seen[t], "compute of task '" + graph.task(t).name);
+      if (!close(computes[t])) {
+        report_gap(computes[t], "compute of task '" + graph.task(t).name);
+      }
     }
     for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-      const Edge& edge = graph.edge(e);
-      report_gaps(fetch_seen[e], "fetch of edge '" +
-                                     graph.task(edge.from).name + "->" +
-                                     graph.task(edge.to).name);
+      if (!close(fetches[e])) {
+        report_gap(fetches[e], "fetch of edge '" + edge_label(graph, e));
+      }
     }
-  }
-
-  /// Number of stream instances witnessed by the trace.
-  std::int64_t stream_length() const {
-    std::size_t len = 0;
-    for (const auto& seq : computes) len = std::max(len, seq.size());
-    return static_cast<std::int64_t>(len);
   }
 
  private:
-  void place(std::vector<Window>& seq, std::vector<char>& seen,
-             const TraceEvent& e, const char* what) {
+  void place(Sequence& seq, const TraceEvent& e, const char* what) {
     if (e.instance < 0) {
       add(defects, "trace-consistency",
           std::string(what) + " '" + e.name + "' has no instance number");
       return;
     }
     const auto i = static_cast<std::size_t>(e.instance);
-    if (i >= seq.size()) {
-      seq.resize(i + 1);
-      seen.resize(i + 1, 0);
+    if (i >= seq.at.size()) {
+      seq.at.resize(i + 1);
+      seq.held.resize(i + 1, 0);
     }
-    if (seen[i]) {
+    if (seq.held[i]) {
       add(defects, "trace-consistency",
           std::string(what) + " '" + e.name + "' completes instance " +
               std::to_string(e.instance) + " twice (duplicated work)");
       return;
     }
-    seen[i] = 1;
-    seq[i] = {e.start, e.end};
+    seq.held[i] = 1;
+    seq.at[i] = {e.start, e.end};
   }
 
-  void report_gaps(const std::vector<char>& seen, const std::string& what) {
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-      if (!seen[i]) {
-        add(defects, "trace-consistency",
-            what + "': instance " + std::to_string(i) +
-                " is missing from the trace (later instances are present)");
-        return;  // one report per sequence keeps cascades readable
+  /// Sets seq.prefix; false when an instance below a held one is missing.
+  static bool close(Sequence& seq) {
+    while (seq.prefix < seq.held.size() && seq.held[seq.prefix]) {
+      ++seq.prefix;
+    }
+    return seq.prefix == seq.held.size();
+  }
+
+  void report_gap(const Sequence& seq, const std::string& what) {
+    // One report per sequence keeps cascades readable.
+    add(defects, "trace-consistency",
+        what + "': instance " + std::to_string(seq.prefix) +
+            " is missing from the trace (later instances are present)");
+  }
+};
+
+/// I4: sweep each queue's windows; at equal times completions are applied
+/// first — the simulator's guarantee (a slot freed at time t may be reused
+/// by a command issued at t).  Takes the windows, so their memory is freed
+/// before I5 and I6 replay the rest of the index.
+void replay_dma_queues(const CellPlatform& platform,
+                       std::vector<TraceIndex::QueueDelta> deltas,
+                       std::vector<Violation>& out) {
+  std::sort(deltas.begin(), deltas.end());
+  for (std::size_t begin = 0, end = 0; begin < deltas.size(); begin = end) {
+    const std::uint32_t queue = deltas[begin].queue;
+    std::int64_t depth = 0, peak = 0;
+    double peak_time = 0.0;
+    for (end = begin; end < deltas.size() && deltas[end].queue == queue;
+         ++end) {
+      depth += deltas[end].change;
+      if (depth > peak) {
+        peak = depth;
+        peak_time = deltas[end].time;
+      }
+    }
+    const bool mfc = queue % 2 == 0;
+    const std::size_t limit =
+        mfc ? platform.spe_dma_slots : platform.ppe_to_spe_dma_slots;
+    if (peak > static_cast<std::int64_t>(limit)) {
+      add(out, "dma-queue",
+          platform.pe_name(queue / 2) + (mfc ? " MFC" : " proxy") +
+              " queue reaches " + std::to_string(peak) +
+              " outstanding DMAs at " + time_str(peak_time) + ", over the " +
+              std::to_string(limit) + "-slot hardware queue");
+    }
+  }
+}
+
+/// I5: replay each edge's produce / fetch / consume counter timeline.  At
+/// equal times the slot-freeing transition is applied first (consume, then
+/// fetch, then produce), matching the simulator's guarantee.
+void replay_buffers(const SteadyStateAnalysis& analysis,
+                    const TraceIndex& index, const std::vector<char>& remote,
+                    std::vector<Violation>& out) {
+  const TaskGraph& graph = analysis.graph();
+  enum : int { kConsume = 0, kFetch = 1, kProduce = 2 };
+  struct Step {
+    double time;
+    int type;
+    bool operator<(const Step& other) const {
+      if (time != other.time) return time < other.time;
+      return type < other.type;
+    }
+  };
+  std::vector<Step> steps;
+  const auto push = [&steps](const TraceIndex::Sequence& seq, int type) {
+    seq.for_each_held([&](std::size_t, const TraceIndex::Window& w) {
+      steps.push_back({w.end, type});
+    });
+  };
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+    const Edge& edge = graph.edge(e);
+    const std::int64_t depth = analysis.buffer_depth(e);
+    steps.clear();
+    push(index.computes[edge.from], kProduce);
+    push(index.computes[edge.to], kConsume);
+    push(index.fetches[e], kFetch);
+    std::sort(steps.begin(), steps.end());
+
+    std::int64_t produced = 0, fetched = 0, consumed = 0;
+    bool over_reported = false, order_reported = false;
+    for (const Step& s : steps) {
+      switch (s.type) {
+        case kProduce: ++produced; break;
+        case kFetch: ++fetched; break;
+        case kConsume: ++consumed; break;
+      }
+      if (!order_reported &&
+          (fetched > produced || consumed > (remote[e] ? fetched : produced))) {
+        order_reported = true;
+        add(out, "buffer-occupancy",
+            "edge " + edge_label(graph, e) + ": counters out of order at " +
+                time_str(s.time) + " (produced " + std::to_string(produced) +
+                ", fetched " + std::to_string(fetched) + ", consumed " +
+                std::to_string(consumed) + ")");
+      }
+      const std::int64_t producer_side =
+          produced - (remote[e] ? fetched : consumed);
+      const std::int64_t consumer_side = remote[e] ? fetched - consumed : 0;
+      const std::int64_t occupancy = std::max(producer_side, consumer_side);
+      if (!over_reported && occupancy > depth) {
+        over_reported = true;
+        add(out, "buffer-occupancy",
+            "edge " + edge_label(graph, e) + " holds " +
+                std::to_string(occupancy) + " instances (" +
+                format_bytes(static_cast<double>(occupancy) *
+                             edge.data_bytes) +
+                ") at " + time_str(s.time) + ", over buff = " +
+                std::to_string(depth) + " instances (" +
+                format_bytes(analysis.buffer_bytes(e)) + ")");
       }
     }
   }
-};
+}
+
+/// I6: fetches after their production, computes after their inputs, and
+/// one compute at a time per PE.
+void replay_causality(const SteadyStateAnalysis& analysis,
+                      const Mapping& mapping, const TraceIndex& index,
+                      const std::vector<char>& remote, double eps,
+                      std::vector<Violation>& out) {
+  const TaskGraph& graph = analysis.graph();
+  std::size_t length = 0;  // stream instances witnessed by the trace
+  for (const auto& seq : index.computes) {
+    length = std::max(length, seq.at.size());
+  }
+
+  // available_by(seq)[i]: earliest time by which instances 0..i are all
+  // available — a running max of completion times, since completions of
+  // one sequence need not be monotone in time across instances.  It ends
+  // at the first instance missing from the trace.
+  const auto available_by = [](const TraceIndex::Sequence& seq) {
+    std::vector<double> times(seq.prefix);
+    double running = 0.0;
+    for (std::size_t i = 0; i < seq.prefix; ++i) {
+      running = std::max(running, seq.at[i].end);
+      times[i] = running;
+    }
+    return times;
+  };
+  std::vector<std::vector<double>> produced_by(graph.task_count());
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    produced_by[t] = available_by(index.computes[t]);
+  }
+  std::vector<std::vector<double>> fetched_by(graph.edge_count());
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+    fetched_by[e] = available_by(index.fetches[e]);
+  }
+
+  // A remote fetch of instance i must start after its production.
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+    const TraceIndex::Sequence& fetch = index.fetches[e];
+    const TraceIndex::Sequence& produce = index.computes[graph.edge(e).from];
+    for (std::size_t i = 0; i < fetch.at.size(); ++i) {
+      if (!fetch.held[i]) continue;
+      if (i >= produce.at.size() || !produce.held[i]) {
+        add(out, "causality",
+            "edge " + edge_label(graph, e) + ": instance " +
+                std::to_string(i) +
+                " was fetched but its production is not in the trace");
+        break;
+      }
+      if (fetch.at[i].start + eps < produce.at[i].end) {
+        add(out, "causality",
+            "edge " + edge_label(graph, e) + ": fetch of instance " +
+                std::to_string(i) + " starts at " +
+                time_str(fetch.at[i].start) +
+                ", before the producer finished at " +
+                time_str(produce.at[i].end));
+      }
+    }
+  }
+
+  // A compute of instance i needs instances 0..min(i + peek, L-1) of every
+  // input available (produced locally, or fetched when the edge is remote).
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    const int peek = graph.task(t).peek;
+    index.computes[t].for_each_held([&](std::size_t i,
+                                        const TraceIndex::Window& w) {
+      const std::int64_t need = std::min<std::int64_t>(
+          static_cast<std::int64_t>(i) + peek,
+          static_cast<std::int64_t>(length) - 1);
+      for (EdgeId e : graph.in_edges(t)) {
+        const std::vector<double>& avail =
+            remote[e] ? fetched_by[e] : produced_by[graph.edge(e).from];
+        if (static_cast<std::int64_t>(avail.size()) <= need) {
+          add(out, "causality",
+              "task " + graph.task(t).name + " ran instance " +
+                  std::to_string(i) + " but input " + edge_label(graph, e) +
+                  " only delivered " + std::to_string(avail.size()) +
+                  " instances in the trace (needs " +
+                  std::to_string(need + 1) + " with peek " +
+                  std::to_string(peek) + ")");
+          continue;
+        }
+        if (avail[static_cast<std::size_t>(need)] > w.start + eps) {
+          add(out, "causality",
+              "task " + graph.task(t).name + " started instance " +
+                  std::to_string(i) + " at " + time_str(w.start) +
+                  " before input " + edge_label(graph, e) +
+                  " delivered instance " + std::to_string(need) + " at " +
+                  time_str(avail[static_cast<std::size_t>(need)]));
+        }
+      }
+    });
+  }
+
+  // Processing elements are serial: compute windows on one PE must not
+  // overlap (the trace window excludes dispatch overhead, so any overlap
+  // is a genuine double-booking).
+  std::vector<std::vector<TraceIndex::Window>> per_pe(
+      analysis.platform().pe_count());
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    index.computes[t].for_each_held(
+        [&](std::size_t, const TraceIndex::Window& w) {
+          per_pe[mapping.pe_of(t)].push_back(w);
+        });
+  }
+  for (PeId pe = 0; pe < per_pe.size(); ++pe) {
+    auto& windows = per_pe[pe];
+    std::sort(windows.begin(), windows.end(),
+              [](const auto& a, const auto& b) { return a.start < b.start; });
+    for (std::size_t i = 1; i < windows.size(); ++i) {
+      if (windows[i].start + eps < windows[i - 1].end) {
+        add(out, "causality",
+            analysis.platform().pe_name(pe) +
+                " executes two task instances concurrently (" +
+                time_str(windows[i].start) + " < " +
+                time_str(windows[i - 1].end) + ")");
+        break;
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -185,270 +444,34 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
   std::vector<Violation> out;
   const CellPlatform& platform = analysis.platform();
   const ResourceUsage usage = analysis.usage(mapping);
-  const double budget = static_cast<double>(platform.buffer_budget());
   for (PeId pe = 0; pe < platform.pe_count(); ++pe) {
-    if (!platform.is_spe(pe)) continue;
-    if (usage.buffer_bytes[pe] > budget) {
+    if (platform.is_spe(pe) && analysis.broken_limits(usage, pe).buffers) {
       add(out, "local-store",
           platform.pe_name(pe) + " holds " +
               format_bytes(usage.buffer_bytes[pe]) +
-              " of stream buffers, over the " + format_bytes(budget) +
-              " local-store budget");
+              " of stream buffers, over the " +
+              format_bytes(analysis.buffer_budget()) + " local-store budget");
     }
   }
   return out;
 }
 
-std::vector<Violation> check_dma_queue_limits(
-    const CellPlatform& platform, const std::vector<obs::TraceEvent>& trace) {
-  std::vector<Violation> out;
-  // Sweep-line deltas per queue: +1 when a DMA is issued, -1 when it
-  // completes.  At equal times completions are applied first — that is the
-  // semantics the simulator guarantees (a slot freed at time t may be
-  // reused by a command issued at t).
-  struct Delta {
-    double time;
-    int change;
-    bool operator<(const Delta& other) const {
-      if (time != other.time) return time < other.time;
-      return change < other.change;
-    }
-  };
-  std::vector<std::vector<Delta>> spe_queue(platform.pe_count());
-  std::vector<std::vector<Delta>> proxy_queue(platform.pe_count());
-  for (const TraceEvent& e : trace) {
-    if (e.kind != TraceEvent::Kind::kTransfer) continue;
-    // Every transfer occupies one slot of its issuer's MFC stack while in
-    // flight — when the issuer is a SPE (constraint 1j's runtime analogue).
-    if (platform.is_spe(e.pe)) {
-      spe_queue[e.pe].push_back({e.start, +1});
-      spe_queue[e.pe].push_back({e.end, -1});
-    } else if (e.payload == TraceEvent::Payload::kEdge &&
-               platform.is_spe(e.src_pe)) {
-      // PPE-issued fetch from a SPE local store: occupies the source SPE's
-      // 8-deep proxy stack (constraint 1k's runtime analogue).
-      proxy_queue[e.src_pe].push_back({e.start, +1});
-      proxy_queue[e.src_pe].push_back({e.end, -1});
-    }
-  }
-  const auto sweep = [&](std::vector<Delta>& deltas, std::size_t limit,
-                         const std::string& what) {
-    std::sort(deltas.begin(), deltas.end());
-    std::int64_t depth = 0;
-    std::int64_t peak = 0;
-    double peak_time = 0.0;
-    for (const Delta& d : deltas) {
-      depth += d.change;
-      if (depth > peak) {
-        peak = depth;
-        peak_time = d.time;
-      }
-    }
-    if (peak > static_cast<std::int64_t>(limit)) {
-      add(out, "dma-queue",
-          what + " reaches " + std::to_string(peak) +
-              " outstanding DMAs at " + time_str(peak_time) + ", over the " +
-              std::to_string(limit) + "-slot hardware queue");
-    }
-  };
-  for (PeId pe = 0; pe < platform.pe_count(); ++pe) {
-    if (!platform.is_spe(pe)) continue;
-    sweep(spe_queue[pe], platform.spe_dma_slots,
-          platform.pe_name(pe) + " MFC queue");
-    sweep(proxy_queue[pe], platform.ppe_to_spe_dma_slots,
-          platform.pe_name(pe) + " proxy queue");
-  }
-  return out;
-}
-
-std::vector<Violation> check_buffer_occupancy(
-    const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<obs::TraceEvent>& trace) {
+std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
+                                   const Mapping& mapping,
+                                   const std::vector<TraceEvent>& trace,
+                                   const InvariantOptions& options) {
   const TaskGraph& graph = analysis.graph();
-  TraceIndex index(graph, trace);
-  std::vector<Violation> out = std::move(index.defects);
-
-  // Replay each edge's produce / fetch / consume counter timeline.  At
-  // equal times the slot-freeing transition is applied first (consume,
-  // then fetch, then produce), matching the simulator's guarantee.
-  enum : int { kConsume = 0, kFetch = 1, kProduce = 2 };
-  struct Step {
-    double time;
-    int type;
-    bool operator<(const Step& other) const {
-      if (time != other.time) return time < other.time;
-      return type < other.type;
-    }
-  };
+  TraceIndex index(graph, analysis.platform(), trace);
+  std::vector<char> remote(graph.edge_count());
   for (EdgeId e = 0; e < graph.edge_count(); ++e) {
     const Edge& edge = graph.edge(e);
-    const bool remote = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
-    const std::int64_t depth = analysis.buffer_depth(e);
-    std::vector<Step> steps;
-    for (const auto& w : index.computes[edge.from]) {
-      steps.push_back({w.end, kProduce});
-    }
-    for (const auto& w : index.computes[edge.to]) {
-      steps.push_back({w.end, kConsume});
-    }
-    for (const auto& w : index.fetches[e]) steps.push_back({w.end, kFetch});
-    std::sort(steps.begin(), steps.end());
-
-    const std::string label = graph.task(edge.from).name + "->" +
-                              graph.task(edge.to).name;
-    std::int64_t produced = 0, fetched = 0, consumed = 0;
-    bool over_reported = false, order_reported = false;
-    for (const Step& s : steps) {
-      switch (s.type) {
-        case kProduce: ++produced; break;
-        case kFetch: ++fetched; break;
-        case kConsume: ++consumed; break;
-      }
-      if (!order_reported &&
-          (fetched > produced || consumed > (remote ? fetched : produced))) {
-        order_reported = true;
-        add(out, "buffer-occupancy",
-            "edge " + label + ": counters out of order at " +
-                time_str(s.time) + " (produced " + std::to_string(produced) +
-                ", fetched " + std::to_string(fetched) + ", consumed " +
-                std::to_string(consumed) + ")");
-      }
-      const std::int64_t producer_side =
-          produced - (remote ? fetched : consumed);
-      const std::int64_t consumer_side = remote ? fetched - consumed : 0;
-      const std::int64_t occupancy = std::max(producer_side, consumer_side);
-      if (!over_reported && occupancy > depth) {
-        over_reported = true;
-        add(out, "buffer-occupancy",
-            "edge " + label + " holds " + std::to_string(occupancy) +
-                " instances (" +
-                format_bytes(static_cast<double>(occupancy) *
-                             edge.data_bytes) +
-                ") at " + time_str(s.time) + ", over buff = " +
-                std::to_string(depth) + " instances (" +
-                format_bytes(analysis.buffer_bytes(e)) + ")");
-      }
-    }
+    remote[e] = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
   }
-  return out;
-}
-
-std::vector<Violation> check_causality(const SteadyStateAnalysis& analysis,
-                                       const Mapping& mapping,
-                                       const std::vector<TraceEvent>& trace,
-                                       const InvariantOptions& options) {
-  const TaskGraph& graph = analysis.graph();
-  const double eps = options.time_epsilon;
-  TraceIndex index(graph, trace);
   std::vector<Violation> out = std::move(index.defects);
-  const std::int64_t length = index.stream_length();
-
-  // availability[...] (i): earliest time by which instances 0..i are all
-  // available — a running max of completion times, since completions of
-  // one sequence need not be monotone in time across instances.
-  const auto prefix_max_ends = [](const std::vector<TraceIndex::Window>& seq) {
-    std::vector<double> out_times(seq.size());
-    double running = 0.0;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      running = std::max(running, seq[i].end);
-      out_times[i] = running;
-    }
-    return out_times;
-  };
-  std::vector<std::vector<double>> produced_by(graph.task_count());
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    produced_by[t] = prefix_max_ends(index.computes[t]);
-  }
-  std::vector<std::vector<double>> fetched_by(graph.edge_count());
-  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    fetched_by[e] = prefix_max_ends(index.fetches[e]);
-  }
-
-  // A remote fetch of instance i must start after its production.
-  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
-    const std::string label =
-        graph.task(edge.from).name + "->" + graph.task(edge.to).name;
-    for (std::size_t i = 0; i < index.fetches[e].size(); ++i) {
-      if (i >= index.computes[edge.from].size()) {
-        add(out, "causality",
-            "edge " + label + ": instance " + std::to_string(i) +
-                " was fetched but its production is not in the trace");
-        break;
-      }
-      if (index.fetches[e][i].start + eps < index.computes[edge.from][i].end) {
-        add(out, "causality",
-            "edge " + label + ": fetch of instance " + std::to_string(i) +
-                " starts at " + time_str(index.fetches[e][i].start) +
-                ", before the producer finished at " +
-                time_str(index.computes[edge.from][i].end));
-      }
-    }
-  }
-
-  // A compute of instance i needs instances 0..min(i + peek, L-1) of every
-  // input available (produced locally, or fetched when the edge is remote).
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    const int peek = graph.task(t).peek;
-    for (std::size_t i = 0; i < index.computes[t].size(); ++i) {
-      const double start = index.computes[t][i].start;
-      const std::int64_t need =
-          std::min<std::int64_t>(static_cast<std::int64_t>(i) + peek,
-                                 length - 1);
-      for (EdgeId e : graph.in_edges(t)) {
-        const Edge& edge = graph.edge(e);
-        const bool remote = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
-        const std::vector<double>& avail =
-            remote ? fetched_by[e] : produced_by[edge.from];
-        const std::string label =
-            graph.task(edge.from).name + "->" + graph.task(t).name;
-        if (static_cast<std::int64_t>(avail.size()) <= need) {
-          add(out, "causality",
-              "task " + graph.task(t).name + " ran instance " +
-                  std::to_string(i) + " but input " + label +
-                  " only delivered " + std::to_string(avail.size()) +
-                  " instances in the trace (needs " +
-                  std::to_string(need + 1) + " with peek " +
-                  std::to_string(peek) + ")");
-          continue;
-        }
-        if (avail[static_cast<std::size_t>(need)] > start + eps) {
-          add(out, "causality",
-              "task " + graph.task(t).name + " started instance " +
-                  std::to_string(i) + " at " + time_str(start) +
-                  " before input " + label + " delivered instance " +
-                  std::to_string(need) + " at " +
-                  time_str(avail[static_cast<std::size_t>(need)]));
-        }
-      }
-    }
-  }
-
-  // Processing elements are serial: compute windows on one PE must not
-  // overlap (the trace window excludes dispatch overhead, so any overlap
-  // is a genuine double-booking).
-  std::vector<std::vector<TraceIndex::Window>> per_pe(
-      analysis.platform().pe_count());
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    for (const auto& w : index.computes[t]) {
-      per_pe[mapping.pe_of(t)].push_back(w);
-    }
-  }
-  for (PeId pe = 0; pe < per_pe.size(); ++pe) {
-    auto& windows = per_pe[pe];
-    std::sort(windows.begin(), windows.end(),
-              [](const auto& a, const auto& b) { return a.start < b.start; });
-    for (std::size_t i = 1; i < windows.size(); ++i) {
-      if (windows[i].start + eps < windows[i - 1].end) {
-        add(out, "causality",
-            analysis.platform().pe_name(pe) +
-                " executes two task instances concurrently (" +
-                time_str(windows[i].start) + " < " +
-                time_str(windows[i - 1].end) + ")");
-        break;
-      }
-    }
-  }
+  replay_dma_queues(analysis.platform(), std::move(index.queues), out);
+  replay_buffers(analysis, index, remote, out);
+  replay_causality(analysis, mapping, index, remote, options.time_epsilon,
+                   out);
   return out;
 }
 
@@ -494,18 +517,15 @@ std::vector<Violation> check_stream_integrity(
     return out;
   }
   for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
-    const std::string label =
-        graph.task(edge.from).name + "->" + graph.task(edge.to).name;
     if (accounting.edge_produced[e] != instances) {
       add(out, "stream-integrity",
-          "edge " + label + " produced " +
+          "edge " + edge_label(graph, e) + " produced " +
               std::to_string(accounting.edge_produced[e]) +
               " packets for " + std::to_string(instances) + " instances");
     }
     if (accounting.edge_delivered[e] != instances) {
       add(out, "stream-integrity",
-          "edge " + label + " delivered " +
+          "edge " + edge_label(graph, e) + " delivered " +
               std::to_string(accounting.edge_delivered[e]) +
               " packets for " + std::to_string(instances) +
               " instances (data " +
@@ -588,9 +608,8 @@ InvariantReport check_invariants(const SteadyStateAnalysis& analysis,
   if (!result.trace.empty()) {
     report.trace_checked = true;
     report.trace_events_seen = result.trace.size();
-    take(check_dma_queue_limits(analysis.platform(), result.trace));
-    take(check_buffer_occupancy(analysis, mapping, result.trace));
-    take(check_causality(analysis, mapping, result.trace, options));
+    take(check_trace(analysis, mapping, result.trace, options));
+    report.checks_run += 2;  // I4, I5 and I6 are three families
   }
   return report;
 }

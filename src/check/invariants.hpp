@@ -35,13 +35,15 @@
 //                            and throughput match the reduced-platform
 //                            steady-state prediction.
 //
-// I1-I3 need only the SimResult; I4-I6 replay the execution trace
-// (SimOptions::record_trace) against the analysis; I7 consumes the
-// telemetry counters every simulated run carries; I8/I9 consume the
-// per-edge accounting both executors export and the failover outcome of
-// fault::run_with_failover.  Each checker returns the violations it found
-// — an empty vector is a pass — so tests can exercise them one by one
-// with hand-built traces.
+// I1-I3 need only the SimResult.  I4-I6 are one replay of the execution
+// trace (SimOptions::record_trace) against the analysis, check_trace: the
+// trace is indexed once, each malformed, duplicated or missing instance is
+// one trace-consistency defect, and a missing instance is never replayed
+// as an event.  I7 consumes the telemetry counters every simulated run
+// carries; I8/I9 consume the per-edge accounting both executors export
+// and the failover outcome of fault::run_with_failover.  Each checker
+// returns the violations it found — an empty vector is a pass — so tests
+// can exercise them one by one with hand-built traces.
 
 #include <string>
 #include <vector>
@@ -99,28 +101,24 @@ std::vector<Violation> check_completion_order(const sim::SimResult& result);
 std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
                                          const Mapping& mapping);
 
-/// I4: sweep the transfer events; at no instant may a SPE hold more than
-/// platform.spe_dma_slots outstanding DMAs it issued, nor a source SPE more
-/// than platform.ppe_to_spe_dma_slots outstanding PPE-issued fetches.
-std::vector<Violation> check_dma_queue_limits(
-    const CellPlatform& platform, const std::vector<obs::TraceEvent>& trace);
-
-/// I5: replay produced/fetched/consumed counters per edge; occupancy must
-/// never exceed the steady-state buffer depth at either endpoint.  Also
-/// flags non-sequential instance numbering (a corrupted trace).
-std::vector<Violation> check_buffer_occupancy(
-    const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<obs::TraceEvent>& trace);
-
-/// I6: every compute event must start at or after the availability of all
-/// inputs it consumes: producer completions for local edges, fetch
-/// completions for remote edges (instance i needs inputs up to
-/// min(i + peek, last instance)), and every fetch must start at or after
-/// its producer's completion.
-std::vector<Violation> check_causality(
-    const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<obs::TraceEvent>& trace,
-    const InvariantOptions& options = {});
+/// I4-I6 in one replay of `trace`, indexed once by instance number:
+///   I4 "dma-queue": at no instant may a SPE hold more than spe_dma_slots
+///      outstanding DMAs it issued, nor a source SPE more than
+///      ppe_to_spe_dma_slots outstanding PPE-issued fetches;
+///   I5 "buffer-occupancy": each edge's produced/fetched/consumed counters
+///      stay ordered, and its occupancy at either endpoint never exceeds
+///      the steady-state buffer depth;
+///   I6 "causality": each fetch starts at or after its producer finished,
+///      each compute of instance i once instances 0..min(i + peek, last) of
+///      every input are available (produced locally, fetched when remote),
+///      and no PE runs two computes at once.
+/// Malformed events, duplicated instances and each sequence's first gap
+/// are "trace-consistency" defects, each reported once; I5 and I6 replay
+/// only the instances the trace holds.
+std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
+                                   const Mapping& mapping,
+                                   const std::vector<obs::TraceEvent>& trace,
+                                   const InvariantOptions& options = {});
 
 /// Executor-neutral end-to-end accounting of one run — I8's raw material.
 /// Both executors export it: accounting_of() adapts either result type.

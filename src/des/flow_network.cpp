@@ -95,14 +95,6 @@ double FlowNetwork::current_rate(TransferId id) const {
   return flow == nullptr ? 0.0 : flow->rate;
 }
 
-double FlowNetwork::remaining_bytes(TransferId id) const {
-  const Flow* flow = find(id);
-  if (flow == nullptr) return 0.0;
-  // Account progress since the last rate change without mutating state.
-  const double elapsed = engine_->now() - last_progress_;
-  return std::max(0.0, flow->remaining - flow->rate * elapsed);
-}
-
 void FlowNetwork::advance_progress() {
   const double elapsed = engine_->now() - last_progress_;
   if (elapsed > 0.0) {

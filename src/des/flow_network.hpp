@@ -38,8 +38,6 @@ class FlowNetwork {
 
   static double infinity() { return std::numeric_limits<double>::infinity(); }
 
-  std::size_t node_count() const { return node_count_; }
-
   /// Register an extra shared resource (a link); returns its id for use
   /// with the resource-list start_transfer overload.
   ResourceId add_resource(double capacity);
@@ -65,13 +63,8 @@ class FlowNetwork {
   TransferId start_transfer_over(std::vector<ResourceId> resources,
                                  double bytes, InlineAction on_complete);
 
-  std::size_t active_transfers() const { return flows_.size(); }
-
   /// Current fair-share rate of a transfer (bytes/s); 0 if unknown id.
   double current_rate(TransferId id) const;
-
-  /// Bytes still in flight for a transfer; 0 if unknown id.
-  double remaining_bytes(TransferId id) const;
 
   // -- Fast-forward introspection / translation --------------------------
   /// Engine time at which flow progress was last materialized; remaining

@@ -637,10 +637,6 @@ Basis IncrementalSimplex::save_basis() const {
   return basis;
 }
 
-std::size_t IncrementalSimplex::structural_count() const {
-  return impl_->n_struct;
-}
-
 SimplexResult solve_lp(const Problem& problem, const SimplexOptions& options,
                        const Basis* warm) {
   IncrementalSimplex solver(problem, options);

@@ -140,8 +140,6 @@ class IncrementalSimplex {
   /// load_basis on any instance of the same problem shape.
   Basis save_basis() const;
 
-  std::size_t structural_count() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -153,44 +153,52 @@ TEST(LocalStore, AcceptsPpeMappingsAndFittingBuffers) {
 // -- I4: DMA queue limits --------------------------------------------------
 
 TEST(DmaQueueLimits, FlagsSeventeenConcurrentSpeIssuedDmas) {
-  const CellPlatform platform = platforms::qs22_single_cell();
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 2});
   std::vector<TraceEvent> trace;
   for (int i = 0; i < 17; ++i) {
     trace.push_back(mem_read_event(/*pe=*/1, 0.0, 1.0));
   }
-  EXPECT_TRUE(has_invariant(check_dma_queue_limits(platform, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "dma-queue"));
 }
 
 TEST(DmaQueueLimits, AcceptsExactlySixteenConcurrentSpeIssuedDmas) {
-  const CellPlatform platform = platforms::qs22_single_cell();
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 2});
   std::vector<TraceEvent> trace;
   for (int i = 0; i < 16; ++i) {
     trace.push_back(mem_read_event(/*pe=*/1, 0.0, 1.0));
   }
-  EXPECT_TRUE(check_dma_queue_limits(platform, trace).empty());
+  EXPECT_TRUE(check_trace(analysis, mapping, trace).empty());
 }
 
 TEST(DmaQueueLimits, FlagsNineConcurrentPpeIssuedFetchesFromOneSpe) {
-  const CellPlatform platform = platforms::qs22_single_cell();
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 2});
   std::vector<TraceEvent> trace;
   for (std::int64_t i = 0; i < 9; ++i) {
     trace.push_back(edge_event(0, /*issuer=*/0, /*src_pe=*/1, i, 0.0, 1.0));
   }
-  EXPECT_TRUE(has_invariant(check_dma_queue_limits(platform, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "dma-queue"));
 }
 
 TEST(DmaQueueLimits, ASlotFreedAtTmayBeReusedAtT) {
   // 16 transfers end exactly when a 17th starts: completions are applied
   // first at equal timestamps, so the peak stays at the hardware limit.
-  const CellPlatform platform = platforms::qs22_single_cell();
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 2});
   std::vector<TraceEvent> trace;
   for (int i = 0; i < 16; ++i) {
     trace.push_back(mem_read_event(/*pe=*/1, 0.0, 1.0));
   }
   trace.push_back(mem_read_event(/*pe=*/1, 1.0, 2.0));
-  EXPECT_TRUE(check_dma_queue_limits(platform, trace).empty());
+  EXPECT_TRUE(check_trace(analysis, mapping, trace).empty());
 }
 
 // -- I5: buffer occupancy --------------------------------------------------
@@ -207,7 +215,7 @@ TEST(BufferOccupancy, FlagsProducerSideOverflow) {
     const double t = static_cast<double>(i);
     trace.push_back(compute_event(0, 1, i, t, t + 0.5));
   }
-  EXPECT_TRUE(has_invariant(check_buffer_occupancy(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "buffer-occupancy"));
 }
 
@@ -217,7 +225,7 @@ TEST(BufferOccupancy, FlagsFetchWithoutProduction) {
   const Mapping mapping(std::vector<PeId>{1, 2});
   std::vector<TraceEvent> trace;
   trace.push_back(edge_event(0, 2, 1, 0, 0.0, 0.5));  // fetched > produced
-  EXPECT_TRUE(has_invariant(check_buffer_occupancy(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "buffer-occupancy"));
 }
 
@@ -232,7 +240,7 @@ TEST(BufferOccupancy, AcceptsAProducerConsumerPipelineWithinDepth) {
     trace.push_back(edge_event(0, 2, 1, i, t + 0.3, t + 0.4));
     trace.push_back(compute_event(1, 2, i, t + 0.5, t + 0.7));
   }
-  EXPECT_TRUE(check_buffer_occupancy(analysis, mapping, trace).empty());
+  EXPECT_TRUE(check_trace(analysis, mapping, trace).empty());
 }
 
 TEST(BufferOccupancy, FlagsNonSequentialInstanceNumbering) {
@@ -242,7 +250,7 @@ TEST(BufferOccupancy, FlagsNonSequentialInstanceNumbering) {
   std::vector<TraceEvent> trace;
   trace.push_back(compute_event(0, 1, 0, 0.0, 0.2));
   trace.push_back(compute_event(0, 1, 2, 1.0, 1.2));  // skips instance 1
-  EXPECT_TRUE(has_invariant(check_buffer_occupancy(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "trace-consistency"));
 }
 
@@ -255,7 +263,7 @@ TEST(Causality, FlagsFetchStartingBeforeProduction) {
   std::vector<TraceEvent> trace;
   trace.push_back(compute_event(0, 1, 0, 0.0, 2.0));
   trace.push_back(edge_event(0, 2, 1, 0, 1.0, 3.0));  // starts mid-produce
-  EXPECT_TRUE(has_invariant(check_causality(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "causality"));
 }
 
@@ -267,7 +275,7 @@ TEST(Causality, FlagsComputeStartingBeforeItsRemoteInputArrives) {
   trace.push_back(compute_event(0, 1, 0, 0.0, 1.0));
   trace.push_back(edge_event(0, 2, 1, 0, 1.0, 2.0));
   trace.push_back(compute_event(1, 2, 0, 1.5, 2.5));  // before fetch ends
-  EXPECT_TRUE(has_invariant(check_causality(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "causality"));
 }
 
@@ -278,7 +286,7 @@ TEST(Causality, FlagsComputeStartingBeforeItsLocalInputIsProduced) {
   std::vector<TraceEvent> trace;
   trace.push_back(compute_event(0, 1, 0, 0.0, 1.0));
   trace.push_back(compute_event(1, 1, 0, 0.5, 1.5));  // before A finishes
-  const auto violations = check_causality(analysis, mapping, trace);
+  const auto violations = check_trace(analysis, mapping, trace);
   EXPECT_TRUE(has_invariant(violations, "causality"));
 }
 
@@ -295,7 +303,7 @@ TEST(Causality, FlagsPeekConsumersRunningAheadOfTheLookahead) {
   trace.push_back(compute_event(0, 1, 0, 0.0, 1.0));
   trace.push_back(compute_event(0, 1, 1, 3.0, 4.0));
   trace.push_back(compute_event(1, 1, 0, 1.5, 2.0));  // A#1 ends at 4.0
-  EXPECT_TRUE(has_invariant(check_causality(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "causality"));
 }
 
@@ -308,7 +316,7 @@ TEST(Causality, FlagsOverlappingComputeWindowsOnOnePe) {
   std::vector<TraceEvent> trace;
   trace.push_back(compute_event(0, 1, 0, 0.0, 1.0));
   trace.push_back(compute_event(1, 1, 0, 0.5, 1.5));  // double-booked SPE0
-  EXPECT_TRUE(has_invariant(check_causality(analysis, mapping, trace),
+  EXPECT_TRUE(has_invariant(check_trace(analysis, mapping, trace),
                             "causality"));
 }
 
@@ -323,7 +331,63 @@ TEST(Causality, AcceptsAWellOrderedPipeline) {
     trace.push_back(edge_event(0, 2, 1, i, t + 0.2, t + 0.4));
     trace.push_back(compute_event(1, 2, i, t + 0.4, t + 0.6));
   }
-  EXPECT_TRUE(check_causality(analysis, mapping, trace).empty());
+  EXPECT_TRUE(check_trace(analysis, mapping, trace).empty());
+}
+
+// -- One replay: each defect reported once, a gap never replayed ----------
+
+std::size_t count_invariant(const std::vector<Violation>& violations,
+                            const std::string& id) {
+  std::size_t n = 0;
+  for (const Violation& v : violations) n += v.invariant == id ? 1 : 0;
+  return n;
+}
+
+/// A clean simulated run of the chain A -> B on SPE0 -> SPE1 whose trace is
+/// replaced by `trace`: I1-I3, I7 and I8 pass, so every violation
+/// check_invariants reports comes from the trace replay.
+InvariantReport check_with_trace(std::vector<TraceEvent> trace) {
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 2});
+  sim::SimOptions options;
+  options.instances = 50;
+  sim::SimResult result = sim::simulate(analysis, mapping, options);
+  result.trace = std::move(trace);
+  return check_invariants(analysis, mapping, result);
+}
+
+TEST(CheckTrace, AMissingInstanceIsReportedOnceAndNeverReplayed) {
+  // A's instances 0 and 2 only: the gap is one defect.  Replaying it as a
+  // zero window would overfill D_{A,B} (three instances over depth 2) and
+  // double-book SPE0 at t = 0.
+  std::vector<TraceEvent> trace;
+  trace.push_back(compute_event(0, 1, 0, 0.0, 0.2));
+  trace.push_back(compute_event(0, 1, 2, 1.0, 1.2));
+  const InvariantReport report = check_with_trace(std::move(trace));
+  EXPECT_EQ(count_invariant(report.violations, "trace-consistency"), 1u)
+      << report.to_string();
+  EXPECT_EQ(count_invariant(report.violations, "buffer-occupancy"), 0u)
+      << report.to_string();
+  EXPECT_EQ(count_invariant(report.violations, "causality"), 0u)
+      << report.to_string();
+  EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_EQ(report.checks_run, 8u);
+}
+
+TEST(CheckTrace, ADuplicatedInstanceIsReportedOnce) {
+  std::vector<TraceEvent> trace;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    const double t = static_cast<double>(i);
+    trace.push_back(compute_event(0, 1, i, t, t + 0.2));
+    trace.push_back(edge_event(0, 2, 1, i, t + 0.2, t + 0.4));
+    trace.push_back(compute_event(1, 2, i, t + 0.4, t + 0.6));
+  }
+  trace.push_back(trace[3]);  // A's instance 1 recorded twice
+  const InvariantReport report = check_with_trace(std::move(trace));
+  EXPECT_EQ(count_invariant(report.violations, "trace-consistency"), 1u)
+      << report.to_string();
+  EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
 }
 
 // -- The aggregate checker on a real simulated run -------------------------
