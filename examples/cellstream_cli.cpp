@@ -133,7 +133,7 @@ CliArgs parse_args(int argc, char** argv, int first) {
   return args;
 }
 
-void print_fault_summary(const fault::FaultStats& faults) {
+void print_fault_summary(const obs::FaultStats& faults) {
   std::printf("dma retries:        %lld (%.3f ms backoff)\n",
               static_cast<long long>(faults.dma_retries),
               faults.backoff_seconds * 1e3);
@@ -445,9 +445,10 @@ int cmd_stats(int argc, char** argv) {
         fault::run_with_failover(analysis, mapping, plan, fopts);
     report = obs::build_report(analysis, outcome.phase_mappings.back(),
                                outcome.phases.back().counters);
-    report.faults = fault::fault_summary(
-        outcome.result.faults,
-        outcome.failover_performed ? outcome.predicted_post_throughput : 0.0);
+    report.faults = outcome.result.faults;
+    if (outcome.failover_performed) {
+      report.predicted_post_throughput = outcome.predicted_post_throughput;
+    }
   } else {
     const sim::SimResult run = sim::simulate(analysis, mapping, options);
     report = obs::build_report(analysis, mapping, run.counters);

@@ -394,7 +394,15 @@ std::vector<Violation> check_throughput_bound(
   std::vector<Violation> out;
   const double bound = analysis.throughput(mapping);
   const double limit = bound * (1.0 + options.throughput_tolerance);
-  if (result.steady_throughput > limit) {
+  // The whole-run throughput is bounded on every run: each of the n
+  // instances occupies the bottleneck resource for T, so the run lasts at
+  // least nT.  The middle-half window is no bound once a transient fault
+  // fired: a component held back by a slowdown, hang or DMA retry catches
+  // up at its own speed afterwards, and that catch-up can fill the window.
+  const obs::FaultStats& faults = result.faults;
+  const bool transient_fired = faults.dma_retries > 0 || faults.hangs > 0 ||
+                               faults.slowdown_seconds > 0.0;
+  if (!transient_fired && result.steady_throughput > limit) {
     add(out, "throughput-bound",
         "steady throughput " + format_number(result.steady_throughput) +
             "/s exceeds the analytic bound 1/T = " + format_number(bound) +
@@ -629,9 +637,10 @@ InvariantReport check_failover_invariants(const SteadyStateAnalysis& analysis,
   for (std::size_t p = 0; p < outcome.phases.size(); ++p) {
     // The steady-throughput estimate divides the middle-half completion
     // count by its time span; on a short failover phase that window holds
-    // only a handful of completions, so edge quantization and pipeline
-    // burstiness inflate the estimate by O(1/m).  Widen the tolerance
-    // accordingly — the full-length overall-throughput bound stays sharp.
+    // only a handful of completions, so the jitter of completions around
+    // the period inflates the estimate by O(1/m), with no fault involved
+    // (a 14-task ps3 phase 2 read 2.7 % over 1/T).  Widen the tolerance
+    // accordingly — the whole-run bound stays sharp.
     InvariantOptions phase_options = options;
     const double middle_half =
         static_cast<double>(outcome.phases[p].completion_times.size()) / 2.0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "fault/milp_remap.hpp"
-#include "fault/remap.hpp"
+#include "mapping/heuristics.hpp"
+#include "mapping/milp_mapper.hpp"
 #include "support/error.hpp"
 
 namespace cellstream::fault {
@@ -59,26 +59,53 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
   return s;
 }
 
-}  // namespace
+/// Quality remap after losing `failed_pe`: solve the mapping MILP on the
+/// platform minus that PE, seeded with the greedy-mem remap translated to
+/// the reduced PE numbering — so the solver starts from the configuration
+/// the stream could resume on immediately and only searches for
+/// improvements.  The result is translated back to the original PE ids
+/// (the failed PE hosts nothing).  PPEs keep the low indices in both
+/// numberings, so removing one PE is a shift.  Multi-chip platforms keep
+/// the greedy remap: deleting one PE from a chip-block numbering would
+/// re-partition the chips, so the reduced formulation would model the
+/// wrong cross-chip link.
+Mapping milp_remap_after_failure(const SteadyStateAnalysis& analysis,
+                                 const Mapping& mapping, PeId failed_pe,
+                                 double time_limit_seconds) {
+  const Mapping greedy =
+      mapping::remap_after_failure(analysis, mapping, failed_pe);
+  const CellPlatform& platform = analysis.platform();
+  if (platform.chip_count > 1) return greedy;
 
-obs::FaultSummary fault_summary(const FaultStats& stats,
-                                double predicted_post_throughput) {
-  obs::FaultSummary summary;
-  summary.present = true;
-  summary.dma_retries = stats.dma_retries;
-  summary.backoff_seconds = stats.backoff_seconds;
-  summary.hangs = stats.hangs;
-  summary.hang_seconds = stats.hang_seconds;
-  summary.slowdown_seconds = stats.slowdown_seconds;
-  summary.failovers = stats.failovers;
-  summary.downtime_seconds = stats.downtime_seconds;
-  summary.migrated_tasks = stats.migrated_tasks;
-  summary.migrated_bytes = stats.migrated_bytes;
-  summary.failed_pe = stats.failed_pe;
-  summary.fail_instance = stats.fail_instance;
-  summary.predicted_post_throughput = predicted_post_throughput;
-  return summary;
+  CellPlatform reduced = platform;
+  if (platform.is_ppe(failed_pe)) {
+    --reduced.ppe_count;
+  } else {
+    --reduced.spe_count;
+  }
+  const SteadyStateAnalysis reduced_analysis(analysis.graph(), reduced,
+                                             analysis.buffer_policy());
+  Mapping warm(mapping.task_count(), 0);
+  for (TaskId t = 0; t < greedy.task_count(); ++t) {
+    const PeId pe = greedy.pe_of(t);
+    warm.assign(t, pe > failed_pe ? pe - 1 : pe);
+  }
+
+  mapping::MilpMapperOptions options;
+  options.milp.time_limit_seconds = time_limit_seconds;
+  options.extra_incumbents.push_back(std::move(warm));
+  const mapping::MilpMapperResult solved =
+      mapping::solve_optimal_mapping(reduced_analysis, options);
+
+  Mapping result(mapping.task_count(), 0);
+  for (TaskId t = 0; t < solved.mapping.task_count(); ++t) {
+    const PeId pe = solved.mapping.pe_of(t);
+    result.assign(t, pe >= failed_pe ? pe + 1 : pe);
+  }
+  return result;
 }
+
+}  // namespace
 
 FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
                                   const Mapping& mapping,
@@ -135,23 +162,21 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
     out.post_mapping = milp_remap_after_failure(
         analysis, mapping, failed, options.milp_time_limit_seconds);
   } else {
-    out.post_mapping =
-        remap_after_failure(analysis, mapping, {failed}, options.strategy);
+    out.post_mapping = mapping::remap_after_failure(analysis, mapping, failed,
+                                                    options.strategy);
   }
 
   // Migrate: every moved task's stream-buffer region crosses the
   // interface once to be re-established at its new host.
-  std::int64_t migrated_tasks = 0;
-  double migrated_bytes = 0.0;
-  for (TaskId t = 0; t < mapping.task_count(); ++t) {
-    if (out.post_mapping.pe_of(t) != mapping.pe_of(t)) {
-      ++migrated_tasks;
-      migrated_bytes += analysis.task_buffer_bytes(t);
-    }
-  }
+  obs::FaultStats failover;
+  failover.failovers = 1;
+  failover.failed_pe = static_cast<std::int64_t>(failed);
+  failover.fail_instance = k;
+  mapping::count_migration(analysis, mapping, out.post_mapping, failover);
   out.failover_performed = true;
   out.downtime_seconds = options.remap_overhead_seconds +
-                         migrated_bytes / platform.interface_bandwidth;
+                         failover.migrated_bytes / platform.interface_bandwidth;
+  failover.downtime_seconds = out.downtime_seconds;
   out.predicted_post_throughput = analysis.throughput(out.post_mapping);
 
   // Phase 2: resume instances [k, n) on the degraded mapping.  The failed
@@ -166,12 +191,7 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
   sim::SimResult r2 = sim::simulate(analysis, out.post_mapping, phase2);
 
   out.result = stitch(r1, r2, out.downtime_seconds, k);
-  out.result.faults.failovers += 1;
-  out.result.faults.downtime_seconds += out.downtime_seconds;
-  out.result.faults.migrated_tasks += migrated_tasks;
-  out.result.faults.migrated_bytes += migrated_bytes;
-  out.result.faults.failed_pe = static_cast<std::int64_t>(failed);
-  out.result.faults.fail_instance = k;
+  out.result.faults.merge(failover);
   out.phases.push_back(std::move(r1));
   out.phases.push_back(std::move(r2));
   out.phase_mappings.push_back(mapping);

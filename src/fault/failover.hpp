@@ -7,10 +7,11 @@
 // [0, k): when it completes, every edge has produced == consumed == k, so
 // the drain frontier is a consistent firstPeriod cut with empty buffers
 // by construction.  The coordinator then remaps the orphaned tasks
-// (greedy fast path, or the MILP warm-started from the surviving
-// assignment), charges a downtime of the remap overhead plus the buffer
-// bytes that must be re-established over the interface, and runs phase 2
-// — instances [k, N) on the post-failover mapping, with the instance
+// (mapping::remap_after_failure, the paper's greedy heuristics over the
+// surviving PEs, or the MILP on the reduced platform warm-started from
+// that greedy remap), charges a downtime of the remap overhead plus the
+// buffer bytes that must be re-established over the interface, and runs
+// phase 2 — instances [k, N) on the post-failover mapping, with the instance
 // offset threaded through so instance-keyed transient faults stay aligned
 // with the global stream position.  The two phases are stitched into one
 // whole-stream SimResult for reporting and the I8/I9 oracle.
@@ -21,7 +22,6 @@
 #include "core/mapping.hpp"
 #include "core/steady_state.hpp"
 #include "fault/fault_plan.hpp"
-#include "obs/report.hpp"
 #include "sim/simulator.hpp"
 
 namespace cellstream::fault {
@@ -31,7 +31,8 @@ struct FailoverOptions {
   /// fault_plan and instance_offset are managed by the coordinator.
   sim::SimOptions sim;
   /// Remap strategy: "greedy-mem", "greedy-cpu" (fast failover) or "milp"
-  /// (reduced-platform solve warm-started from the surviving assignment).
+  /// (reduced-platform solve warm-started from the greedy-mem remap; on a
+  /// multi-chip platform, the greedy-mem remap itself).
   std::string strategy = "greedy-mem";
   /// Time budget of the "milp" strategy.
   double milp_time_limit_seconds = 2.0;
@@ -70,13 +71,5 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
                                   const Mapping& mapping,
                                   const FaultPlan& plan,
                                   const FailoverOptions& options = {});
-
-/// Adapt an executor's fault counters to the schema-neutral summary the
-/// observability layer exports (obs::Report::faults, stats schema v2).
-/// `predicted_post_throughput` is the reduced-platform prediction when a
-/// failover ran (FailoverOutcome::predicted_post_throughput); pass 0 for
-/// transient-only runs.
-obs::FaultSummary fault_summary(const FaultStats& stats,
-                                double predicted_post_throughput = 0.0);
 
 }  // namespace cellstream::fault

@@ -175,18 +175,4 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const CellPlatform& platform,
   return plan;
 }
 
-void FaultStats::merge(const FaultStats& other) {
-  dma_retries += other.dma_retries;
-  backoff_seconds += other.backoff_seconds;
-  hangs += other.hangs;
-  hang_seconds += other.hang_seconds;
-  slowdown_seconds += other.slowdown_seconds;
-  failovers += other.failovers;
-  downtime_seconds += other.downtime_seconds;
-  migrated_tasks += other.migrated_tasks;
-  migrated_bytes += other.migrated_bytes;
-  if (other.failed_pe >= 0) failed_pe = other.failed_pe;
-  if (other.fail_instance >= 0) fail_instance = other.fail_instance;
-}
-
 }  // namespace cellstream::fault

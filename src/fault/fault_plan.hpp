@@ -98,30 +98,4 @@ struct FaultPlan {
                           std::int64_t instances);
 };
 
-/// Counters accumulated by an executor while a plan is active.  Merged
-/// into sim::SimResult / runtime::RunStats and surfaced through
-/// obs::Report and the stats schema (v2).
-struct FaultStats {
-  std::int64_t dma_retries = 0;       ///< Failed DMA attempts re-issued.
-  double backoff_seconds = 0.0;       ///< Total retry backoff served.
-  std::int64_t hangs = 0;             ///< Hang specs that fired.
-  double hang_seconds = 0.0;          ///< Total hang stall injected.
-  double slowdown_seconds = 0.0;      ///< Extra compute time injected.
-  std::int64_t failovers = 0;         ///< Drain->remap->resume executions.
-  double downtime_seconds = 0.0;      ///< Time the stream was paused.
-  std::int64_t migrated_tasks = 0;    ///< Tasks moved off failed PEs.
-  double migrated_bytes = 0.0;        ///< Buffer bytes re-established.
-  std::int64_t failed_pe = -1;        ///< PE lost permanently (-1: none).
-  std::int64_t fail_instance = -1;    ///< Instance index of the loss.
-
-  /// True when any fault actually manifested.
-  bool any() const {
-    return dma_retries > 0 || hangs > 0 || slowdown_seconds > 0.0 ||
-           failovers > 0;
-  }
-
-  /// Accumulate another executor's counters (phase stitching).
-  void merge(const FaultStats& other);
-};
-
 }  // namespace cellstream::fault

@@ -35,12 +35,9 @@ class FaultInjector {
 
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-  const FaultPlan& plan() const { return plan_; }
-
   // -- Permanent failure --------------------------------------------------
 
   bool has_pe_failure() const { return plan_.pe_failure.has_value(); }
-  PeId failed_pe() const { return plan_.pe_failure->pe; }
   std::int64_t fail_instance() const { return plan_.pe_failure->at_instance; }
 
   /// True when `pe` is fail-stopped for stream instance `instance`: the

@@ -577,10 +577,6 @@ struct IncrementalSimplex::Impl {
     for (std::size_t j = 0; j < n_struct; ++j) {
       result.objective += cost[j] * x[j];
     }
-    if (opts.collect_basis) {
-      result.basis.status = status;
-      result.basis.basic_col = basic_col;
-    }
     return result;
   }
 
@@ -637,14 +633,8 @@ Basis IncrementalSimplex::save_basis() const {
   return basis;
 }
 
-SimplexResult solve_lp(const Problem& problem, const SimplexOptions& options,
-                       const Basis* warm) {
+SimplexResult solve_lp(const Problem& problem, const SimplexOptions& options) {
   IncrementalSimplex solver(problem, options);
-  if (warm != nullptr && !warm->empty()) {
-    // Best effort: an unusable warm basis falls back to all-slack
-    // (load_basis resets internally on failure).
-    (void)solver.load_basis(*warm);
-  }
   return solver.solve();
 }
 

@@ -81,28 +81,20 @@ struct SimplexOptions {
   /// Relative merit decrease per pivot that counts as progress (resets the
   /// stall counter and leaves Bland mode).
   double stall_progress_tol = 1e-10;
-  /// Copy the final basis into SimplexResult::basis.  Branch-and-bound
-  /// workers turn this off and snapshot explicitly (save_basis) only for
-  /// the nodes that actually branch, avoiding one O(cols + rows) copy per
-  /// node solve.
-  bool collect_basis = true;
 };
 
 struct SimplexResult {
   SolveStatus status = SolveStatus::kIterationLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< Structural variable values (empty if infeasible).
-  Basis basis;  ///< Final basis (valid for kOptimal; empty if collect_basis off).
   std::size_t iterations = 0;
   std::size_t phase1_iterations = 0;
 };
 
-/// Solve `problem` to optimality.  `warm` (if provided and dimensionally
-/// consistent) seeds the initial basis; an unusable warm basis silently
-/// falls back to the all-slack basis.
+/// Solve `problem` to optimality from the all-slack basis.  A warm start
+/// goes through IncrementalSimplex::load_basis.
 SimplexResult solve_lp(const Problem& problem,
-                       const SimplexOptions& options = {},
-                       const Basis* warm = nullptr);
+                       const SimplexOptions& options = {});
 
 /// Re-solvable simplex instance.
 ///

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "support/error.hpp"
+
 namespace cellstream::mapping {
 
 namespace {
@@ -13,12 +15,22 @@ struct GreedyState {
   const CellPlatform& platform;
   std::vector<double> memory_used;   // local-store bytes per PE (SPE only)
   std::vector<double> compute_load;  // seconds per instance per PE
+  PeId fallback = 0;  // GREEDYMEM's host when no SPE fits: PPE0 if usable
 
   explicit GreedyState(const SteadyStateAnalysis& analysis)
       : ss(analysis),
         platform(analysis.platform()),
         memory_used(analysis.platform().pe_count(), 0.0),
         compute_load(analysis.platform().pe_count(), 0.0) {}
+
+  /// Take a failed PE out of every choice: with infinite tallies it fits
+  /// no task and never has the least load.  The fallback moves to the
+  /// next PPE when PPE0 fails.
+  void fail(PeId pe) {
+    memory_used[pe] = std::numeric_limits<double>::infinity();
+    compute_load[pe] = std::numeric_limits<double>::infinity();
+    if (pe == fallback) ++fallback;
+  }
 
   double task_cost(TaskId t, PeId pe) const {
     const Task& task = ss.graph().task(t);
@@ -29,6 +41,35 @@ struct GreedyState {
     if (platform.is_ppe(pe)) return true;  // main memory unconstrained
     return memory_used[pe] + ss.task_buffer_bytes(t) <=
            static_cast<double>(platform.buffer_budget());
+  }
+
+  /// GREEDYMEM: the least-occupied SPE local store that fits, else the
+  /// fallback PPE.
+  PeId least_memory(TaskId t) const {
+    PeId best = fallback;
+    double least_memory = std::numeric_limits<double>::infinity();
+    for (PeId pe = platform.ppe_count; pe < platform.pe_count(); ++pe) {
+      if (!fits(t, pe)) continue;
+      if (memory_used[pe] < least_memory) {
+        least_memory = memory_used[pe];
+        best = pe;
+      }
+    }
+    return best;
+  }
+
+  /// GREEDYCPU: the least compute load over every PE that fits.
+  PeId least_load(TaskId t) const {
+    PeId best = fallback;
+    double least_load = std::numeric_limits<double>::infinity();
+    for (PeId pe = 0; pe < platform.pe_count(); ++pe) {
+      if (!fits(t, pe)) continue;
+      if (compute_load[pe] < least_load) {
+        least_load = compute_load[pe];
+        best = pe;
+      }
+    }
+    return best;
   }
 
   void place(TaskId t, PeId pe, Mapping& mapping) {
@@ -45,17 +86,7 @@ Mapping greedy_mem(const SteadyStateAnalysis& analysis) {
   const TaskGraph& graph = analysis.graph();
   Mapping mapping(graph.task_count(), 0);
   for (TaskId t : graph.topological_order()) {
-    PeId best = 0;  // PPE fallback
-    double least_memory = std::numeric_limits<double>::infinity();
-    for (PeId pe = state.platform.ppe_count; pe < state.platform.pe_count();
-         ++pe) {
-      if (!state.fits(t, pe)) continue;
-      if (state.memory_used[pe] < least_memory) {
-        least_memory = state.memory_used[pe];
-        best = pe;
-      }
-    }
-    state.place(t, best, mapping);
+    state.place(t, state.least_memory(t), mapping);
   }
   return mapping;
 }
@@ -65,16 +96,7 @@ Mapping greedy_cpu(const SteadyStateAnalysis& analysis) {
   const TaskGraph& graph = analysis.graph();
   Mapping mapping(graph.task_count(), 0);
   for (TaskId t : graph.topological_order()) {
-    PeId best = 0;
-    double least_load = std::numeric_limits<double>::infinity();
-    for (PeId pe = 0; pe < state.platform.pe_count(); ++pe) {
-      if (!state.fits(t, pe)) continue;
-      if (state.compute_load[pe] < least_load) {
-        least_load = state.compute_load[pe];
-        best = pe;
-      }
-    }
-    state.place(t, best, mapping);
+    state.place(t, state.least_load(t), mapping);
   }
   return mapping;
 }
@@ -139,6 +161,51 @@ Mapping run_heuristic(const std::string& name,
   if (name == "round-robin") return round_robin(analysis);
   if (name == "greedy-period") return greedy_period(analysis);
   throw Error("run_heuristic: unknown heuristic '" + name + "'");
+}
+
+Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
+                            const Mapping& mapping, PeId failed,
+                            const std::string& strategy) {
+  CS_ENSURE(strategy == "greedy-mem" || strategy == "greedy-cpu",
+            "remap_after_failure: unknown strategy '" + strategy + "'");
+  const bool by_memory = strategy == "greedy-mem";
+  const TaskGraph& graph = analysis.graph();
+  const CellPlatform& platform = analysis.platform();
+  CS_ENSURE(mapping.task_count() == graph.task_count(),
+            "remap_after_failure: mapping/graph size mismatch");
+  CS_ENSURE(failed < platform.pe_count(),
+            "remap_after_failure: failed PE out of range");
+  CS_ENSURE(!platform.is_ppe(failed) || platform.ppe_count > 1,
+            "remap_after_failure: no surviving PPE — the stream cannot be "
+            "hosted without main-memory access");
+
+  // The survivors' loads first, then the orphans on top of them, both in
+  // topological order.
+  GreedyState state(analysis);
+  state.fail(failed);
+  Mapping result = mapping;
+  const std::vector<TaskId> order = graph.topological_order();
+  for (TaskId t : order) {
+    if (mapping.pe_of(t) != failed) state.place(t, mapping.pe_of(t), result);
+  }
+  for (TaskId t : order) {
+    if (mapping.pe_of(t) == failed) {
+      state.place(t, by_memory ? state.least_memory(t) : state.least_load(t),
+                  result);
+    }
+  }
+  return result;
+}
+
+void count_migration(const SteadyStateAnalysis& analysis,
+                     const Mapping& before, const Mapping& after,
+                     obs::FaultStats& faults) {
+  for (TaskId t = 0; t < before.task_count(); ++t) {
+    if (after.pe_of(t) != before.pe_of(t)) {
+      ++faults.migrated_tasks;
+      faults.migrated_bytes += analysis.task_buffer_bytes(t);
+    }
+  }
 }
 
 }  // namespace cellstream::mapping

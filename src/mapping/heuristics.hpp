@@ -5,15 +5,23 @@
 // revisit a decision.  Memory feasibility (task buffers fitting in the
 // SPE local store) is the admission criterion; the PPE is the fallback
 // host since its main memory is unconstrained.
+//
+// The same two heuristics are the fast failover remap: after a PE fails,
+// remap_after_failure keeps every surviving task in place and places the
+// orphans by GREEDYMEM or GREEDYCPU over the surviving PEs — keeping the
+// survivors where they are is what bounds the migration volume, and so
+// the failover downtime (docs/ROBUSTNESS.md).
 
 #include <string>
 
 #include "core/steady_state.hpp"
+#include "obs/recorder.hpp"
 
 namespace cellstream::mapping {
 
 /// GREEDYMEM: among the SPEs with enough free local store for the task's
-/// buffers, pick the one with the least loaded memory; fall back to PPE0.
+/// buffers, pick the one with the least loaded memory; fall back to PPE0
+/// (the lowest-index usable PPE).
 Mapping greedy_mem(const SteadyStateAnalysis& analysis);
 
 /// GREEDYCPU: among all PEs (SPEs with enough free memory, plus the PPE),
@@ -38,5 +46,25 @@ Mapping greedy_period(const SteadyStateAnalysis& analysis);
 /// "round-robin", "greedy-period"); throws on unknown names.
 Mapping run_heuristic(const std::string& name,
                       const SteadyStateAnalysis& analysis);
+
+/// Degraded-mode remap after the fail-stop of `failed`: the surviving
+/// assignment stays untouched, and the tasks `failed` hosted are placed in
+/// topological order by `strategy` ("greedy-mem" or "greedy-cpu") over
+/// the other PEs, which carry the survivors' loads.  The GREEDYMEM
+/// fallback is the lowest-index surviving PPE.  Throws Error when no PPE
+/// survives (the stream needs a PE with transparent main-memory access)
+/// or the strategy is unknown.  The result is local-store feasible by
+/// construction; DMA-slot feasibility is re-checked by the caller (I9).
+Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
+                            const Mapping& mapping, PeId failed,
+                            const std::string& strategy = "greedy-mem");
+
+/// Add the migration from `before` to `after` to `faults`: every task
+/// whose host changed counts once, with its stream-buffer bytes
+/// (SteadyStateAnalysis::task_buffer_bytes), the region re-established at
+/// its new host.
+void count_migration(const SteadyStateAnalysis& analysis,
+                     const Mapping& before, const Mapping& after,
+                     obs::FaultStats& faults);
 
 }  // namespace cellstream::mapping

@@ -401,10 +401,6 @@ Result Solver::solve() {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Workers turn off the per-solve basis copy; basis snapshots are taken
-  // explicitly (save_basis) only for nodes that actually branch.
-  lp::SimplexOptions worker_lp = options_.lp;
-  worker_lp.collect_basis = false;
 
   std::vector<Node> round_nodes;
   std::vector<NodeOutcome> outcomes;
@@ -472,7 +468,7 @@ Result Solver::solve() {
 
     const std::size_t nthreads = std::min(threads, k);
     while (workers_.size() < std::max<std::size_t>(nthreads, 1)) {
-      workers_.push_back(std::make_unique<Worker>(problem_, worker_lp));
+      workers_.push_back(std::make_unique<Worker>(problem_, options_.lp));
     }
     stats_.threads_used = std::max(stats_.threads_used, nthreads);
 

@@ -68,4 +68,18 @@ std::vector<std::pair<std::size_t, double>> Counters::windowed_throughput(
   return out;
 }
 
+void FaultStats::merge(const FaultStats& other) {
+  dma_retries += other.dma_retries;
+  backoff_seconds += other.backoff_seconds;
+  hangs += other.hangs;
+  hang_seconds += other.hang_seconds;
+  slowdown_seconds += other.slowdown_seconds;
+  failovers += other.failovers;
+  downtime_seconds += other.downtime_seconds;
+  migrated_tasks += other.migrated_tasks;
+  migrated_bytes += other.migrated_bytes;
+  if (other.failed_pe >= 0) failed_pe = other.failed_pe;
+  if (other.fail_instance >= 0) fail_instance = other.fail_instance;
+}
+
 }  // namespace cellstream::obs

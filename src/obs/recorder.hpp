@@ -1,8 +1,8 @@
 #pragma once
-// Unified runtime telemetry: the per-run accounting record both execution
+// Unified runtime telemetry: the per-run accounting records both execution
 // engines produce (sim::Simulator in simulated time, runtime::HostRuntime
-// in wall time), plus the solver search statistics the MILP mapper
-// exports.
+// in wall time) — the Counters and, under a fault plan, the FaultStats —
+// plus the solver search statistics the MILP mapper exports.
 //
 // Counters is a plain value.  The simulator derives it from its progress
 // counters once, at the end of a run; the host runtime's workers each
@@ -79,6 +79,27 @@ struct Counters {
   /// `stride`, over the trailing `window` instances.
   std::vector<std::pair<std::size_t, double>> windowed_throughput(
       std::size_t window = 250, std::size_t stride = 100) const;
+};
+
+/// Fault-injection and failover counters of one run under a
+/// fault::FaultPlan.  Both executors fill it (sim::SimResult::faults,
+/// runtime::RunStats::faults), and Report::faults exports it (stats
+/// schema v2).
+struct FaultStats {
+  std::int64_t dma_retries = 0;       ///< Failed DMA attempts re-issued.
+  double backoff_seconds = 0.0;       ///< Total retry backoff served.
+  std::int64_t hangs = 0;             ///< Hang specs that fired.
+  double hang_seconds = 0.0;          ///< Total hang stall injected.
+  double slowdown_seconds = 0.0;      ///< Extra compute time injected.
+  std::int64_t failovers = 0;         ///< Drain->remap->resume executions.
+  double downtime_seconds = 0.0;      ///< Time the stream was paused.
+  std::int64_t migrated_tasks = 0;    ///< Tasks moved off failed PEs.
+  double migrated_bytes = 0.0;        ///< Buffer bytes re-established.
+  std::int64_t failed_pe = -1;        ///< PE lost permanently (-1: none).
+  std::int64_t fail_instance = -1;    ///< Instance index of the loss.
+
+  /// Accumulate another record (phase stitching, per-worker totals).
+  void merge(const FaultStats& other);
 };
 
 /// Search statistics of one MILP mapper solve, in obs vocabulary so the

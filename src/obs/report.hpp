@@ -14,6 +14,7 @@
 // fuzz driver); `cellstream_cli stats` exports the report as JSON/CSV
 // through src/report/stats_io.
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,29 +48,6 @@ struct ReportOptions {
   /// Fig.-6-style convergence sampling (see Counters::windowed_throughput).
   std::size_t convergence_window = 250;
   std::size_t convergence_stride = 100;
-};
-
-/// Fault-injection and failover counters of one run, schema-neutral so
-/// the observability layer needs no dependency on src/fault (which sits
-/// above it in the link graph).  fault::fault_summary() converts a
-/// fault::FaultStats; `present` distinguishes "ran without a fault plan"
-/// from "ran under a plan that happened to inject nothing".
-struct FaultSummary {
-  bool present = false;
-  std::int64_t dma_retries = 0;
-  double backoff_seconds = 0.0;
-  std::int64_t hangs = 0;
-  double hang_seconds = 0.0;
-  double slowdown_seconds = 0.0;
-  std::int64_t failovers = 0;
-  double downtime_seconds = 0.0;
-  std::int64_t migrated_tasks = 0;
-  double migrated_bytes = 0.0;
-  std::int64_t failed_pe = -1;
-  std::int64_t fail_instance = -1;
-  /// Reduced-platform steady-state prediction of the post-failover
-  /// mapping (0 when no failover ran) — invariant I9's bound.
-  double predicted_post_throughput = 0.0;
 };
 
 /// Everything `cellstream_cli stats` exports for one run.
@@ -111,11 +89,14 @@ struct Report {
   /// MILP search statistics when the mapping came from the exact solver.
   SolverStats solver;
 
-  /// Fault/failover counters when the run executed under a FaultPlan.
+  /// Fault/failover counters when the run executed under a FaultPlan
+  /// (empty: no plan; a plan that injected nothing still has a record).
   /// build_report cannot derive these from the telemetry counters — the
-  /// executor's caller assigns them (fault::fault_summary adapts a
-  /// fault::FaultStats).
-  FaultSummary faults;
+  /// executor's caller assigns them.
+  std::optional<FaultStats> faults;
+  /// Reduced-platform steady-state prediction of the post-failover
+  /// mapping (0 when no failover ran) — invariant I9's bound.
+  double predicted_post_throughput = 0.0;
 
   bool crosscheck_ok() const { return flagged.empty(); }
 };

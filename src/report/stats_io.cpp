@@ -49,8 +49,9 @@ json::Value solver_to_json(const obs::SolverStats& solver) {
   return v;
 }
 
-json::Value faults_to_json(const obs::FaultSummary& faults) {
-  if (!faults.present) return json::Value();  // null: no fault plan
+json::Value faults_to_json(const obs::Report& report) {
+  if (!report.faults) return json::Value();  // null: no fault plan
+  const obs::FaultStats& faults = *report.faults;
   json::Value v = json::Value::object();
   v.set("dma_retries",
         json::Value(static_cast<std::int64_t>(faults.dma_retries)));
@@ -67,7 +68,7 @@ json::Value faults_to_json(const obs::FaultSummary& faults) {
   v.set("fail_instance",
         json::Value(static_cast<std::int64_t>(faults.fail_instance)));
   v.set("predicted_post_throughput",
-        json::Value(faults.predicted_post_throughput));
+        json::Value(report.predicted_post_throughput));
   return v;
 }
 
@@ -133,7 +134,7 @@ json::Value stats_to_json(const obs::Report& report) {
 
   doc.set("convergence", convergence_to_json(report));
   doc.set("solver", solver_to_json(report.solver));
-  doc.set("faults", faults_to_json(report.faults));
+  doc.set("faults", faults_to_json(report));
   return doc;
 }
 

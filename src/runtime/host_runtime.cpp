@@ -13,7 +13,7 @@
 
 #include "core/dataflow.hpp"
 #include "fault/injector.hpp"
-#include "fault/remap.hpp"
+#include "mapping/heuristics.hpp"
 
 namespace cellstream::runtime {
 
@@ -83,7 +83,7 @@ struct alignas(kCacheLine) Worker {
   std::size_t cursor = 0;  // round-robin position in the PE's task list
   obs::PeCounters counters;
   std::vector<obs::TraceEvent> trace;
-  fault::FaultStats faults;
+  obs::FaultStats faults;
 };
 
 /// Instances committed by one sink task; stored only by its worker.
@@ -454,17 +454,12 @@ class Runtime {
   /// Coordinator body, entered once every other live worker is parked:
   /// remap the orphans, account the migration, rebuild placement.
   void perform_failover_locked() {
-    Mapping post = fault::remap_after_failure(analysis_, mapping_, {dead_pe_},
-                                              opt_.failover_strategy);
+    Mapping post = mapping::remap_after_failure(analysis_, mapping_, dead_pe_,
+                                                opt_.failover_strategy);
     // Migration volume: every moved task's buffer region must be
     // re-established at its new host, and the packets currently buffered
     // on edges with a moved endpoint cross the interface once more.
-    for (TaskId t = 0; t < mapping_.task_count(); ++t) {
-      if (post.pe_of(t) != mapping_.pe_of(t)) {
-        ++faults_.migrated_tasks;
-        faults_.migrated_bytes += analysis_.task_buffer_bytes(t);
-      }
-    }
+    mapping::count_migration(analysis_, mapping_, post, faults_);
     for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
       const Edge& edge = graph_.edge(e);
       if (post.pe_of(edge.from) == mapping_.pe_of(edge.from) &&
@@ -681,7 +676,7 @@ class Runtime {
   std::size_t parked_ = 0;  // peers waiting at the failover barrier
   PeId dead_pe_ = static_cast<PeId>(-1);
   Clock::time_point drain_start_{};
-  fault::FaultStats faults_;  // failover fields; workers' merged at the end
+  obs::FaultStats faults_;  // failover fields; workers' merged at the end
   std::exception_ptr failure_ = nullptr;
   bool timed_out_ = false;
   std::string stall_detail_;

@@ -51,7 +51,7 @@
 // past the fail index, raises the barrier and rings every doorbell; every
 // peer parks at its next task boundary (a consistent cut); the failed
 // PE's worker remaps the orphaned tasks onto the surviving PEs
-// (fault::remap_after_failure), rebuilds placement (remote flags, wake-up
+// (mapping::remap_after_failure), rebuilds placement (remote flags, wake-up
 // targets) and releases the peers — no instance is lost or duplicated
 // (invariant I8).
 // Stall detection is a progress watchdog on the calling thread: it samples
@@ -134,7 +134,7 @@ struct RunStats {
   /// seconds since run start; feed obs::write_chrome_trace.
   std::vector<obs::TraceEvent> trace;
   /// Fault counters of the run (all zero without a plan).
-  fault::FaultStats faults;
+  obs::FaultStats faults;
   /// Mapping in effect when the stream finished — differs from the input
   /// mapping exactly when a failover remap ran.
   Mapping final_mapping;

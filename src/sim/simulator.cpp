@@ -364,7 +364,7 @@ class Simulator {
   // Deterministic fault injection (engaged only when a plan is supplied).
   std::optional<fault::FaultInjector> injector_;
   std::vector<char> hang_fired_;  // one-shot latch per hang spec
-  fault::FaultStats faults_;
+  obs::FaultStats faults_;
 
   // -- Fast-forward state -------------------------------------------------
   struct Snapshot {

@@ -116,7 +116,7 @@ struct SimResult {
   /// Execution trace (empty unless SimOptions::record_trace).
   std::vector<obs::TraceEvent> trace;
   /// Fault counters accumulated by the run (all zero without a plan).
-  fault::FaultStats faults;
+  obs::FaultStats faults;
   /// Per-edge end-to-end accounting at the end of the run: instances the
   /// producer wrote and instances that landed at the consumer.  Equal to
   /// the stream length on a complete run — invariant I8's raw material.

@@ -103,6 +103,42 @@ TEST(ThroughputBound, AcceptsThroughputWithinTolerance) {
   EXPECT_TRUE(check_throughput_bound(analysis, mapping, result).empty());
 }
 
+TEST(ThroughputBound, FlagsAFaultedRunWhoseWholeRunExceedsTheBound) {
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{0, 0});
+  sim::SimResult result;
+  result.faults.slowdown_seconds = 1e-3;
+  result.steady_throughput = 0.5 * analysis.throughput(mapping);
+  // Two instances in T: whole-run throughput twice the bound.
+  result.counters.instance_completion.assign(2, 0.0);
+  result.counters.elapsed_seconds = 1.0 / analysis.throughput(mapping);
+  const auto violations = check_throughput_bound(analysis, mapping, result);
+  EXPECT_TRUE(has_invariant(violations, "throughput-bound"));
+}
+
+TEST(ThroughputBound, ComparesTheMiddleHalfOnlyWithoutTransientFaults) {
+  const SteadyStateAnalysis analysis(chain_graph(),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{0, 0});
+  sim::SimResult result;
+  result.steady_throughput = 2.0 * analysis.throughput(mapping);
+  // One instance in T: whole-run throughput at the bound.
+  result.counters.instance_completion.assign(1, 0.0);
+  result.counters.elapsed_seconds = 1.0 / analysis.throughput(mapping);
+  EXPECT_TRUE(has_invariant(check_throughput_bound(analysis, mapping, result),
+                            "throughput-bound"));
+  // A catch-up after a retry, a hang or a slowdown may fill the middle half.
+  result.faults.dma_retries = 1;
+  EXPECT_TRUE(check_throughput_bound(analysis, mapping, result).empty());
+  result.faults.dma_retries = 0;
+  result.faults.hangs = 1;
+  EXPECT_TRUE(check_throughput_bound(analysis, mapping, result).empty());
+  result.faults.hangs = 0;
+  result.faults.slowdown_seconds = 1e-3;
+  EXPECT_TRUE(check_throughput_bound(analysis, mapping, result).empty());
+}
+
 // -- I2: completion order --------------------------------------------------
 
 TEST(CompletionOrder, FlagsNonIncreasingCompletions) {

@@ -8,8 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "check/invariants.hpp"
-#include "fault/milp_remap.hpp"
-#include "fault/remap.hpp"
+#include "mapping/heuristics.hpp"
 #include "support/error.hpp"
 
 namespace cellstream::fault {
@@ -184,13 +183,14 @@ TEST(FailoverSim, ReplayIsDeterministicUnderFaults) {
 TEST(FailoverSim, LosingTheOnlyPpeIsUnsurvivable) {
   WorkedExample ex;
   const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
-  EXPECT_THROW(remap_after_failure(ss, ex.mapping, {0}), Error);
+  EXPECT_THROW(mapping::remap_after_failure(ss, ex.mapping, 0), Error);
 }
 
 TEST(FailoverSim, RemapKeepsSurvivorsInPlace) {
   WorkedExample ex;
   const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
-  const Mapping post = remap_after_failure(ss, ex.mapping, {3}, "greedy-mem");
+  const Mapping post =
+      mapping::remap_after_failure(ss, ex.mapping, 3, "greedy-mem");
   for (TaskId t = 0; t < ex.graph.task_count(); ++t) {
     if (ex.mapping.pe_of(t) != 3u) {
       EXPECT_EQ(post.pe_of(t), ex.mapping.pe_of(t)) << "task " << t;

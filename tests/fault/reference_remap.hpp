@@ -1,15 +1,35 @@
-#include "fault/remap.hpp"
+#pragma once
+// Test-local reference: the failover remap as it was before it became the
+// paper's greedy heuristics over the surviving PEs — its own load tallies,
+// fit test and placement step, and a GREEDYMEM fallback to the surviving
+// PPE with the least compute load.  It is kept only to check
+// mapping::remap_after_failure against
+// (tests/fault/remap_equivalence_test.cpp); nothing in src/ uses it.  The probe counts the orphans that reached the
+// GREEDYMEM fallback, the one place the two rules may differ.
 
+#include <cstddef>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "core/mapping.hpp"
+#include "core/steady_state.hpp"
 #include "support/error.hpp"
 
-namespace cellstream::fault {
+namespace cellstream::reference {
 
-Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
-                            const Mapping& mapping,
-                            const std::vector<PeId>& failed_pes,
-                            const std::string& strategy) {
+struct RemapProbe {
+  /// greedy-mem orphans no surviving SPE could take.
+  std::size_t fallbacks = 0;
+  /// Those among them with two or more surviving PPEs to choose from.
+  std::size_t multi_ppe_fallbacks = 0;
+};
+
+inline Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
+                                   const Mapping& mapping,
+                                   const std::vector<PeId>& failed_pes,
+                                   const std::string& strategy = "greedy-mem",
+                                   RemapProbe* probe = nullptr) {
   CS_ENSURE(strategy == "greedy-mem" || strategy == "greedy-cpu",
             "remap_after_failure: unknown strategy '" + strategy + "'");
   const TaskGraph& graph = analysis.graph();
@@ -23,11 +43,11 @@ Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
               "remap_after_failure: failed PE out of range");
     dead[pe] = 1;
   }
-  bool ppe_survives = false;
+  std::size_t surviving_ppes = 0;
   for (PeId pe = 0; pe < platform.ppe_count; ++pe) {
-    if (!dead[pe]) ppe_survives = true;
+    if (!dead[pe]) ++surviving_ppes;
   }
-  CS_ENSURE(ppe_survives,
+  CS_ENSURE(surviving_ppes > 0,
             "remap_after_failure: no surviving PPE — the stream cannot be "
             "hosted without main-memory access");
 
@@ -72,6 +92,10 @@ Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
           best = pe;
         }
       }
+      if (best == platform.pe_count() && probe != nullptr) {
+        ++probe->fallbacks;
+        if (surviving_ppes > 1) ++probe->multi_ppe_fallbacks;
+      }
     }
     if (best == platform.pe_count()) {
       // greedy-cpu, or greedy-mem with no SPE able to take the buffers:
@@ -93,4 +117,4 @@ Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
   return result;
 }
 
-}  // namespace cellstream::fault
+}  // namespace cellstream::reference

@@ -82,26 +82,6 @@ TEST(SimplexCycling, DegenerateOptimalTieTerminates) {
   EXPECT_NEAR(r.x[0] + r.x[1], 1.0, 1e-9);
 }
 
-TEST(SimplexEdgeCases, DimensionallyStaleWarmBasisFallsBackToAllSlack) {
-  // A basis saved from a different problem shape must be silently ignored
-  // by solve_lp (documented fallback), not crash or corrupt the solve.
-  Problem small;
-  const VarId s = small.add_variable(0.0, 4.0, -1.0);
-  small.add_row(-kInfinity, 3.0, {{s, 1.0}});
-  const SimplexResult small_result = solve_lp(small);
-  ASSERT_EQ(small_result.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(small_result.basis.empty());
-
-  Problem big;
-  const VarId a = big.add_variable(0.0, 1.0, -2.0);
-  const VarId b = big.add_variable(0.0, 1.0, -3.0);
-  big.add_row(-kInfinity, 1.5, {{a, 1.0}, {b, 1.0}});
-  big.add_row(-kInfinity, 1.0, {{b, 1.0}});
-  const SimplexResult warm = solve_lp(big, {}, &small_result.basis);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, -4.0, 1e-9);  // b = 1, a = 0.5
-}
-
 TEST(SimplexEdgeCases, LoadBasisDimensionMismatchResetsToAllSlack) {
   // IncrementalSimplex::load_basis documents that a failed load leaves the
   // all-slack basis behind — including the dimension-mismatch path, which
@@ -122,34 +102,21 @@ TEST(SimplexEdgeCases, LoadBasisDimensionMismatchResetsToAllSlack) {
   EXPECT_NEAR(again.objective, first.objective, 1e-9);
 }
 
-TEST(SimplexEdgeCases, CollectBasisOffLeavesResultBasisEmpty) {
-  SimplexOptions opts;
-  opts.collect_basis = false;
-  Problem p;
-  const VarId x = p.add_variable(0.0, 1.0, -1.0);
-  p.add_row(-kInfinity, 1.0, {{x, 1.0}});
-  const SimplexResult r = solve_lp(p, opts);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(r.basis.empty());
-}
-
 TEST(SimplexEdgeCases, SaveBasisRoundTripsWithoutResultCollection) {
-  // The branch-and-bound workers run with collect_basis off and snapshot
-  // via save_basis() only when branching; the snapshot must be loadable
-  // and reproduce the optimum in a single pricing pass.
-  SimplexOptions opts;
-  opts.collect_basis = false;
+  // A solve result carries no basis: the branch-and-bound workers
+  // snapshot via save_basis() only when branching, so the snapshot must be
+  // loadable and reproduce the optimum in a single pricing pass.
   Problem p;
   const VarId x = p.add_variable(0.0, 4.0, -1.0);
   const VarId y = p.add_variable(0.0, 4.0, -2.0);
   p.add_row(-kInfinity, 5.0, {{x, 1.0}, {y, 1.0}});
-  IncrementalSimplex solver(p, opts);
+  IncrementalSimplex solver(p);
   const SimplexResult r = solver.solve();
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   const Basis snapshot = solver.save_basis();
   EXPECT_FALSE(snapshot.empty());
 
-  IncrementalSimplex fresh(p, opts);
+  IncrementalSimplex fresh(p);
   ASSERT_TRUE(fresh.load_basis(snapshot));
   const SimplexResult warm = fresh.solve();
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);

@@ -282,7 +282,7 @@ TEST(IncrementalSimplex, LoadBasisRoundTrip) {
   IncrementalSimplex solver(p);
   const SimplexResult r = solver.solve();
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(solver.load_basis(r.basis));
+  EXPECT_TRUE(solver.load_basis(solver.save_basis()));
   const SimplexResult again = solver.solve();
   EXPECT_EQ(again.status, SolveStatus::kOptimal);
   EXPECT_NEAR(again.objective, r.objective, 1e-9);

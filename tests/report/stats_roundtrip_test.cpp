@@ -246,8 +246,8 @@ TEST(StatsRoundTrip, FaultSectionRoundTripsForFaultedRuns) {
 
   obs::Report report =
       obs::build_report(ss, outcome.post_mapping, outcome.result.counters);
-  report.faults = fault::fault_summary(outcome.result.faults,
-                                       outcome.predicted_post_throughput);
+  report.faults = outcome.result.faults;
+  report.predicted_post_throughput = outcome.predicted_post_throughput;
 
   const json::Value doc = json::Value::parse(stats_json(report));
   const std::vector<std::string> problems = validate_stats_json(doc);

@@ -95,7 +95,7 @@ void add_result(Hash& h, const SimResult& r) {
     h.add(ev.task);
   }
 
-  const fault::FaultStats& f = r.faults;
+  const obs::FaultStats& f = r.faults;
   h.add(f.dma_retries);
   h.add(f.backoff_seconds);
   h.add(f.hangs);
