@@ -12,7 +12,8 @@
 //   * batched scenario sweep, serial vs. thread pool (results must be
 //     byte-identical at any thread count),
 //   * the invariant oracle (check_invariants, I1-I8 with the trace
-//     replay) on a traced 5000-instance run, best of 5.
+//     replay) on a traced 5000-instance run, best of 5, with the bytes
+//     the trace holds.
 // Scales honor CELLSTREAM_BENCH_EVENTS / CELLSTREAM_BENCH_INSTANCES so
 // the bench-smoke ctest can run a reduced version of the same code path.
 
@@ -247,6 +248,11 @@ int run_json_mode(const std::string& path) {
              static_cast<std::uint64_t>(traced_options.instances));
   oracle.set("trace_events",
              static_cast<std::uint64_t>(report.trace_events_seen));
+  // The trace's exact footprint: the simulator reserves one event per
+  // task and per channel and instance, so there is no growth slack.
+  oracle.set("trace_bytes",
+             static_cast<std::uint64_t>(traced.trace.capacity() *
+                                        sizeof(obs::TraceEvent)));
   oracle.set("violations",
              static_cast<std::uint64_t>(report.violations.size()));
   oracle.set("simulate_seconds", traced_seconds);

@@ -254,6 +254,7 @@ int cmd_simulate(int argc, char** argv) {
 
   int rc = 0;
   sim::SimResult run;
+  std::vector<obs::TraceEvent> trace;
   double predicted = analysis.throughput(mapping);
   if (!args.fault_plan.empty()) {
     // Faulted run: delegate to the failover coordinator (handles both
@@ -270,6 +271,7 @@ int cmd_simulate(int argc, char** argv) {
     const fault::FailoverOutcome outcome =
         fault::run_with_failover(analysis, mapping, plan, fopts);
     run = outcome.result;
+    if (trace_path != nullptr) trace = fault::stitched_trace(outcome);
     if (outcome.failover_performed) predicted = outcome.predicted_post_throughput;
     print_fault_summary(run.faults);
     const check::InvariantReport oracle =
@@ -282,11 +284,12 @@ int cmd_simulate(int argc, char** argv) {
     }
   } else {
     run = sim::simulate(analysis, mapping, options);
+    trace = std::move(run.trace);
   }
   if (trace_path != nullptr) {
     std::ofstream trace_out(trace_path);
     CS_ENSURE(trace_out.good(), "cannot write trace file");
-    obs::write_chrome_trace(trace_out, run.trace, analysis.platform());
+    obs::write_chrome_trace(trace_out, trace, graph, analysis.platform());
     std::fprintf(stderr, "trace written to %s (open in chrome://tracing)\n",
                  trace_path);
   }

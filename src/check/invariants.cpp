@@ -1,6 +1,7 @@
 #include "check/invariants.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "obs/report.hpp"
@@ -11,6 +12,7 @@ namespace cellstream::check {
 
 namespace {
 
+using obs::edge_label;
 using obs::TraceEvent;
 
 std::string time_str(double seconds) {
@@ -25,17 +27,14 @@ void add(std::vector<Violation>& out, std::string invariant,
   out.push_back({std::move(invariant), std::move(detail)});
 }
 
-std::string edge_label(const TaskGraph& graph, EdgeId e) {
-  const Edge& edge = graph.edge(e);
-  return graph.task(edge.from).name + "->" + graph.task(edge.to).name;
-}
-
-/// The execution trace, indexed in one pass: per task the compute window
-/// of every instance, per edge the fetch window of every instance, and the
-/// DMA windows of every SPE's MFC queue and proxy queue.  Compute
-/// and fetch events are placed by their instance number — under fault
-/// injection a stalled DMA retry legitimately lets instance i+1's fetch
-/// complete before instance i's, so arrival order proves nothing.  A
+/// The execution trace, indexed by a counting pass and a filling pass:
+/// per task the compute window of every instance, per edge the fetch
+/// window of every instance, and the DMA windows of every SPE's MFC queue
+/// and proxy queue, bucketed by queue.  The counting pass sizes every
+/// sequence and bucket exactly, so nothing grows while the trace is read.
+/// Compute and fetch events are placed by their instance number — under
+/// fault injection a stalled DMA retry legitimately lets instance i+1's
+/// fetch complete before instance i's, so arrival order proves nothing.  A
 /// malformed event, a duplicated instance and the first instance missing
 /// from a sequence are trace-consistency defects, each reported once; a
 /// missing instance is never replayed as an event.
@@ -48,6 +47,7 @@ struct TraceIndex {
   struct Sequence {
     std::vector<Window> at;  ///< at[i]: window of instance i, when held.
     std::vector<char> held;  ///< held[i]: instance i is in the trace.
+    std::size_t count = 0;   ///< Instances held.
     std::size_t prefix = 0;  ///< Instances 0..prefix-1 are all held.
 
     template <typename Fn>
@@ -58,62 +58,73 @@ struct TraceIndex {
     }
   };
   /// One end of a DMA window in a queue: +1 when the command is issued,
-  /// -1 when it completes.  Ordered by queue, then time, completions first.
+  /// -1 when it completes.  Ordered by time, completions first.
   struct QueueDelta {
-    std::uint32_t queue;  ///< 2 pe: SPE pe's MFC queue; 2 pe + 1: its proxy.
-    int change;
     double time;
+    int change;
     bool operator<(const QueueDelta& other) const {
-      if (queue != other.queue) return queue < other.queue;
       if (time != other.time) return time < other.time;
       return change < other.change;
     }
   };
   std::vector<Sequence> computes;    // per task
   std::vector<Sequence> fetches;     // per edge
-  std::vector<QueueDelta> queues;    // all MFC (1j) and proxy (1k) windows
+  /// Queue q (2 pe: SPE pe's MFC (1j) queue; 2 pe + 1: its proxy (1k)
+  /// queue) holds queues[queue_begin[q] .. queue_begin[q + 1]).
+  std::vector<QueueDelta> queues;
+  std::vector<std::size_t> queue_begin;
   std::vector<Violation> defects;
 
   TraceIndex(const TaskGraph& graph, const CellPlatform& platform,
              const std::vector<TraceEvent>& trace)
       : computes(graph.task_count()),
-        fetches(graph.edge_count()) {
+        fetches(graph.edge_count()),
+        queue_begin(2 * platform.pe_count() + 1, 0) {
+    // Counting pass.
+    std::vector<std::size_t> length(graph.task_count() + graph.edge_count(),
+                                    0);
     for (const TraceEvent& e : trace) {
-      if (e.kind == TraceEvent::Kind::kTransfer) {
-        // A transfer occupies one slot of its issuer's MFC queue while in
-        // flight when the issuer is a SPE (constraint 1j's runtime
-        // analogue); a PPE-issued fetch from a SPE local store occupies
-        // the source SPE's proxy queue (constraint 1k's).
-        const bool spe_issued = platform.is_spe(e.pe);
-        if (spe_issued || (e.payload == TraceEvent::Payload::kEdge &&
-                           platform.is_spe(e.src_pe))) {
-          const auto queue = static_cast<std::uint32_t>(
-              spe_issued ? 2 * e.pe : 2 * e.src_pe + 1);
-          queues.push_back({queue, +1, e.start});
-          queues.push_back({queue, -1, e.end});
-        }
+      if (const auto q = queue_of(platform, e)) queue_begin[*q + 1] += 2;
+      const std::size_t s = sequence_of(graph, e);
+      if (s != kNoSequence && e.instance >= 0) {
+        length[s] = std::max(length[s],
+                             static_cast<std::size_t>(e.instance) + 1);
+      }
+    }
+    for (std::size_t s = 0; s < length.size(); ++s) {
+      Sequence& seq = sequence(s);
+      seq.at.resize(length[s]);
+      seq.held.resize(length[s], 0);
+    }
+    for (std::size_t q = 1; q < queue_begin.size(); ++q) {
+      queue_begin[q] += queue_begin[q - 1];
+    }
+    queues.resize(queue_begin.back());
+
+    // Filling pass.
+    std::vector<std::size_t> fill(queue_begin.begin(), queue_begin.end() - 1);
+    for (const TraceEvent& e : trace) {
+      if (const auto q = queue_of(platform, e)) {
+        queues[fill[*q]++] = {e.start, +1};
+        queues[fill[*q]++] = {e.end, -1};
       }
       if (e.end < e.start) {
         add(defects, "trace-consistency",
-            "event '" + e.name + "' ends before it starts");
+            "event '" + obs::event_label(graph, e) + "' ends before it starts");
         continue;
       }
-      if (e.kind == TraceEvent::Kind::kCompute) {
-        if (e.task < 0 ||
-            static_cast<std::size_t>(e.task) >= graph.task_count()) {
-          add(defects, "trace-consistency",
-              "compute event '" + e.name + "' has no valid task id");
-          continue;
-        }
-        place(computes[static_cast<std::size_t>(e.task)], e, "compute");
+      const std::size_t s = sequence_of(graph, e);
+      if (s != kNoSequence) {
+        place(graph, sequence(s), e,
+              e.kind == TraceEvent::Kind::kCompute ? "compute" : "fetch");
+      } else if (e.kind == TraceEvent::Kind::kCompute) {
+        add(defects, "trace-consistency",
+            "compute event '" + obs::event_label(graph, e) +
+                "' has no valid task id");
       } else if (e.payload == TraceEvent::Payload::kEdge) {
-        if (e.edge < 0 ||
-            static_cast<std::size_t>(e.edge) >= graph.edge_count()) {
-          add(defects, "trace-consistency",
-              "edge transfer '" + e.name + "' has no valid edge id");
-          continue;
-        }
-        place(fetches[static_cast<std::size_t>(e.edge)], e, "fetch");
+        add(defects, "trace-consistency",
+            "edge transfer '" + obs::event_label(graph, e) +
+                "' has no valid edge id");
       }
     }
     for (TaskId t = 0; t < graph.task_count(); ++t) {
@@ -129,25 +140,65 @@ struct TraceIndex {
   }
 
  private:
-  void place(Sequence& seq, const TraceEvent& e, const char* what) {
+  static constexpr std::size_t kNoSequence = static_cast<std::size_t>(-1);
+
+  /// A transfer occupies one slot of its issuer's MFC queue while in
+  /// flight when the issuer is a SPE (constraint 1j's runtime analogue); a
+  /// PPE-issued fetch from a SPE local store occupies the source SPE's
+  /// proxy queue (constraint 1k's).
+  static std::optional<std::size_t> queue_of(const CellPlatform& platform,
+                                             const TraceEvent& e) {
+    if (e.kind != TraceEvent::Kind::kTransfer) return std::nullopt;
+    if (platform.is_spe(e.pe)) return std::size_t{2} * e.pe;
+    if (e.payload == TraceEvent::Payload::kEdge && platform.is_spe(e.src_pe)) {
+      return std::size_t{2} * e.src_pe + 1;
+    }
+    return std::nullopt;
+  }
+
+  /// The sequence a well-formed compute or edge fetch fills: task t is
+  /// sequence t, edge e sequence task_count + e.  kNoSequence for every
+  /// other event, and for a window or id the filling pass rejects.
+  static std::size_t sequence_of(const TaskGraph& graph, const TraceEvent& e) {
+    if (e.end < e.start) return kNoSequence;
+    if (e.kind == TraceEvent::Kind::kCompute) {
+      return e.task >= 0 &&
+                     static_cast<std::size_t>(e.task) < graph.task_count()
+                 ? static_cast<std::size_t>(e.task)
+                 : kNoSequence;
+    }
+    if (e.payload == TraceEvent::Payload::kEdge) {
+      return e.edge >= 0 &&
+                     static_cast<std::size_t>(e.edge) < graph.edge_count()
+                 ? graph.task_count() + static_cast<std::size_t>(e.edge)
+                 : kNoSequence;
+    }
+    return kNoSequence;
+  }
+
+  Sequence& sequence(std::size_t s) {
+    return s < computes.size() ? computes[s] : fetches[s - computes.size()];
+  }
+
+  void place(const TaskGraph& graph, Sequence& seq, const TraceEvent& e,
+             const char* what) {
     if (e.instance < 0) {
       add(defects, "trace-consistency",
-          std::string(what) + " '" + e.name + "' has no instance number");
+          std::string(what) + " '" + obs::event_label(graph, e) +
+              "' has no instance number");
       return;
     }
     const auto i = static_cast<std::size_t>(e.instance);
-    if (i >= seq.at.size()) {
-      seq.at.resize(i + 1);
-      seq.held.resize(i + 1, 0);
-    }
     if (seq.held[i]) {
       add(defects, "trace-consistency",
-          std::string(what) + " '" + e.name + "' completes instance " +
-              std::to_string(e.instance) + " twice (duplicated work)");
+          std::string(what) + " '" + obs::event_label(graph, e) +
+              "' completes instance " + std::to_string(e.instance) +
+              " twice (duplicated work)");
       return;
     }
     seq.held[i] = 1;
     seq.at[i] = {e.start, e.end};
+    ++seq.count;
   }
 
   /// Sets seq.prefix; false when an instance below a held one is missing.
@@ -172,18 +223,21 @@ struct TraceIndex {
 /// before I5 and I6 replay the rest of the index.
 void replay_dma_queues(const CellPlatform& platform,
                        std::vector<TraceIndex::QueueDelta> deltas,
+                       const std::vector<std::size_t>& queue_begin,
                        std::vector<Violation>& out) {
-  std::sort(deltas.begin(), deltas.end());
-  for (std::size_t begin = 0, end = 0; begin < deltas.size(); begin = end) {
-    const std::uint32_t queue = deltas[begin].queue;
+  for (std::size_t queue = 0; queue + 1 < queue_begin.size(); ++queue) {
+    const auto begin = deltas.begin() + static_cast<std::ptrdiff_t>(
+                                            queue_begin[queue]);
+    const auto end = deltas.begin() + static_cast<std::ptrdiff_t>(
+                                          queue_begin[queue + 1]);
+    std::sort(begin, end);
     std::int64_t depth = 0, peak = 0;
     double peak_time = 0.0;
-    for (end = begin; end < deltas.size() && deltas[end].queue == queue;
-         ++end) {
-      depth += deltas[end].change;
+    for (auto d = begin; d != end; ++d) {
+      depth += d->change;
       if (depth > peak) {
         peak = depth;
-        peak_time = deltas[end].time;
+        peak_time = d->time;
       }
     }
     const bool mfc = queue % 2 == 0;
@@ -291,13 +345,17 @@ void replay_causality(const SteadyStateAnalysis& analysis,
     }
     return times;
   };
+  // Built only where an input reads it: a remote edge's fetches, the
+  // producer of a local edge.
   std::vector<std::vector<double>> produced_by(graph.task_count());
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    produced_by[t] = available_by(index.computes[t]);
-  }
   std::vector<std::vector<double>> fetched_by(graph.edge_count());
   for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    fetched_by[e] = available_by(index.fetches[e]);
+    const TaskId from = graph.edge(e).from;
+    if (remote[e]) {
+      fetched_by[e] = available_by(index.fetches[e]);
+    } else if (produced_by[from].empty()) {
+      produced_by[from] = available_by(index.computes[from]);
+    }
   }
 
   // A remote fetch of instance i must start after its production.
@@ -363,6 +421,13 @@ void replay_causality(const SteadyStateAnalysis& analysis,
   // is a genuine double-booking).
   std::vector<std::vector<TraceIndex::Window>> per_pe(
       analysis.platform().pe_count());
+  std::vector<std::size_t> per_pe_count(per_pe.size(), 0);
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    per_pe_count[mapping.pe_of(t)] += index.computes[t].count;
+  }
+  for (PeId pe = 0; pe < per_pe.size(); ++pe) {
+    per_pe[pe].reserve(per_pe_count[pe]);
+  }
   for (TaskId t = 0; t < graph.task_count(); ++t) {
     index.computes[t].for_each_held(
         [&](std::size_t, const TraceIndex::Window& w) {
@@ -476,7 +541,8 @@ std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
     remote[e] = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
   }
   std::vector<Violation> out = std::move(index.defects);
-  replay_dma_queues(analysis.platform(), std::move(index.queues), out);
+  replay_dma_queues(analysis.platform(), std::move(index.queues),
+                    index.queue_begin, out);
   replay_buffers(analysis, index, remote, out);
   replay_causality(analysis, mapping, index, remote, options.time_epsilon,
                    out);

@@ -10,11 +10,11 @@ namespace cellstream::fault {
 
 namespace {
 
-/// Combine two complete phase runs into one whole-stream view.  Phase 2
-/// is shifted by phase 1's makespan plus the failover downtime; its
-/// instance indices are shifted by the drain frontier `k`.
+/// Combine two complete phase runs into one whole-stream view without a
+/// trace (the phases keep their events; see stitched_trace).  Phase 2 is
+/// shifted by phase 1's makespan plus the failover downtime.
 sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
-                      double downtime, std::int64_t k) {
+                      double downtime) {
   sim::SimResult s;
   const double offset = a.makespan + downtime;
   s.completion_times = a.completion_times;
@@ -37,15 +37,6 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
   // delivered, not either phase's plateau.
   s.steady_throughput = s.counters.steady_throughput();
   s.dma_transfers = s.counters.total_transfers();
-
-  s.trace = a.trace;
-  s.trace.reserve(a.trace.size() + b.trace.size());
-  for (obs::TraceEvent ev : b.trace) {
-    ev.start += offset;
-    ev.end += offset;
-    if (ev.instance >= 0) ev.instance += k;
-    s.trace.push_back(std::move(ev));
-  }
 
   s.faults = a.faults;
   s.faults.merge(b.faults);
@@ -136,8 +127,12 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
     // Failover scenarios must replay every event (fault windows and the
     // drain frontier are instance-exact); never skip ahead.
     single.fast_forward = false;
-    out.result = sim::simulate(analysis, mapping, single);
-    out.phases.push_back(out.result);
+    out.phases.push_back(sim::simulate(analysis, mapping, single));
+    // The whole-stream view is the one phase, minus the events it owns.
+    sim::SimResult& phase = out.phases.back();
+    std::vector<obs::TraceEvent> trace = std::move(phase.trace);
+    out.result = phase;
+    phase.trace = std::move(trace);
     out.phase_mappings.push_back(mapping);
     out.predicted_post_throughput = analysis.throughput(mapping);
     return out;
@@ -190,13 +185,38 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
   phase2.fast_forward = false;  // replay every event around the failure
   sim::SimResult r2 = sim::simulate(analysis, out.post_mapping, phase2);
 
-  out.result = stitch(r1, r2, out.downtime_seconds, k);
+  out.result = stitch(r1, r2, out.downtime_seconds);
   out.result.faults.merge(failover);
   out.phases.push_back(std::move(r1));
   out.phases.push_back(std::move(r2));
   out.phase_mappings.push_back(mapping);
   out.phase_mappings.push_back(out.post_mapping);
   return out;
+}
+
+std::vector<obs::TraceEvent> stitched_trace(const FailoverOutcome& outcome) {
+  std::size_t events = 0;
+  for (const sim::SimResult& phase : outcome.phases) {
+    events += phase.trace.size();
+  }
+  std::vector<obs::TraceEvent> trace;
+  trace.reserve(events);
+  double offset = 0.0;
+  std::int64_t first_instance = 0;
+  for (std::size_t p = 0; p < outcome.phases.size(); ++p) {
+    const sim::SimResult& phase = outcome.phases[p];
+    for (obs::TraceEvent ev : phase.trace) {
+      if (p > 0) {
+        ev.start += offset;
+        ev.end += offset;
+        if (ev.instance >= 0) ev.instance += first_instance;
+      }
+      trace.push_back(ev);
+    }
+    offset += phase.makespan + outcome.downtime_seconds;
+    first_instance += static_cast<std::int64_t>(phase.completion_times.size());
+  }
+  return trace;
 }
 
 }  // namespace cellstream::fault

@@ -15,6 +15,10 @@
 // offset threaded through so instance-keyed transient faults stay aligned
 // with the global stream position.  The two phases are stitched into one
 // whole-stream SimResult for reporting and the I8/I9 oracle.
+//
+// Each trace event is stored once: the phases own their traces, and the
+// whole-stream result carries none.  stitched_trace() builds the shifted
+// whole-stream trace on demand (the Chrome export of a failover run).
 
 #include <string>
 #include <vector>
@@ -51,13 +55,15 @@ struct FailoverOutcome {
   /// failed PE hosts nothing, so the full-platform analysis of the post
   /// mapping IS the reduced-platform prediction) — invariant I9's bound.
   double predicted_post_throughput = 0.0;
-  /// Whole-stream view: completion times, counters, trace and fault
-  /// counters of both phases stitched together (phase 2 shifted by phase
-  /// 1's makespan plus the downtime).
+  /// Whole-stream view: completion times, counters and fault counters of
+  /// both phases stitched together (phase 2 shifted by phase 1's makespan
+  /// plus the downtime).  Its trace is always empty: the events live in
+  /// `phases`, and stitched_trace() builds the whole-stream trace.
   sim::SimResult result;
   /// The underlying complete per-phase runs (1 entry when no failover,
   /// 2 otherwise) with the mapping each phase executed — the oracle
-  /// checks every phase as a self-contained run.
+  /// checks every phase as a self-contained run.  They own the trace
+  /// events of the run (when SimOptions::record_trace is set).
   std::vector<sim::SimResult> phases;
   std::vector<Mapping> phase_mappings;
 };
@@ -71,5 +77,11 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
                                   const Mapping& mapping,
                                   const FaultPlan& plan,
                                   const FailoverOptions& options = {});
+
+/// The whole-stream trace of `outcome`: every phase's events in phase
+/// order, each later phase shifted by the makespans and downtimes before
+/// it, its instances by the instances before it — the trace one run of the
+/// stitched `outcome.result` would have recorded.
+std::vector<obs::TraceEvent> stitched_trace(const FailoverOutcome& outcome);
 
 }  // namespace cellstream::fault

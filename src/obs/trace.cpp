@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
+
+#include "support/error.hpp"
 
 namespace cellstream::obs {
 
@@ -37,11 +40,53 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
+std::string task_label(const TaskGraph& graph, std::int32_t task) {
+  if (task >= 0 && static_cast<std::size_t>(task) < graph.task_count()) {
+    return graph.task(static_cast<TaskId>(task)).name;
+  }
+  return "task " + std::to_string(task);
+}
+
 }  // namespace
+
+void ensure_traceable(const TaskGraph& graph, const CellPlatform& platform,
+                      const char* who) {
+  constexpr auto kMaxId =
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+  CS_ENSURE(platform.pe_count() <=
+                std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1,
+            std::string(who) + ": a trace holds at most 65536 PEs");
+  CS_ENSURE(graph.task_count() <= kMaxId && graph.edge_count() <= kMaxId,
+            std::string(who) + ": a trace holds at most 2^31 - 1 tasks and "
+            "edges");
+}
+
+std::string edge_label(const TaskGraph& graph, EdgeId e) {
+  const Edge& edge = graph.edge(e);
+  return graph.task(edge.from).name + "->" + graph.task(edge.to).name;
+}
+
+std::string event_label(const TaskGraph& graph, const TraceEvent& event) {
+  switch (event.payload) {
+    case TraceEvent::Payload::kEdge:
+      if (event.edge >= 0 &&
+          static_cast<std::size_t>(event.edge) < graph.edge_count()) {
+        return edge_label(graph, static_cast<EdgeId>(event.edge));
+      }
+      return "edge " + std::to_string(event.edge);
+    case TraceEvent::Payload::kMemRead:
+      return "read:" + task_label(graph, event.task);
+    case TraceEvent::Payload::kMemWrite:
+      return "write:" + task_label(graph, event.task);
+    case TraceEvent::Payload::kNone:
+      break;
+  }
+  return task_label(graph, event.task);
+}
 
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
-                        const CellPlatform& platform) {
+                        const TaskGraph& graph, const CellPlatform& platform) {
   out << "[\n";
   // Thread-name metadata: one lane per PE for compute, one for transfers.
   bool first = true;
@@ -71,7 +116,7 @@ void write_chrome_trace(std::ostream& out,
                                              : platform.pe_count() + e.pe;
     std::ostringstream line;
     line << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << lane << ",\"name\":\""
-         << json_escape(e.name) << "\",\"ts\":" << e.start * 1e6
+         << json_escape(event_label(graph, e)) << "\",\"ts\":" << e.start * 1e6
          << ",\"dur\":" << duration * 1e6
          << ",\"cat\":\""
          << (e.kind == TraceEvent::Kind::kCompute ? "compute" : "transfer")
@@ -86,9 +131,10 @@ void write_chrome_trace(std::ostream& out,
 }
 
 std::string chrome_trace_json(const std::vector<TraceEvent>& events,
+                              const TaskGraph& graph,
                               const CellPlatform& platform) {
   std::ostringstream os;
-  write_chrome_trace(os, events, platform);
+  write_chrome_trace(os, events, graph, platform);
   return os.str();
 }
 

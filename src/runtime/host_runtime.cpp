@@ -117,6 +117,9 @@ class Runtime {
                   opt_.failover_strategy == "greedy-cpu",
               "run_stream: unknown failover strategy '" +
                   opt_.failover_strategy + "'");
+    if (opt_.record_trace) {
+      obs::ensure_traceable(graph_, platform_, "run_stream");
+    }
     if (opt_.fault_plan != nullptr && !opt_.fault_plan->empty()) {
       opt_.fault_plan->validate(platform_);
       injector_.emplace(*opt_.fault_plan);
@@ -196,11 +199,15 @@ class Runtime {
     stats.counters.domain = obs::TimeDomain::kWall;
     stats.counters.pe.resize(platform_.pe_count());
     stats.counters.elapsed_seconds = stats.wall_seconds;
+    std::size_t events = 0;
+    for (PeId pe : spawn) events += workers_[pe].trace.size();
+    stats.trace.reserve(events);
     for (PeId pe : spawn) {
-      const Worker& w = workers_[pe];
+      Worker& w = workers_[pe];
       stats.counters.pe[pe] = w.counters;
       stats.tasks_executed += w.counters.tasks_executed;
       stats.trace.insert(stats.trace.end(), w.trace.begin(), w.trace.end());
+      std::vector<obs::TraceEvent>().swap(w.trace);
       faults_.merge(w.faults);
     }
     // Each frontier step read the clock after its compare-exchange, so two
@@ -632,14 +639,13 @@ class Runtime {
       if (opt_.record_trace) {
         obs::TraceEvent event;
         event.kind = obs::TraceEvent::Kind::kCompute;
-        event.name = graph_.task(*chosen).name;
-        event.pe = pe;
-        event.src_pe = pe;
+        event.pe = static_cast<std::uint16_t>(pe);
+        event.src_pe = event.pe;
         event.start = seconds_between(start_, body_start);
         event.end = seconds_between(start_, body_end);
         event.instance = instance;
-        event.task = static_cast<std::int64_t>(*chosen);
-        self.trace.push_back(std::move(event));
+        event.task = static_cast<std::int32_t>(*chosen);
+        self.trace.push_back(event);
       }
       commit(self, *chosen, std::move(outputs));
     }

@@ -454,6 +454,15 @@ void Simulator::build_state() {
     }
   }
 
+  if (opt_.record_trace) {
+    // Every task runs and every channel lands once per instance, so the
+    // trace holds exactly this many events.
+    obs::ensure_traceable(graph_, platform_, "simulate");
+    std::size_t per_instance = graph_.task_count();
+    for (const PeState& pe : pes_) per_instance += pe.channels.size();
+    trace_.reserve(opt_.instances * per_instance);
+  }
+
   completion_ticks_.assign(opt_.instances, 0.0);
   done_count_ = 0;
   tasks_at_done_ = static_cast<std::int64_t>(graph_.task_count());
@@ -535,9 +544,8 @@ void Simulator::step(PeId pe) {
           if (opt_.record_trace) {
             obs::TraceEvent ev;
             ev.kind = obs::TraceEvent::Kind::kCompute;
-            ev.name = graph_.task(t).name;
-            ev.pe = pe;
-            ev.src_pe = pe;
+            ev.pe = static_cast<std::uint16_t>(pe);
+            ev.src_pe = ev.pe;
             // The window covers the whole processing of the instance,
             // injected stall included, so per-PE windows never overlap
             // (I6).
@@ -545,8 +553,8 @@ void Simulator::step(PeId pe) {
                         injected_ticks) * kSecondsPerTick;
             ev.end = engine_.now() * kSecondsPerTick;
             ev.instance = tasks_[t].next_instance;
-            ev.task = static_cast<std::int64_t>(t);
-            trace_.push_back(std::move(ev));
+            ev.task = static_cast<std::int32_t>(t);
+            trace_.push_back(ev);
           }
           complete_instance(t);
           step(pe);
@@ -702,32 +710,27 @@ void Simulator::land(std::uint32_t slot) {
   if (opt_.record_trace) {
     obs::TraceEvent ev;
     ev.kind = obs::TraceEvent::Kind::kTransfer;
-    ev.pe = dma.issuer;
-    ev.src_pe = dma.issuer;
+    ev.pe = static_cast<std::uint16_t>(dma.issuer);
+    ev.src_pe = ev.pe;
     ev.start = dma.t0 * kSecondsPerTick;
     ev.end = engine_.now() * kSecondsPerTick;
     ev.instance = dma.inst;
     switch (ch.kind) {
-      case Channel::Kind::kEdgeFetch: {
-        const Edge& ge = graph_.edge(ch.index);
+      case Channel::Kind::kEdgeFetch:
         ev.payload = obs::TraceEvent::Payload::kEdge;
-        ev.name = graph_.task(ge.from).name + "->" + graph_.task(ge.to).name;
-        ev.src_pe = edges_[ch.index].src;
-        ev.edge = static_cast<std::int64_t>(ch.index);
+        ev.src_pe = static_cast<std::uint16_t>(edges_[ch.index].src);
+        ev.edge = static_cast<std::int32_t>(ch.index);
         break;
-      }
       case Channel::Kind::kMemRead:
         ev.payload = obs::TraceEvent::Payload::kMemRead;
-        ev.name = "read:" + graph_.task(ch.index).name;
-        ev.task = static_cast<std::int64_t>(ch.index);
+        ev.task = static_cast<std::int32_t>(ch.index);
         break;
       case Channel::Kind::kMemWrite:
         ev.payload = obs::TraceEvent::Payload::kMemWrite;
-        ev.name = "write:" + graph_.task(ch.index).name;
-        ev.task = static_cast<std::int64_t>(ch.index);
+        ev.task = static_cast<std::int32_t>(ch.index);
         break;
     }
-    trace_.push_back(std::move(ev));
+    trace_.push_back(ev);
   }
   if (ch.kind == Channel::Kind::kEdgeFetch) {
     wake(edges_[ch.index].src);  // output buffer slot freed

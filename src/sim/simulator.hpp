@@ -57,7 +57,7 @@ struct SimOptions {
   /// Simulated-seconds safety net against pathological configurations.
   double max_simulated_seconds = 1e6;
   /// Record a full execution trace (see obs/trace.hpp).  Off by default:
-  /// a 10k-instance run generates millions of events.
+  /// a 10k-instance run generates millions of 40-byte events.
   bool record_trace = false;
   /// Steady-state fast-forward: detect an exactly repeating event pattern
   /// and skip ahead analytically (final stats stay bit-identical to a
@@ -113,7 +113,10 @@ struct SimResult {
   /// (observed, steady, windowed).  Feeds obs::build_report and the
   /// predicted-vs-observed cross-check (invariant I7).
   obs::Counters counters;
-  /// Execution trace (empty unless SimOptions::record_trace).
+  /// Execution trace (empty unless SimOptions::record_trace): one compute
+  /// event per task and one transfer event per channel (remote-edge fetch,
+  /// memory read, memory write) and instance, reserved to that exact count
+  /// before the run.
   std::vector<obs::TraceEvent> trace;
   /// Fault counters accumulated by the run (all zero without a plan).
   obs::FaultStats faults;

@@ -21,13 +21,12 @@ TraceEvent compute_event(TaskId task, PeId pe, std::int64_t instance,
                          double start, double end) {
   TraceEvent e;
   e.kind = TraceEvent::Kind::kCompute;
-  e.name = std::to_string(task).insert(0, 1, 'T');
-  e.pe = pe;
-  e.src_pe = pe;
+  e.pe = static_cast<std::uint16_t>(pe);
+  e.src_pe = e.pe;
   e.start = start;
   e.end = end;
   e.instance = instance;
-  e.task = static_cast<std::int64_t>(task);
+  e.task = static_cast<std::int32_t>(task);
   return e;
 }
 
@@ -36,13 +35,12 @@ TraceEvent edge_event(EdgeId edge, PeId issuer, PeId src_pe,
   TraceEvent e;
   e.kind = TraceEvent::Kind::kTransfer;
   e.payload = TraceEvent::Payload::kEdge;
-  e.name = "fetch";
-  e.pe = issuer;
-  e.src_pe = src_pe;
+  e.pe = static_cast<std::uint16_t>(issuer);
+  e.src_pe = static_cast<std::uint16_t>(src_pe);
   e.start = start;
   e.end = end;
   e.instance = instance;
-  e.edge = static_cast<std::int64_t>(edge);
+  e.edge = static_cast<std::int32_t>(edge);
   return e;
 }
 
@@ -50,9 +48,8 @@ TraceEvent mem_read_event(PeId pe, double start, double end) {
   TraceEvent e;
   e.kind = TraceEvent::Kind::kTransfer;
   e.payload = TraceEvent::Payload::kMemRead;
-  e.name = "read";
-  e.pe = pe;
-  e.src_pe = pe;
+  e.pe = static_cast<std::uint16_t>(pe);
+  e.src_pe = e.pe;
   e.start = start;
   e.end = end;
   return e;

@@ -31,6 +31,34 @@ inline void add(std::vector<check::Violation>& out, std::string invariant,
   out.push_back({std::move(invariant), std::move(detail)});
 }
 
+/// The label the simulator stored in every event while events carried one
+/// (a task name, "from->to", "read:" / "write:" plus a task name), with
+/// obs::event_label's "task <id>" / "edge <id>" for ids outside the graph.
+inline std::string label(const TaskGraph& graph, const TraceEvent& e) {
+  const auto task = [&graph](std::int64_t t) {
+    return t >= 0 && static_cast<std::size_t>(t) < graph.task_count()
+               ? graph.task(static_cast<TaskId>(t)).name
+               : "task " + std::to_string(t);
+  };
+  switch (e.payload) {
+    case TraceEvent::Payload::kEdge: {
+      if (e.edge < 0 ||
+          static_cast<std::size_t>(e.edge) >= graph.edge_count()) {
+        return "edge " + std::to_string(e.edge);
+      }
+      const Edge& edge = graph.edge(static_cast<EdgeId>(e.edge));
+      return graph.task(edge.from).name + "->" + graph.task(edge.to).name;
+    }
+    case TraceEvent::Payload::kMemRead:
+      return "read:" + task(e.task);
+    case TraceEvent::Payload::kMemWrite:
+      return "write:" + task(e.task);
+    case TraceEvent::Payload::kNone:
+      break;
+  }
+  return task(e.task);
+}
+
 /// Per-task compute events and per-edge fetch events, indexed by instance.
 /// Built by check_buffer_occupancy and again by check_causality, each copy
 /// returning its own defects.  Events are placed
@@ -57,27 +85,27 @@ struct TraceIndex {
     for (const TraceEvent& e : trace) {
       if (e.end < e.start) {
         add(defects, "trace-consistency",
-            "event '" + e.name + "' ends before it starts");
+            "event '" + label(graph, e) + "' ends before it starts");
         continue;
       }
       if (e.kind == TraceEvent::Kind::kCompute) {
         if (e.task < 0 ||
             static_cast<std::size_t>(e.task) >= graph.task_count()) {
           add(defects, "trace-consistency",
-              "compute event '" + e.name + "' has no valid task id");
+              "compute event '" + label(graph, e) + "' has no valid task id");
           continue;
         }
         const auto t = static_cast<std::size_t>(e.task);
-        place(computes[t], compute_seen[t], e, "compute");
+        place(graph, computes[t], compute_seen[t], e, "compute");
       } else if (e.payload == TraceEvent::Payload::kEdge) {
         if (e.edge < 0 ||
             static_cast<std::size_t>(e.edge) >= graph.edge_count()) {
           add(defects, "trace-consistency",
-              "edge transfer '" + e.name + "' has no valid edge id");
+              "edge transfer '" + label(graph, e) + "' has no valid edge id");
           continue;
         }
         const auto edge = static_cast<std::size_t>(e.edge);
-        place(fetches[edge], fetch_seen[edge], e, "fetch");
+        place(graph, fetches[edge], fetch_seen[edge], e, "fetch");
       }
     }
     for (TaskId t = 0; t < graph.task_count(); ++t) {
@@ -99,11 +127,12 @@ struct TraceIndex {
   }
 
  private:
-  void place(std::vector<Window>& seq, std::vector<char>& seen,
-             const TraceEvent& e, const char* what) {
+  void place(const TaskGraph& graph, std::vector<Window>& seq,
+             std::vector<char>& seen, const TraceEvent& e, const char* what) {
     if (e.instance < 0) {
       add(defects, "trace-consistency",
-          std::string(what) + " '" + e.name + "' has no instance number");
+          std::string(what) + " '" + label(graph, e) +
+              "' has no instance number");
       return;
     }
     const auto i = static_cast<std::size_t>(e.instance);
@@ -113,8 +142,9 @@ struct TraceIndex {
     }
     if (seen[i]) {
       add(defects, "trace-consistency",
-          std::string(what) + " '" + e.name + "' completes instance " +
-              std::to_string(e.instance) + " twice (duplicated work)");
+          std::string(what) + " '" + label(graph, e) +
+              "' completes instance " + std::to_string(e.instance) +
+              " twice (duplicated work)");
       return;
     }
     seen[i] = 1;

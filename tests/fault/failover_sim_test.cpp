@@ -71,6 +71,47 @@ TEST(FailoverSim, FailStopMidStreamCompletesWithInvariantsGreen) {
   EXPECT_TRUE(report.ok());
 }
 
+// The phases own the trace; the whole-stream result holds none, and the
+// stitched view has every phase's events once, the later phase shifted.
+TEST(FailoverSim, EachTraceEventIsStoredOnce) {
+  WorkedExample ex;
+  const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
+  FailoverOptions options;
+  options.sim.instances = 400;
+  options.sim.record_trace = true;
+
+  FaultPlan split;
+  split.pe_failure = PeFailure{1, 150};
+  FaultPlan transient;
+  transient.seed = 5;
+  transient.dma = {0.05, 4, 2.0e-5, 0.5};
+  for (const FaultPlan* plan : {&split, &transient}) {
+    const FailoverOutcome outcome =
+        run_with_failover(ss, ex.mapping, *plan, options);
+    EXPECT_TRUE(outcome.result.trace.empty());
+    std::size_t events = 0;
+    for (const sim::SimResult& phase : outcome.phases) {
+      EXPECT_FALSE(phase.trace.empty());
+      events += phase.trace.size();
+    }
+    const std::vector<obs::TraceEvent> stitched = stitched_trace(outcome);
+    EXPECT_EQ(stitched.size(), events);
+    EXPECT_EQ(stitched.capacity(), stitched.size());
+
+    // Phase 1 (or the only phase) is copied as is; phase 2 follows it.
+    const std::vector<obs::TraceEvent>& first = outcome.phases[0].trace;
+    EXPECT_EQ(stitched.front().start, first.front().start);
+    EXPECT_EQ(stitched[first.size() - 1].end, first.back().end);
+    if (outcome.phases.size() == 2) {
+      const obs::TraceEvent& resumed = stitched[first.size()];
+      const obs::TraceEvent& own = outcome.phases[1].trace.front();
+      EXPECT_EQ(resumed.start, own.start + outcome.phases[0].makespan +
+                                   outcome.downtime_seconds);
+      EXPECT_EQ(resumed.instance, own.instance + 150);
+    }
+  }
+}
+
 TEST(FailoverSim, DegradedThroughputMatchesReducedPlatformPrediction) {
   // Six tasks on a six-SPE platform: every SPE is occupied, so losing one
   // forces two tasks to share a PE — a genuine degradation (on the full

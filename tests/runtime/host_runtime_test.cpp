@@ -488,14 +488,16 @@ TEST(HostRuntime, TelemetryTraceRecordsEveryExecutionWhenEnabled) {
     EXPECT_EQ(e.pe, m.pe_of(static_cast<TaskId>(e.task)));
     EXPECT_GE(e.end, e.start);
     EXPECT_GE(e.start, 0.0);
-    EXPECT_EQ(e.name, g.task(static_cast<TaskId>(e.task)).name);
+    EXPECT_EQ(obs::event_label(g, e),
+              g.task(static_cast<TaskId>(e.task)).name);
   }
+  EXPECT_EQ(stats.trace.capacity(), stats.trace.size());
   EXPECT_EQ(per_task[0], 300u);
   EXPECT_EQ(per_task[1], 300u);
 
   // The shared writer accepts runtime events (wall-seconds timestamps).
   const std::string json =
-      obs::chrome_trace_json(stats.trace, ss.platform());
+      obs::chrome_trace_json(stats.trace, g, ss.platform());
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
   // Off by default.

@@ -1,9 +1,11 @@
 // Result goldens of the simulator.
 //
 // Every case below hashes every field of its SimResult — completion
-// times, telemetry counters, each trace event field by field, fault
-// counters, per-edge accounting and fast-forward diagnostics — into one
-// FNV-1a word.  The hashes were recorded before edge fetches, memory
+// times, telemetry counters, each trace event field by field (with its
+// label, obs::event_label), fault counters, per-edge accounting and
+// fast-forward diagnostics — into one FNV-1a word; a failover case hashes
+// the stitched whole-stream trace (fault::stitched_trace) with its
+// whole-stream result.  The hashes were recorded before edge fetches, memory
 // reads and memory writes shared one DMA stream record in the simulator;
 // a change that moves any event of any run (its time, its order, what it
 // lands, what it books) fails here and has to re-baseline these values on
@@ -59,7 +61,10 @@ class Hash {
   std::uint64_t value_ = 1469598103934665603ull;
 };
 
-void add_result(Hash& h, const SimResult& r) {
+/// Hashes `r` with `trace` in place of r.trace, each event with the label
+/// the simulator used to store in it.
+void add_result(Hash& h, const TaskGraph& graph, const SimResult& r,
+                const std::vector<obs::TraceEvent>& trace) {
   h.add(r.completion_times);
   h.add(r.makespan);
   h.add(r.steady_throughput);
@@ -81,18 +86,18 @@ void add_result(Hash& h, const SimResult& r) {
   h.add(c.instance_completion);
   h.add(c.elapsed_seconds);
 
-  h.add(static_cast<std::uint64_t>(r.trace.size()));
-  for (const obs::TraceEvent& ev : r.trace) {
+  h.add(static_cast<std::uint64_t>(trace.size()));
+  for (const obs::TraceEvent& ev : trace) {
     h.add(static_cast<std::uint64_t>(ev.kind));
     h.add(static_cast<std::uint64_t>(ev.payload));
-    h.add(ev.name);
+    h.add(obs::event_label(graph, ev));
     h.add(static_cast<std::uint64_t>(ev.pe));
     h.add(static_cast<std::uint64_t>(ev.src_pe));
     h.add(ev.start);
     h.add(ev.end);
     h.add(ev.instance);
-    h.add(ev.edge);
-    h.add(ev.task);
+    h.add(static_cast<std::int64_t>(ev.edge));
+    h.add(static_cast<std::int64_t>(ev.task));
   }
 
   const obs::FaultStats& f = r.faults;
@@ -122,18 +127,22 @@ void add_result(Hash& h, const SimResult& r) {
   h.add(ff.period_ratio);
 }
 
-std::uint64_t result_hash(const SimResult& r) {
+std::uint64_t result_hash(const TaskGraph& graph, const SimResult& r) {
   Hash h;
-  add_result(h, r);
+  add_result(h, graph, r, r.trace);
   return h.value();
 }
 
-/// The stitched result, every phase, and what the coordinator decided.
-std::uint64_t failover_hash(const fault::FailoverOutcome& outcome) {
+/// The stitched result with the stitched trace, every phase, and what the
+/// coordinator decided.
+std::uint64_t failover_hash(const TaskGraph& graph,
+                            const fault::FailoverOutcome& outcome) {
   Hash h;
-  add_result(h, outcome.result);
+  add_result(h, graph, outcome.result, fault::stitched_trace(outcome));
   h.add(static_cast<std::uint64_t>(outcome.phases.size()));
-  for (const SimResult& phase : outcome.phases) add_result(h, phase);
+  for (const SimResult& phase : outcome.phases) {
+    add_result(h, graph, phase, phase.trace);
+  }
   h.add(outcome.failover_performed);
   h.add(outcome.downtime_seconds);
   h.add(outcome.predicted_post_throughput);
@@ -254,7 +263,8 @@ TEST(SimGolden, FastForwardRunsThatEngage) {
     const SimResult r =
         simulate(*cases[i], heuristic(*cases[i], strategies[i]), options);
     EXPECT_TRUE(r.fast_forward.engaged) << "case " << i;
-    expect_hash(result_hash(r), goldens[i], "case " + std::to_string(i));
+    expect_hash(result_hash(cases[i]->graph(), r), goldens[i],
+                "case " + std::to_string(i));
   }
 }
 
@@ -271,7 +281,8 @@ TEST(SimGolden, TracedRuns) {
           analysis, heuristic(analysis, strategies[(graph + s) % 3]),
           traced(300));
       EXPECT_FALSE(r.trace.empty());
-      expect_hash(result_hash(r), goldens[i], "case " + std::to_string(i));
+      expect_hash(result_hash(analysis.graph(), r), goldens[i],
+                  "case " + std::to_string(i));
     }
   }
 }
@@ -296,7 +307,7 @@ TEST(SimGolden, TransientFaultRunsWithRetries) {
     EXPECT_GT(r.faults.dma_retries, 0);
     EXPECT_TRUE(has_transfer(r, obs::TraceEvent::Payload::kMemRead));
     EXPECT_TRUE(has_transfer(r, obs::TraceEvent::Payload::kMemWrite));
-    expect_hash(result_hash(r), goldens[seed - 1],
+    expect_hash(result_hash(analysis.graph(), r), goldens[seed - 1],
                 "seed " + std::to_string(seed));
   }
 }
@@ -317,7 +328,8 @@ TEST(SimGolden, FailoverRuns) {
     const fault::FailoverOutcome outcome =
         fault::run_with_failover(analysis, mapping, plan, options);
     EXPECT_TRUE(outcome.failover_performed);
-    expect_hash(failover_hash(outcome), goldens[0], "worked example");
+    expect_hash(failover_hash(analysis.graph(), outcome), goldens[0],
+                "worked example");
   }
   {
     // A dual-Cell DagGen graph loses the PE of task 3 under DMA retry
@@ -333,7 +345,8 @@ TEST(SimGolden, FailoverRuns) {
         fault::run_with_failover(analysis, mapping, plan, options);
     EXPECT_TRUE(outcome.failover_performed);
     EXPECT_GT(outcome.result.faults.dma_retries, 0);
-    expect_hash(failover_hash(outcome), goldens[1], "DagGen dual Cell");
+    expect_hash(failover_hash(analysis.graph(), outcome), goldens[1],
+                "DagGen dual Cell");
   }
 }
 
@@ -354,20 +367,23 @@ TEST(SimGolden, DualCellProxyAndCrossChipFetches) {
   }
   EXPECT_TRUE(proxy);
   EXPECT_TRUE(cross_chip);
-  expect_hash(result_hash(plain), goldens[0], "traced");
+  expect_hash(result_hash(analysis.graph(), plain), goldens[0],
+              "traced");
 
   const fault::FaultPlan plan = transient_plan(11, 0, 1);
   SimOptions faulted = traced(300);
   faulted.fault_plan = &plan;
   const SimResult stalled = simulate(analysis, mapping, faulted);
   EXPECT_GT(stalled.faults.dma_retries, 0);
-  expect_hash(result_hash(stalled), goldens[1], "faulted");
+  expect_hash(result_hash(analysis.graph(), stalled), goldens[1],
+              "faulted");
 
   SimOptions fast;
   fast.instances = 2000;
   const SimResult skipped = simulate(analysis, mapping, fast);
   EXPECT_TRUE(skipped.fast_forward.engaged);
-  expect_hash(result_hash(skipped), goldens[2], "fast-forward");
+  expect_hash(result_hash(analysis.graph(), skipped), goldens[2],
+              "fast-forward");
 }
 
 // A task whose main-memory writes bind: short compute, long writes, and
@@ -400,7 +416,7 @@ TEST(SimGolden, WriteBoundStreamUnderRetryStalls) {
       last = std::max(last, ev.instance);
     }
     EXPECT_TRUE(out_of_order) << "writer on PE " << mapping.pe_of(1);
-    expect_hash(result_hash(r), goldens[spe],
+    expect_hash(result_hash(graph, r), goldens[spe],
                 "writer on PE " + std::to_string(mapping.pe_of(1)));
   }
 }
