@@ -179,7 +179,8 @@ int run_json_mode(const std::string& path) {
     std::sort(row.walls.begin(), row.walls.end());
     const double median = row.walls[row.walls.size() / 2];
     const std::size_t workers = row.setup->workers();
-    // Share of the workers' wall time spent inside task bodies.
+    // Running share: the workers' awake (task-running) time over their
+    // wall time; the rest they slept.
     const double busy =
         row.compute_seconds / (static_cast<double>(workers) * wall_total);
     json::Value r = json::Value::object();

@@ -36,8 +36,13 @@ const char* to_string(TimeDomain domain);
 /// Counters of one processing element.
 struct PeCounters {
   std::uint64_t tasks_executed = 0;  ///< Task instances completed here.
-  double compute_seconds = 0.0;      ///< Time inside task bodies.
-  double overhead_seconds = 0.0;     ///< Dispatch + DMA-issue time.
+  /// Simulated: time inside task bodies.  Wall: time the worker was awake
+  /// running tasks (select, gather, body, commit); wall time minus this
+  /// and overhead_seconds is time asleep.
+  double compute_seconds = 0.0;
+  /// Simulated: dispatch + DMA-issue time.  Wall: injected hang and
+  /// slowdown stalls.
+  double overhead_seconds = 0.0;
   std::uint64_t transfers_issued = 0;  ///< DMAs this PE initiated.
   /// Bytes crossing this PE's communication interface, per direction.
   /// Memory reads land on the reader's *in* interface, memory writes on

@@ -14,6 +14,7 @@
 #include "core/dataflow.hpp"
 #include "fault/injector.hpp"
 #include "mapping/heuristics.hpp"
+#include "runtime/completion_frontier.hpp"
 
 namespace cellstream::runtime {
 
@@ -57,7 +58,7 @@ struct alignas(kCacheLine) EdgeRing {
 struct alignas(kCacheLine) TaskState {
   std::int64_t next_instance = 0;
   int peek = 0;
-  std::size_t sink = kNotSink;    // index into Runtime::sink_done_
+  std::size_t sink = kNotSink;    // index into Runtime::frontier_'s sinks
   std::vector<EdgeId> in_edges;   // graph order
   std::vector<EdgeId> out_edges;  // graph order
   // Placement-derived, recomputed on every remap.  An edge whose endpoints
@@ -72,23 +73,22 @@ struct alignas(kCacheLine) TaskState {
   TaskInputs inputs;
 };
 
-/// One worker's state.  The doorbell is written by peers; everything after
-/// it is the worker's own, read by another thread only after the join
-/// (the heartbeat excepted, which the watchdog samples).
+/// One worker's state.  The asleep flag is written by peers; everything
+/// after it is the worker's own, read by another thread only after the
+/// join (the heartbeat excepted, which the watchdog samples).
 struct alignas(kCacheLine) Worker {
-  /// Bit 0 is set while the worker sleeps on it; every ring adds 2.
-  std::atomic<std::uint32_t> bell{0};
+  /// 1 while the worker is asleep or about to be; the peer that swaps it
+  /// back to 0 is the one that wakes it.
+  std::atomic<std::uint32_t> asleep{0};
   /// Progress events (selections, commits, failover steps) so far.
   alignas(kCacheLine) std::atomic<std::uint64_t> heartbeat{0};
   std::size_t cursor = 0;  // round-robin position in the PE's task list
+  /// Start of the current awake span, added to the running time
+  /// (counters.compute_seconds) when the worker sleeps, parks or exits.
+  Clock::time_point awake_since{};
   obs::PeCounters counters;
   std::vector<obs::TraceEvent> trace;
   obs::FaultStats faults;
-};
-
-/// Instances committed by one sink task; stored only by its worker.
-struct alignas(kCacheLine) SinkCount {
-  std::atomic<std::int64_t> committed{0};
 };
 
 class Runtime {
@@ -104,7 +104,9 @@ class Runtime {
         edges_(graph_.edge_count()),
         states_(graph_.task_count()),
         workers_(platform_.pe_count()),
-        sink_done_(graph_.sinks().size()) {
+        // A stream length below 1 is refused just below.
+        frontier_(graph_.sinks().size(),
+                  std::max<std::int64_t>(options.instances, 0)) {
     CS_ENSURE(opt_.instances >= 1, "run_stream: empty stream");
     CS_ENSURE(opt_.wall_timeout_seconds > 0.0, "run_stream: no time budget");
     CS_ENSURE(tasks.size() == graph_.task_count(),
@@ -125,6 +127,7 @@ class Runtime {
       injector_.emplace(*opt_.fault_plan);
       hang_fired_.assign(opt_.fault_plan->hangs.size(), 0);
     }
+    time_bodies_ = opt_.record_trace || injector_.has_value();
 
     for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
       edges_[e].depth = analysis.buffer_depth(e);
@@ -142,7 +145,6 @@ class Runtime {
           state.in_edges.size(),
           std::vector<const Packet*>(static_cast<std::size_t>(state.peek) + 1));
     }
-    stamps_.assign(static_cast<std::size_t>(opt_.instances), 0.0);
     rebuild_placement();
   }
 
@@ -210,13 +212,7 @@ class Runtime {
       std::vector<obs::TraceEvent>().swap(w.trace);
       faults_.merge(w.faults);
     }
-    // Each frontier step read the clock after its compare-exchange, so two
-    // steps racing may have stamped out of order; an instance is complete
-    // no later than its successor, hence the running maximum.
-    for (std::size_t i = 1; i < stamps_.size(); ++i) {
-      stamps_[i] = std::max(stamps_[i], stamps_[i - 1]);
-    }
-    stats.counters.instance_completion = std::move(stamps_);
+    stats.counters.instance_completion = frontier_.take_stamps();
     stats.faults = faults_;
     stats.final_mapping = mapping_;
     return stats;
@@ -270,7 +266,7 @@ class Runtime {
   /// Whether a worker about to sleep has anything to do.  Every load is
   /// seq_cst: see sleep().
   bool has_work(PeId pe) const {
-    if (stop_.load() || barrier_.load() || frontier_.load() >= opt_.instances) {
+    if (stop_.load() || barrier_.load() || frontier_.done()) {
       return true;
     }
     for (TaskId t : pe_tasks_[pe]) {
@@ -279,31 +275,46 @@ class Runtime {
     return false;
   }
 
-  /// Sleep on this worker's doorbell until a peer rings it.  No wake-up is
-  /// lost: setting the asleep bit, the recheck in has_work(), a committer's
-  /// store of `produced`/`consumed` and its test of the bit in wake() are
-  /// all seq_cst, so either the committer sees the bit and rings, or the
-  /// recheck sees the commit.  Control events (stop, barrier, stream end)
-  /// ring every doorbell unconditionally after setting their flag.
-  void sleep(PeId pe) {
-    std::atomic<std::uint32_t>& bell = workers_[pe].bell;
-    const std::uint32_t armed = bell.fetch_add(1) + 1;
-    if (!has_work(pe)) bell.wait(armed);
-    bell.fetch_sub(1);
+  /// Close the worker's awake span: add it to the running time.  Each
+  /// instant of the run lands in at most one span, so a PE's running time
+  /// never exceeds the run's wall time.
+  static void add_running_time(Worker& self) {
+    const Clock::time_point now = Clock::now();
+    self.counters.compute_seconds += seconds_between(self.awake_since, now);
+    self.awake_since = now;
   }
 
-  /// Ring `pe`'s doorbell if its worker is asleep.
+  /// Sleep until a peer wakes this worker.  No wake-up is lost: the store
+  /// of the asleep flag, the recheck in has_work(), a committer's store of
+  /// `produced`/`consumed` and its load of the flag in wake() are all
+  /// seq_cst, so either the committer sees the flag and wakes the worker,
+  /// or the recheck sees the commit.  Control events (stop, barrier,
+  /// stream end) set their flag before ring_all(), so the recheck sees
+  /// them too.
+  void sleep(PeId pe, Worker& self) {
+    self.asleep.store(1);
+    if (has_work(pe)) {
+      self.asleep.store(0);
+      return;
+    }
+    add_running_time(self);
+    self.asleep.wait(1);
+    self.awake_since = Clock::now();
+  }
+
+  /// Wake `pe`'s worker if it is asleep.  Of all the peers that find the
+  /// flag set, only the one whose exchange clears it makes the system
+  /// call, so one sleep costs at most one notify.
   void wake(PeId pe) {
-    std::atomic<std::uint32_t>& bell = workers_[pe].bell;
-    if ((bell.load() & 1u) == 0) return;
-    bell.fetch_add(2);
-    bell.notify_one();
+    std::atomic<std::uint32_t>& asleep = workers_[pe].asleep;
+    if (asleep.load() == 0) return;
+    if (asleep.exchange(0) == 1) asleep.notify_one();
   }
 
   void ring_all() {
     for (Worker& w : workers_) {
-      w.bell.fetch_add(2);
-      w.bell.notify_one();
+      w.asleep.store(0);
+      w.asleep.notify_one();
     }
   }
 
@@ -383,32 +394,13 @@ class Runtime {
     // keeping the peek window [i+1, i+peek] alive.
     for (EdgeId e : state.in_edges) edges_[e].consumed.store(i + 1);
     state.next_instance = i + 1;
-    if (state.sink != kNotSink) {
-      sink_done_[state.sink].committed.store(i + 1);
-      advance_frontier();
+    // The stream is complete: wake every sleeping worker so it can leave.
+    if (state.sink != kNotSink &&
+        frontier_.commit(state.sink, i + 1, [this] { return wall_now(); })) {
+      ring_all();
     }
     for (PeId peer : state.peers) wake(peer);
     beat(self);
-  }
-
-  /// Instance completion without a scan of every task: each sink commits
-  /// in stream order and every task reaches a sink, so every instance below
-  /// the smallest sink count is complete.  The worker whose
-  /// compare-exchange moves the frontier stamps the instances it moved it
-  /// past, so each instance is stamped exactly once.
-  void advance_frontier() {
-    std::int64_t low = opt_.instances;
-    for (const SinkCount& sink : sink_done_) {
-      low = std::min(low, sink.committed.load());
-    }
-    std::int64_t from = frontier_.load();
-    while (from < low) {
-      if (!frontier_.compare_exchange_weak(from, low)) continue;
-      std::fill(stamps_.begin() + from, stamps_.begin() + low, wall_now());
-      // Stream complete: wake every sleeping worker so it can leave.
-      if (low == opt_.instances) ring_all();
-      return;
-    }
   }
 
   /// Record the run's first failure and stop every worker.
@@ -424,8 +416,8 @@ class Runtime {
   }
 
   /// Fail-stop trigger, on the dying PE's worker: raise the failover
-  /// barrier and ring every doorbell so each peer parks at its next
-  /// task boundary.  The trigger worker becomes the coordinator.
+  /// barrier and wake every worker so each peer parks at its next task
+  /// boundary.  The trigger worker becomes the coordinator.
   void begin_failover(PeId pe) {
     std::lock_guard<std::mutex> guard(control_);
     dead_pe_ = pe;
@@ -526,7 +518,7 @@ class Runtime {
       const std::vector<Clock::time_point>& seen_at,
       Clock::time_point now) const {
     std::ostringstream out;
-    out << frontier_.load() << "/" << opt_.instances
+    out << frontier_.complete() << "/" << opt_.instances
         << " instances complete; heartbeats:";
     for (std::size_t w = 0; w < spawn.size(); ++w) {
       if (seen[w] == 0) continue;  // worker never progressed
@@ -547,12 +539,15 @@ class Runtime {
   // remap) is recorded as the run's first failure and every peer is
   // stopped.  run() joins all workers and then rethrows that failure.
   void worker(PeId pe) {
+    Worker& self = workers_[pe];
+    self.awake_since = Clock::now();
     try {
       worker_loop(pe);
     } catch (...) {
       std::lock_guard<std::mutex> guard(control_);
       fail_locked(std::current_exception());
     }
+    add_running_time(self);  // the last span, on every exit path
     std::lock_guard<std::mutex> guard(control_);
     --active_;
     control_cv_.notify_all();  // the watchdog and the barrier recount
@@ -563,14 +558,18 @@ class Runtime {
     while (true) {
       if (stop_.load(std::memory_order_acquire)) return;
       if (barrier_.load(std::memory_order_acquire)) {
-        if (!drain(pe)) return;
+        // Parked at the barrier is not running time.
+        add_running_time(self);
+        const bool resume = drain(pe);
+        self.awake_since = Clock::now();
+        if (!resume) return;
         continue;
       }
-      if (frontier_.load(std::memory_order_acquire) >= opt_.instances) return;
+      if (frontier_.done(std::memory_order_acquire)) return;
 
       const std::optional<TaskId> chosen = select(pe, self);
       if (!chosen) {
-        sleep(pe);
+        sleep(pe, self);
         continue;
       }
       TaskState& state = states_[*chosen];
@@ -610,17 +609,23 @@ class Runtime {
       if (dma_backoff > 0.0) {
         // The consumer-side fetch of this instance's remote inputs hit
         // the plan's retry/backoff sequence; data is delayed, never lost.
+        // Waiting on it is not running time.
         self.faults.backoff_seconds += dma_backoff;
+        self.counters.compute_seconds -= dma_backoff;
         std::this_thread::sleep_for(
             std::chrono::duration<double>(dma_backoff));
       }
-      const auto body_start = Clock::now();
+      // Only the trace and the slowdowns need a body's own time; the
+      // running time comes from the awake spans.
+      Clock::time_point body_start{};
+      if (time_bodies_) body_start = Clock::now();
       std::vector<Packet> outputs = tasks_[*chosen](inputs);
-      const auto body_end = Clock::now();
-      const double body_seconds = seconds_between(body_start, body_end);
+      Clock::time_point body_end{};
+      if (time_bodies_) body_end = Clock::now();
       double injected = hang_stall;
       if (slow_factor > 1.0) {
-        const double slow = (slow_factor - 1.0) * body_seconds;
+        const double slow =
+            (slow_factor - 1.0) * seconds_between(body_start, body_end);
         injected += slow;
         self.faults.slowdown_seconds += slow;
       }
@@ -629,13 +634,13 @@ class Runtime {
         self.faults.hang_seconds += hang_stall;
       }
       if (injected > 0.0) {
-        // Injected stall is overhead, not compute: the occupation
+        // Injected stall is overhead, not running time: the occupation
         // cross-check compares nominal work against the model.
         self.counters.overhead_seconds += injected;
+        self.counters.compute_seconds -= injected;
         std::this_thread::sleep_for(std::chrono::duration<double>(injected));
       }
       ++self.counters.tasks_executed;
-      self.counters.compute_seconds += body_seconds;
       if (opt_.record_trace) {
         obs::TraceEvent event;
         event.kind = obs::TraceEvent::Kind::kCompute;
@@ -657,6 +662,10 @@ class Runtime {
   Mapping mapping_;  // by value: a failover remap rewrites it mid-run
   const std::vector<TaskFunction>& tasks_;
   RunOptions opt_;
+  /// Read the clock around each body: the trace keeps exact body windows
+  /// and a slowdown scales the body's time.  Off, the per-task path reads
+  /// no clock.
+  bool time_bodies_ = false;
   Clock::time_point start_{};
 
   // Data plane: no lock.  Each field's owner is given at its type.
@@ -664,9 +673,7 @@ class Runtime {
   std::vector<TaskState> states_;
   std::vector<Worker> workers_;             // indexed by PE
   std::vector<std::vector<TaskId>> pe_tasks_;  // rewritten at the barrier
-  std::vector<SinkCount> sink_done_;
-  std::atomic<std::int64_t> frontier_{0};  // instances complete
-  std::vector<double> stamps_;             // completion stamp per instance
+  CompletionFrontier frontier_;
   std::atomic<bool> stop_{false};          // set under control_
   std::atomic<bool> barrier_{false};       // set and cleared under control_
 

@@ -24,7 +24,8 @@
 //
 // Concurrency, as in the paper's §6.1 framework where each PE runs its own
 // state machine over its own buffers: selecting, gathering and committing
-// a task take no lock, and make no system call unless a commit wakes a
+// a task take no lock, read no clock (unless tracing or a fault plan needs
+// a body's own time), and make no system call unless a commit wakes a
 // sleeping peer.
 //   * Rings.  An edge is a fixed single-producer/single-consumer ring of
 //     buffer_depth slots; the packet of instance j lives in slot
@@ -33,10 +34,16 @@
 //   * Ownership.  A task's state (next instance, remote flags, its reused
 //     TaskInputs) belongs to the worker of its PE; per-worker telemetry is
 //     copied into the run's counters after the join.
-//   * Wake-ups.  A worker with nothing runnable sleeps on its own doorbell
-//     (C++20 atomic::wait).  A commit rings only the PEs at the far end of
-//     the edges it changed, and only when they are asleep; an asleep bit
-//     plus a seq_cst recheck make sure no wake-up is lost.
+//   * Wake-ups.  A worker with nothing runnable raises its asleep flag,
+//     rechecks for work, and sleeps on the flag (C++20 atomic::wait).  A
+//     commit wakes only the PEs at the far end of the edges it changed,
+//     and only when their flag is up; the peer whose exchange lowers the
+//     flag makes the one system call, so a sleep costs at most one
+//     notify.  The flag, the recheck and the edge counters are seq_cst,
+//     so no wake-up is lost.
+//   * Running time.  A worker reads the clock when it wakes or starts and
+//     when it sleeps, parks or exits, and adds each awake span, less the
+//     injected fault stalls inside it, to its PE's compute_seconds.
 //   * Completion.  Instance i is complete once every sink has committed it
 //     (every task reaches a sink); the worker that advances that frontier
 //     stamps the instances it passed.
@@ -48,7 +55,7 @@
 // one-shot hangs) and at most one permanent PE fail-stop, through the same
 // engine.  On a fail-stop the runtime executes drain -> remap -> migrate ->
 // resume as an epoch barrier: the failed PE's worker refuses instances
-// past the fail index, raises the barrier and rings every doorbell; every
+// past the fail index, raises the barrier and wakes every worker; every
 // peer parks at its next task boundary (a consistent cut); the failed
 // PE's worker remaps the orphaned tasks onto the surviving PEs
 // (mapping::remap_after_failure), rebuilds placement (remote flags, wake-up
@@ -103,7 +110,8 @@ struct RunOptions {
   double wall_timeout_seconds = 120.0;
   /// Record one obs::TraceEvent per task execution (wall seconds since
   /// run start) for the chrome-trace writer.  Off by default: tracing a
-  /// long stream costs memory proportional to instances x tasks.
+  /// long stream costs memory proportional to instances x tasks, and two
+  /// clock reads per task around its body.
   bool record_trace = false;
   /// Optional deterministic fault scenario (see src/fault/).  Transient
   /// faults become real sleeps; a permanent fail-stop triggers the
@@ -124,8 +132,11 @@ struct RunStats {
   std::vector<std::int64_t> max_buffer_occupancy;
   std::uint64_t tasks_executed = 0;
   /// Telemetry in the wall-time domain (obs::TimeDomain::kWall): per-PE
-  /// execution counts, measured compute seconds, packet bytes crossing
-  /// each PE boundary, and per-instance completion stamps
+  /// execution counts, running seconds (compute_seconds: the worker was
+  /// awake selecting, gathering, running and committing tasks; injected
+  /// hang and slowdown stalls are overhead_seconds instead, injected DMA
+  /// backoff neither), packet bytes crossing each PE boundary, and
+  /// per-instance completion stamps
   /// (`counters.observed_throughput()` is instances per wall second).
   /// Each worker accumulates locally; the calling thread copies every
   /// worker's counters into its PE's slot after the join.

@@ -74,6 +74,19 @@ struct Chain {
   }
 };
 
+/// Injected stalls are overhead, not running time, and each instant of a
+/// worker's run is counted once: every PE that ran a task has
+/// 0 < compute + overhead <= wall.
+void expect_busy_within_wall(const RunStats& stats) {
+  for (PeId pe = 0; pe < stats.counters.pe.size(); ++pe) {
+    const obs::PeCounters& c = stats.counters.pe[pe];
+    if (c.tasks_executed == 0) continue;
+    EXPECT_GT(c.compute_seconds, 0.0) << "PE " << pe;
+    EXPECT_LE(c.compute_seconds + c.overhead_seconds, stats.wall_seconds)
+        << "PE " << pe;
+  }
+}
+
 TEST(FailoverRuntime, FailStopMidStreamLosesNoValue) {
   Chain chain;
   const SteadyStateAnalysis ss(chain.graph, platforms::qs22_single_cell());
@@ -96,6 +109,7 @@ TEST(FailoverRuntime, FailStopMidStreamLosesNoValue) {
   EXPECT_EQ(stats.faults.failed_pe, 1);
   EXPECT_GE(stats.faults.migrated_tasks, 1);
   EXPECT_NE(stats.final_mapping.pe_of(1), 1u);
+  expect_busy_within_wall(stats);
 
   // I8 on the runtime's own end-to-end accounting.
   const std::vector<check::Violation> violations =
@@ -123,6 +137,7 @@ TEST(FailoverRuntime, ConcurrentDmaRetriesNeverCorruptValues) {
   EXPECT_FALSE(chain.mismatch.load());
   EXPECT_GT(stats.faults.dma_retries, 0);
   EXPECT_GT(stats.faults.backoff_seconds, 0.0);
+  expect_busy_within_wall(stats);
 
   const std::vector<check::Violation> violations =
       check::check_stream_integrity(chain.graph, check::accounting_of(stats),
@@ -197,6 +212,8 @@ TEST(FailoverRuntime, HangShorterThanTheWindowIsAbsorbedAndCounted) {
   EXPECT_EQ(chain.verified.load(), 100);
   EXPECT_EQ(stats.faults.hangs, 1);
   EXPECT_NEAR(stats.faults.hang_seconds, 0.15, 1e-9);
+  EXPECT_DOUBLE_EQ(stats.counters.pe[1].overhead_seconds, 0.15);
+  expect_busy_within_wall(stats);
 }
 
 TEST(FailoverRuntime, SlowButProgressingStreamNeverTripsTheWatchdog) {

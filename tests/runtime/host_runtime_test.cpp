@@ -17,6 +17,7 @@
 #include "gen/daggen.hpp"
 #include "mapping/heuristics.hpp"
 #include "mapping/milp_mapper.hpp"
+#include "runtime/completion_frontier.hpp"
 
 namespace cellstream::runtime {
 namespace {
@@ -376,6 +377,19 @@ TEST(HostRuntime, MilpMappingRunsRealWorkEndToEnd) {
 
 // -- Telemetry (obs::Counters) ----------------------------------------------
 
+/// Each worker's running time (its awake spans) and injected stalls lie
+/// inside the run, each instant counted once: every PE that ran a task
+/// has 0 < compute + overhead <= wall.
+void expect_busy_within_wall(const RunStats& stats) {
+  for (PeId pe = 0; pe < stats.counters.pe.size(); ++pe) {
+    const obs::PeCounters& c = stats.counters.pe[pe];
+    if (c.tasks_executed == 0) continue;
+    const double busy = c.compute_seconds + c.overhead_seconds;
+    EXPECT_GT(busy, 0.0) << "PE " << pe;
+    EXPECT_LE(busy, stats.wall_seconds) << "PE " << pe;
+  }
+}
+
 TEST(HostRuntime, TelemetryCountsExecutionsAndPacketBytesPerPe) {
   // source -> mid -> sink over three PEs; every packet is 8 bytes, both
   // edges are remote, so the byte attribution has a closed form.
@@ -429,13 +443,45 @@ TEST(HostRuntime, TelemetryCountsExecutionsAndPacketBytesPerPe) {
               stats.counters.instance_completion[i - 1]);
   }
   EXPECT_GT(stats.counters.elapsed_seconds, 0.0);
-  // Wall-time compute was measured (the sum over 3000 task bodies cannot
-  // be zero on any clock this runtime supports).
-  double total_compute = 0.0;
-  for (const obs::PeCounters& c : stats.counters.pe) {
-    total_compute += c.compute_seconds;
+  expect_busy_within_wall(stats);
+  opts.record_trace = true;
+  expect_busy_within_wall(run_stream(ss, m, tasks, opts));
+  // One worker that never sleeps: its one awake span covers nearly the
+  // whole run, so counting it twice would exceed the wall time.
+  opts.instances = 20000;
+  for (const bool traced : {false, true}) {
+    opts.record_trace = traced;
+    const RunStats solo = run_stream(ss, ppe_only_mapping(g), tasks, opts);
+    EXPECT_EQ(solo.counters.pe[0].tasks_executed, 3u * 20000u);
+    expect_busy_within_wall(solo);
   }
-  EXPECT_GT(total_compute, 0.0);
+}
+
+TEST(HostRuntime, TelemetryRunningTimeCoversBodiesButNotSleep) {
+  // The source's body takes 2 ms an instance; the sink's takes nothing, so
+  // its worker sleeps through nearly all of the run.
+  TaskGraph g("slow-source");
+  g.add_task(make_task());
+  g.add_task(make_task());
+  g.add_edge(0, 1, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(2, 0);
+  m.assign(1, 1);
+  std::vector<TaskFunction> tasks = {
+      [](const TaskInputs& in) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return std::vector<Packet>{pack(in.instance)};
+      },
+      [](const TaskInputs&) { return std::vector<Packet>{}; }};
+  RunOptions opts;
+  opts.instances = 20;
+  for (const bool traced : {false, true}) {
+    opts.record_trace = traced;
+    const RunStats stats = run_stream(ss, m, tasks, opts);
+    expect_busy_within_wall(stats);
+    EXPECT_GE(stats.counters.pe[0].compute_seconds, 20 * 2e-3);
+    EXPECT_LT(stats.counters.pe[1].compute_seconds, 0.5 * stats.wall_seconds);
+  }
 }
 
 TEST(HostRuntime, TelemetryLocalEdgesCountNoInterfaceBytes) {
@@ -512,7 +558,9 @@ TEST(HostRuntime, TelemetryFlushesExactlyOnceOnFailureShutdown) {
   // task's exception (worker counters are only ever read after the join,
   // by assignment into their PE's slot).  Run it several times to give
   // interleavings a chance (and TSan, under the CELLSTREAM_TSAN build, a
-  // race-free execution to certify).
+  // race-free execution to certify).  A failed run returns no counters;
+  // its workers leave through the same exit, which closes their last
+  // awake span, as those of the completed twin run checked after it.
   TaskGraph g("flaky");
   g.add_task(make_task());
   g.add_task(make_task());
@@ -524,24 +572,27 @@ TEST(HostRuntime, TelemetryFlushesExactlyOnceOnFailureShutdown) {
   m.assign(1, 1);
   m.assign(2, 2);
   for (int round = 0; round < 10; ++round) {
+    std::int64_t fail_at = 25;
     std::vector<TaskFunction> tasks = {
         [](const TaskInputs& in) {
           return std::vector<Packet>{pack(in.instance)};
         },
-        [](const TaskInputs& in) -> std::vector<Packet> {
-          if (in.instance == 25) throw std::runtime_error("boom");
+        [&fail_at](const TaskInputs& in) -> std::vector<Packet> {
+          if (in.instance == fail_at) throw std::runtime_error("boom");
           return {Packet(*in.inputs[0][0])};
         },
         [](const TaskInputs&) { return std::vector<Packet>{}; }};
     RunOptions opts;
     opts.instances = 4000;
-    opts.record_trace = true;
+    opts.record_trace = round % 2 == 0;
     try {
       run_stream(ss, m, tasks, opts);
       FAIL() << "expected the task exception to propagate";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "boom");
     }
+    fail_at = -1;
+    expect_busy_within_wall(run_stream(ss, m, tasks, opts));
   }
 }
 
@@ -682,7 +733,7 @@ TEST(HostRuntime, AlternatingChainWithRandomSleepsLosesNoWakeUp) {
   // Six tasks alternating between two PEs: every commit hands work to the
   // other worker.  Round 0 has empty bodies, so both workers fall asleep
   // and wake thousands of times a second; in the later rounds seeded random
-  // sleeps put each worker on its doorbell at varying points of the
+  // sleeps put each worker to sleep at varying points of the
   // handshake.  A lost wake-up stalls the stream, which the watchdog turns
   // into a failure.
   TaskGraph g("pingpong");
@@ -706,6 +757,77 @@ TEST(HostRuntime, AlternatingChainWithRandomSleepsLosesNoWakeUp) {
     EXPECT_TRUE(stream.sink_hashes == stream.serial()) << "round " << round;
     expect_stream_integrity(g, stats, n);
   }
+}
+
+/// Spin until `flag` reaches `at_least`.  Gives up after five seconds, or
+/// at once after an earlier give-up, and records it in `stuck`: a body
+/// blocked for good would hang the run instead of failing the test.
+void await_at_least(const std::atomic<std::int64_t>& flag,
+                    std::int64_t at_least, std::atomic<bool>& stuck) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (flag.load() < at_least) {
+    if (stuck.load() || std::chrono::steady_clock::now() > give_up) {
+      stuck = true;
+      return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+void spin_for(std::chrono::nanoseconds span) {
+  const auto until = std::chrono::steady_clock::now() + span;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(HostRuntime, RendezvousPipelineLosesNoWakeUpAtAnyCommitOffset) {
+  // source (PE 0) -> sink (PE 1).  Source instance i+1 and sink instance i
+  // meet: each body records its start and waits until the other body has
+  // started.  So each worker's next instance needs the other's latest
+  // commit, and no later commit can make up for a missed wake-up: a worker
+  // that sleeps through one leaves its peer blocked in a body.  After the
+  // meeting one side spins for an offset swept over -300 .. +300 ns in
+  // 5 ns steps, 200 times, so commits land all over the other worker's
+  // select-then-sleep path; a worker that sleeps without rechecking for
+  // work after raising its asleep flag is caught there (in most runs on a
+  // multi-core host: the race still needs the two threads on two cores).
+  TaskGraph g("rendezvous");
+  g.add_task(make_task());
+  g.add_task(make_task());
+  g.add_edge(0, 1, 64.0);
+  const SteadyStateAnalysis ss(g, platforms::qs22_single_cell());
+  Mapping m(2, 0);
+  m.assign(1, 1);
+  constexpr std::int64_t kOffsets = 121;
+  const auto offset = [](std::int64_t i) {
+    return std::chrono::nanoseconds(5 * (i % kOffsets) - 300);
+  };
+  std::atomic<std::int64_t> source_started{-1};
+  std::atomic<std::int64_t> sink_started{-1};
+  std::atomic<bool> stuck{false};
+  const std::int64_t n = 200 * kOffsets;
+  std::vector<TaskFunction> tasks = {
+      [&](const TaskInputs& in) {
+        source_started = in.instance;
+        await_at_least(sink_started, in.instance - 1, stuck);
+        spin_for(offset(in.instance));
+        return std::vector<Packet>{pack(in.instance)};
+      },
+      [&](const TaskInputs& in) {
+        sink_started = in.instance;
+        if (in.instance + 1 < in.stream_length) {
+          await_at_least(source_started, in.instance + 1, stuck);
+          spin_for(-offset(in.instance + 1));
+        }
+        EXPECT_EQ(unpack(*in.inputs[0][0]), in.instance);
+        return std::vector<Packet>{};
+      }};
+  RunOptions opts;
+  opts.instances = n;
+  const RunStats stats = run_stream(ss, m, tasks, opts);
+  EXPECT_FALSE(stuck.load()) << "a worker slept through its wake-up";
+  EXPECT_EQ(stats.tasks_executed, 2u * static_cast<std::uint64_t>(n));
+  expect_stream_integrity(g, stats, n);
 }
 
 TEST(HostRuntime, CompletionStampsOnePerInstanceInStreamOrder) {
@@ -738,6 +860,37 @@ TEST(HostRuntime, CompletionStampsOnePerInstanceInStreamOrder) {
   const double steady = stats.counters.steady_throughput();
   EXPECT_TRUE(std::isfinite(steady)) << steady;
   EXPECT_GT(steady, 0.0);
+}
+
+TEST(CompletionFrontier, RacingStepsStillYieldStampsInStreamOrder) {
+  // Two sinks, four instances.  Sink 0's step moves the frontier past
+  // instance 0, then stalls in its clock read; meanwhile sink 1's step
+  // moves it past instance 1 and stamps that one earlier.  The stamps
+  // handed out must still be non-decreasing.
+  CompletionFrontier frontier(2, 4);
+  EXPECT_FALSE(frontier.commit(1, 1, [] { return 0.5; }));
+  EXPECT_EQ(frontier.complete(), 0);
+  std::atomic<bool> in_clock{false};
+  std::atomic<bool> overtaken{false};
+  std::thread slow([&] {
+    frontier.commit(0, 3, [&] {
+      in_clock = true;
+      in_clock.notify_one();
+      overtaken.wait(false);
+      return 2.0;
+    });
+  });
+  in_clock.wait(false);
+  EXPECT_EQ(frontier.complete(), 1);
+  EXPECT_FALSE(frontier.commit(1, 2, [] { return 1.0; }));
+  EXPECT_EQ(frontier.complete(), 2);
+  overtaken = true;
+  overtaken.notify_one();
+  slow.join();
+  EXPECT_FALSE(frontier.commit(1, 4, [] { return 3.0; }));
+  EXPECT_TRUE(frontier.commit(0, 4, [] { return 3.0; }));
+  EXPECT_TRUE(frontier.done());
+  EXPECT_EQ(frontier.take_stamps(), (std::vector<double>{2.0, 2.0, 3.0, 3.0}));
 }
 
 TEST(HostRuntime, WatchdogTripsWithoutAFaultPlan) {
