@@ -130,6 +130,10 @@ CliArgs parse_args(int argc, char** argv, int first) {
       args.positional.push_back(arg);
     }
   }
+  CS_ENSURE(args.failover == "greedy-mem" || args.failover == "greedy-cpu" ||
+                args.failover == "milp",
+            "--failover: unknown strategy '" + args.failover +
+                "' (greedy-mem | greedy-cpu | milp)");
   return args;
 }
 

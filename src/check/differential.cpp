@@ -115,12 +115,11 @@ DifferentialReport cross_check_mappers(const SteadyStateAnalysis& analysis,
     report.outcomes.push_back(std::move(outcome));
   }
 
-  if (options.run_milp) {
-    mapping::MilpMapperOptions milp_options;
-    milp_options.milp.relative_gap = options.milp_gap;
-    milp_options.milp.time_limit_seconds = options.milp_time_limit;
-    const mapping::MilpMapperResult milp =
-        mapping::solve_optimal_mapping(analysis, milp_options);
+  mapping::MilpMapperOptions milp_options;
+  milp_options.milp.time_limit_seconds = options.milp_time_limit;
+  const mapping::MilpMapperResult milp =
+      mapping::solve_optimal_mapping(analysis, milp_options);
+  {
     MapperOutcome outcome;
     outcome.name = "milp";
     outcome.mapping = milp.mapping;
@@ -128,52 +127,51 @@ DifferentialReport cross_check_mappers(const SteadyStateAnalysis& analysis,
     // Only a clean kOptimal run earned its gap claim; a limit-terminated
     // run still contributes its incumbent (D1/D2) and bound (D4).
     outcome.optimal = milp.status == milp::Status::kOptimal;
-    outcome.claimed_gap = options.milp_gap;
+    outcome.claimed_gap = milp_options.milp.relative_gap;
     outcome.has_lower_bound = milp.status == milp::Status::kOptimal ||
                               milp.status == milp::Status::kLimitFeasible;
     outcome.lower_bound = milp.best_bound;
     report.outcomes.push_back(std::move(outcome));
+  }
 
-    // D5: the parallel solver must be bit-identical to the sequential one.
-    // Only a time/node-limit stop (which depends on the wall clock) may
-    // legitimately diverge, so the rule applies when both runs finished.
-    if (options.check_parallel_milp && options.milp_threads > 1) {
-      milp_options.milp.threads = options.milp_threads;
-      const mapping::MilpMapperResult parallel =
-          mapping::solve_optimal_mapping(analysis, milp_options);
-      const bool sequential_finished = milp.status == milp::Status::kOptimal;
-      const bool parallel_finished =
-          parallel.status == milp::Status::kOptimal;
-      if (sequential_finished && parallel_finished) {
-        if (!(parallel.mapping == milp.mapping)) {
-          report.violations.push_back(
-              {"differential",
-               "milp with " + std::to_string(options.milp_threads) +
-                   " threads returned a different mapping than the "
-                   "sequential solver (determinism broken)"});
-        }
-        if (parallel.period != milp.period ||
-            parallel.best_bound != milp.best_bound) {
-          report.violations.push_back(
-              {"differential",
-               "milp with " + std::to_string(options.milp_threads) +
-                   " threads: period/bound not bit-identical (" +
-                   format_number(parallel.period) + "s/" +
-                   format_number(parallel.best_bound) + "s vs " +
-                   format_number(milp.period) + "s/" +
-                   format_number(milp.best_bound) + "s)"});
-        }
-        if (parallel.nodes != milp.nodes ||
-            parallel.lp_iterations != milp.lp_iterations) {
-          report.violations.push_back(
-              {"differential",
-               "milp with " + std::to_string(options.milp_threads) +
-                   " threads explored a different tree (" +
-                   std::to_string(parallel.nodes) + " nodes/" +
-                   std::to_string(parallel.lp_iterations) + " pivots vs " +
-                   std::to_string(milp.nodes) + "/" +
-                   std::to_string(milp.lp_iterations) + ")"});
-        }
+  // D5: the parallel solver must be bit-identical to the sequential one.
+  // Only a time/node-limit stop (which depends on the wall clock) may
+  // legitimately diverge, so the rule applies when both runs finished.
+  if (options.milp_threads > 1) {
+    milp_options.milp.threads = options.milp_threads;
+    const mapping::MilpMapperResult parallel =
+        mapping::solve_optimal_mapping(analysis, milp_options);
+    const bool sequential_finished = milp.status == milp::Status::kOptimal;
+    const bool parallel_finished = parallel.status == milp::Status::kOptimal;
+    if (sequential_finished && parallel_finished) {
+      if (!(parallel.mapping == milp.mapping)) {
+        report.violations.push_back(
+            {"differential",
+             "milp with " + std::to_string(options.milp_threads) +
+                 " threads returned a different mapping than the "
+                 "sequential solver (determinism broken)"});
+      }
+      if (parallel.period != milp.period ||
+          parallel.best_bound != milp.best_bound) {
+        report.violations.push_back(
+            {"differential",
+             "milp with " + std::to_string(options.milp_threads) +
+                 " threads: period/bound not bit-identical (" +
+                 format_number(parallel.period) + "s/" +
+                 format_number(parallel.best_bound) + "s vs " +
+                 format_number(milp.period) + "s/" +
+                 format_number(milp.best_bound) + "s)"});
+      }
+      if (parallel.nodes != milp.nodes ||
+          parallel.lp_iterations != milp.lp_iterations) {
+        report.violations.push_back(
+            {"differential",
+             "milp with " + std::to_string(options.milp_threads) +
+                 " threads explored a different tree (" +
+                 std::to_string(parallel.nodes) + " nodes/" +
+                 std::to_string(parallel.lp_iterations) + " pivots vs " +
+                 std::to_string(milp.nodes) + "/" +
+                 std::to_string(milp.lp_iterations) + ")"});
       }
     }
   }
@@ -257,15 +255,7 @@ std::vector<Violation> check_fast_forward_equivalence(
          std::to_string(full.dma_transfers));
   }
   for (std::size_t pe = 0; pe < full.counters.pe.size(); ++pe) {
-    const obs::PeCounters& a = ff.counters.pe[pe];
-    const obs::PeCounters& b = full.counters.pe[pe];
-    if (a.tasks_executed != b.tasks_executed ||
-        a.compute_seconds != b.compute_seconds ||
-        a.overhead_seconds != b.overhead_seconds ||
-        a.transfers_issued != b.transfers_issued ||
-        a.bytes_in != b.bytes_in || a.bytes_out != b.bytes_out ||
-        a.mfc_queue_peak != b.mfc_queue_peak ||
-        a.proxy_queue_peak != b.proxy_queue_peak) {
+    if (ff.counters.pe[pe] != full.counters.pe[pe]) {
       add6("fast-forwarded telemetry counters differ on PE " +
            std::to_string(pe));
     }

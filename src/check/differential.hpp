@@ -55,18 +55,15 @@ struct MapperOutcome {
 };
 
 struct DifferentialOptions {
-  /// Relative gap the MILP mapper is run with (the paper's 5 %).
-  double milp_gap = 0.05;
+  /// Time budget of the MILP mapper, which runs at its default gap (the
+  /// paper's 5 %).
   double milp_time_limit = 10.0;
   /// Relative numeric slack for period comparisons.
   double relative_tolerance = 1e-9;
   /// Refuse graphs larger than this (exhaustive search explodes).
   std::size_t max_tasks = 8;
-  /// Skip the MILP mapper (exhaustive + greedies only).
-  bool run_milp = true;
   /// D5: re-run the MILP with `milp_threads` workers and require the
-  /// result to be bit-identical to the sequential run.
-  bool check_parallel_milp = true;
+  /// result to be bit-identical to the sequential run; 1 skips D5.
   std::size_t milp_threads = 4;
 };
 
@@ -83,9 +80,8 @@ std::vector<Violation> check_outcomes(
     const std::vector<MapperOutcome>& outcomes,
     const DifferentialOptions& options = {});
 
-/// Run exhaustive, MILP (optional), GREEDYMEM and GREEDYCPU on the
-/// analysis' graph and cross-check them.  Throws if the graph exceeds
-/// options.max_tasks.
+/// Run exhaustive, MILP, GREEDYMEM and GREEDYCPU on the analysis' graph
+/// and cross-check them.  Throws if the graph exceeds options.max_tasks.
 DifferentialReport cross_check_mappers(const SteadyStateAnalysis& analysis,
                                        const DifferentialOptions& options = {});
 

@@ -18,6 +18,14 @@ namespace cellstream::check {
 
 namespace {
 
+/// Task-count range of a case that only runs the pipeline.
+constexpr std::int64_t kMinTasks = 5;
+constexpr std::int64_t kMaxTasks = 24;
+/// Share of cases drawn as small graphs (3 to kDifferentialMaxTasks
+/// tasks) that additionally run the exhaustive/MILP/greedy cross-check.
+constexpr double kDifferentialProbability = 0.25;
+constexpr std::int64_t kDifferentialMaxTasks = 7;
+
 const char* const kStrategies[] = {"greedy-mem", "greedy-cpu", "greedy-period",
                                    "round-robin", "ppe-only"};
 const char* const kPlatforms[] = {"qs22", "qs22", "qs22", "ps3", "qs22-4spe",
@@ -43,13 +51,10 @@ FuzzCase make_case(std::uint64_t case_seed, const FuzzOptions& options) {
   Rng rng(case_seed);
   FuzzCase scenario;
   scenario.case_seed = case_seed;
-  scenario.differential = rng.bernoulli(options.differential_probability);
+  scenario.differential = rng.bernoulli(kDifferentialProbability);
   scenario.task_count = static_cast<std::size_t>(
-      scenario.differential
-          ? rng.uniform_int(
-                3, static_cast<std::int64_t>(options.differential_max_tasks))
-          : rng.uniform_int(static_cast<std::int64_t>(options.min_tasks),
-                            static_cast<std::int64_t>(options.max_tasks)));
+      scenario.differential ? rng.uniform_int(3, kDifferentialMaxTasks)
+                            : rng.uniform_int(kMinTasks, kMaxTasks));
   scenario.ccr = gen::kPaperCcrValues[rng.uniform_int(0, 5)];
   scenario.strategy =
       kStrategies[rng.uniform_int(0, std::size(kStrategies) - 1)];
@@ -181,7 +186,7 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
     try {
       DifferentialOptions diff;
       diff.milp_time_limit = options.milp_time_limit;
-      diff.max_tasks = options.differential_max_tasks;
+      diff.max_tasks = kDifferentialMaxTasks;
       DifferentialReport report = cross_check_mappers(analysis, diff);
       violations.insert(violations.end(),
                         std::make_move_iterator(report.violations.begin()),

@@ -25,14 +25,11 @@ namespace cellstream::check {
 struct FuzzOptions {
   std::uint64_t base_seed = 1;   ///< Stream seed; case i derives from it.
   std::size_t cases = 100;
-  std::size_t min_tasks = 5;
-  std::size_t max_tasks = 24;
   /// Stream length per simulated case (fuzz wants many short runs).
   std::size_t instances = 200;
-  /// Fraction of cases drawn as small graphs that additionally run the
-  /// exhaustive/MILP/greedy cross-check.
-  double differential_probability = 0.25;
-  std::size_t differential_max_tasks = 7;
+  /// Time budget of the cross-check's MILP.  A quarter of the cases are
+  /// graphs of 3 to 7 tasks that also run the cross-check; the others
+  /// have 5 to 24 tasks (constants in fuzz_driver.cpp).
   double milp_time_limit = 5.0;
   /// Fraction of cases that additionally run under a random FaultPlan
   /// through the failover coordinator and the I8/I9 oracle.  0 (the
@@ -47,7 +44,7 @@ struct FuzzOptions {
 };
 
 /// Fully derived description of one fuzz case (everything a reproduction
-/// needs besides the FuzzOptions bounds).
+/// needs besides FuzzOptions::fault_probability).
 struct FuzzCase {
   std::uint64_t case_seed = 0;
   std::size_t task_count = 0;

@@ -15,6 +15,9 @@ namespace {
 using obs::edge_label;
 using obs::TraceEvent;
 
+/// Absolute slack in simulated seconds for the time comparisons of I6.
+constexpr double kTimeEpsilon = 1e-12;
+
 std::string time_str(double seconds) {
   std::ostringstream os;
   os.precision(9);
@@ -324,7 +327,7 @@ void replay_buffers(const SteadyStateAnalysis& analysis,
 /// one compute at a time per PE.
 void replay_causality(const SteadyStateAnalysis& analysis,
                       const Mapping& mapping, const TraceIndex& index,
-                      const std::vector<char>& remote, double eps,
+                      const std::vector<char>& remote,
                       std::vector<Violation>& out) {
   const TaskGraph& graph = analysis.graph();
   std::size_t length = 0;  // stream instances witnessed by the trace
@@ -371,7 +374,7 @@ void replay_causality(const SteadyStateAnalysis& analysis,
                 " was fetched but its production is not in the trace");
         break;
       }
-      if (fetch.at[i].start + eps < produce.at[i].end) {
+      if (fetch.at[i].start + kTimeEpsilon < produce.at[i].end) {
         add(out, "causality",
             "edge " + edge_label(graph, e) + ": fetch of instance " +
                 std::to_string(i) + " starts at " +
@@ -404,7 +407,7 @@ void replay_causality(const SteadyStateAnalysis& analysis,
                   std::to_string(peek) + ")");
           continue;
         }
-        if (avail[static_cast<std::size_t>(need)] > w.start + eps) {
+        if (avail[static_cast<std::size_t>(need)] > w.start + kTimeEpsilon) {
           add(out, "causality",
               "task " + graph.task(t).name + " started instance " +
                   std::to_string(i) + " at " + time_str(w.start) +
@@ -439,7 +442,7 @@ void replay_causality(const SteadyStateAnalysis& analysis,
     std::sort(windows.begin(), windows.end(),
               [](const auto& a, const auto& b) { return a.start < b.start; });
     for (std::size_t i = 1; i < windows.size(); ++i) {
-      if (windows[i].start + eps < windows[i - 1].end) {
+      if (windows[i].start + kTimeEpsilon < windows[i - 1].end) {
         add(out, "causality",
             analysis.platform().pe_name(pe) +
                 " executes two task instances concurrently (" +
@@ -531,8 +534,7 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 
 std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
                                    const Mapping& mapping,
-                                   const std::vector<TraceEvent>& trace,
-                                   const InvariantOptions& options) {
+                                   const std::vector<TraceEvent>& trace) {
   const TaskGraph& graph = analysis.graph();
   TraceIndex index(graph, analysis.platform(), trace);
   std::vector<char> remote(graph.edge_count());
@@ -544,8 +546,7 @@ std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
   replay_dma_queues(analysis.platform(), std::move(index.queues),
                     index.queue_begin, out);
   replay_buffers(analysis, index, remote, out);
-  replay_causality(analysis, mapping, index, remote, options.time_epsilon,
-                   out);
+  replay_causality(analysis, mapping, index, remote, out);
   return out;
 }
 
@@ -645,10 +646,8 @@ std::vector<Violation> check_occupation(const SteadyStateAnalysis& analysis,
                                         const obs::Counters& counters,
                                         const InvariantOptions& options) {
   std::vector<Violation> found;
-  obs::ReportOptions report_options;
-  report_options.occupation_tolerance = options.occupation_tolerance;
-  const obs::Report report =
-      obs::build_report(analysis, mapping, counters, report_options);
+  const obs::Report report = obs::build_report(analysis, mapping, counters,
+                                               options.occupation_tolerance);
   if (!report.crosscheck_applicable) return found;
   for (const std::string& detail : report.flagged) {
     found.push_back({"occupation", detail});
@@ -682,7 +681,7 @@ InvariantReport check_invariants(const SteadyStateAnalysis& analysis,
   if (!result.trace.empty()) {
     report.trace_checked = true;
     report.trace_events_seen = result.trace.size();
-    take(check_trace(analysis, mapping, result.trace, options));
+    take(check_trace(analysis, mapping, result.trace));
     report.checks_run += 2;  // I4, I5 and I6 are three families
   }
   return report;

@@ -69,10 +69,8 @@ struct InvariantOptions {
   /// Slack on I1: observed steady throughput may exceed 1/T by this
   /// fraction (discrete completions quantize the window edges).
   double throughput_tolerance = 0.02;
-  /// Absolute slack in simulated seconds for time comparisons (I6).
-  double time_epsilon = 1e-12;
   /// Slack on I7: observed per-instance occupation may exceed the model's
-  /// prediction by this fraction (matches ReportOptions default).
+  /// prediction by this fraction (obs::build_report's default).
   double occupation_tolerance = 0.05;
 };
 
@@ -121,8 +119,7 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 /// only the instances the trace holds.
 std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
                                    const Mapping& mapping,
-                                   const std::vector<obs::TraceEvent>& trace,
-                                   const InvariantOptions& options = {});
+                                   const std::vector<obs::TraceEvent>& trace);
 
 /// Executor-neutral end-to-end accounting of one run — I8's raw material.
 /// Both executors export it: accounting_of() adapts either result type.

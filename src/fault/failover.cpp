@@ -10,6 +10,12 @@ namespace cellstream::fault {
 
 namespace {
 
+/// Time budget of the "milp" remap strategy.
+constexpr double kMilpRemapSeconds = 2.0;
+/// Fixed protocol cost per failover (detection, drain barrier, control
+/// traffic), charged to the downtime in simulated seconds.
+constexpr double kRemapOverheadSeconds = 1.0e-3;
+
 /// Combine two complete phase runs into one whole-stream view without a
 /// trace (the phases keep their events; see stitched_trace).  Phase 2 is
 /// shifted by phase 1's makespan plus the failover downtime.
@@ -61,8 +67,7 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
 /// re-partition the chips, so the reduced formulation would model the
 /// wrong cross-chip link.
 Mapping milp_remap_after_failure(const SteadyStateAnalysis& analysis,
-                                 const Mapping& mapping, PeId failed_pe,
-                                 double time_limit_seconds) {
+                                 const Mapping& mapping, PeId failed_pe) {
   const Mapping greedy =
       mapping::remap_after_failure(analysis, mapping, failed_pe);
   const CellPlatform& platform = analysis.platform();
@@ -83,7 +88,7 @@ Mapping milp_remap_after_failure(const SteadyStateAnalysis& analysis,
   }
 
   mapping::MilpMapperOptions options;
-  options.milp.time_limit_seconds = time_limit_seconds;
+  options.milp.time_limit_seconds = kMilpRemapSeconds;
   options.extra_incumbents.push_back(std::move(warm));
   const mapping::MilpMapperResult solved =
       mapping::solve_optimal_mapping(reduced_analysis, options);
@@ -105,6 +110,10 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
   const CellPlatform& platform = analysis.platform();
   plan.validate(platform);
   CS_ENSURE(options.sim.instances >= 1, "run_with_failover: empty stream");
+  CS_ENSURE(options.strategy == "greedy-mem" ||
+                options.strategy == "greedy-cpu" || options.strategy == "milp",
+            "run_with_failover: unknown failover strategy '" +
+                options.strategy + "'");
   const std::int64_t n = static_cast<std::int64_t>(options.sim.instances);
 
   // The executors only ever see the transient slice of the plan; the
@@ -154,8 +163,7 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
 
   // Remap on the reduced platform.
   if (options.strategy == "milp") {
-    out.post_mapping = milp_remap_after_failure(
-        analysis, mapping, failed, options.milp_time_limit_seconds);
+    out.post_mapping = milp_remap_after_failure(analysis, mapping, failed);
   } else {
     out.post_mapping = mapping::remap_after_failure(analysis, mapping, failed,
                                                     options.strategy);
@@ -169,7 +177,7 @@ FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
   failover.fail_instance = k;
   mapping::count_migration(analysis, mapping, out.post_mapping, failover);
   out.failover_performed = true;
-  out.downtime_seconds = options.remap_overhead_seconds +
+  out.downtime_seconds = kRemapOverheadSeconds +
                          failover.migrated_bytes / platform.interface_bandwidth;
   failover.downtime_seconds = out.downtime_seconds;
   out.predicted_post_throughput = analysis.throughput(out.post_mapping);

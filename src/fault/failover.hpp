@@ -35,14 +35,10 @@ struct FailoverOptions {
   /// fault_plan and instance_offset are managed by the coordinator.
   sim::SimOptions sim;
   /// Remap strategy: "greedy-mem", "greedy-cpu" (fast failover) or "milp"
-  /// (reduced-platform solve warm-started from the greedy-mem remap; on a
-  /// multi-chip platform, the greedy-mem remap itself).
+  /// (reduced-platform solve, at most 2 s, warm-started from the
+  /// greedy-mem remap; on a multi-chip platform, the greedy-mem remap
+  /// itself).  Any other value is refused on entry.
   std::string strategy = "greedy-mem";
-  /// Time budget of the "milp" strategy.
-  double milp_time_limit_seconds = 2.0;
-  /// Fixed protocol cost per failover (detection, drain barrier, control
-  /// traffic), charged to the downtime in simulated seconds.
-  double remap_overhead_seconds = 1.0e-3;
 };
 
 struct FailoverOutcome {
@@ -71,8 +67,10 @@ struct FailoverOutcome {
 /// Execute `plan` against the mapped stream.  Plans without a permanent
 /// failure (or whose failure instance lies outside the stream) degenerate
 /// to a single transient-faults-only simulation.  The fail instance is
-/// clamped to [1, instances - 1] so both phases are non-empty.  Throws
-/// when no PPE survives the failure.
+/// clamped to [1, instances - 1] so both phases are non-empty.  Each
+/// failover costs a fixed 1 ms of downtime plus the migrated buffer bytes
+/// over the interface.  Throws on an unknown strategy (before anything is
+/// simulated) and when no PPE survives the failure.
 FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
                                   const Mapping& mapping,
                                   const FaultPlan& plan,

@@ -7,6 +7,16 @@
 
 namespace cellstream::mapping {
 
+namespace {
+
+/// Initial temperature as a fraction of the starting period (controls how
+/// bad an uphill move can be and still get accepted early).
+constexpr double kStartTemperature = 0.2;
+/// Final temperature fraction (effectively greedy by the end).
+constexpr double kEndTemperature = 1e-4;
+
+}  // namespace
+
 Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
                        const Mapping& start,
                        const AnnealingOptions& options) {
@@ -15,10 +25,6 @@ Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
   CS_ENSURE(analysis.within_limits(scratch),
             "anneal_mapping: infeasible start");
   CS_ENSURE(options.iterations >= 1, "anneal_mapping: zero iterations");
-  CS_ENSURE(options.start_temperature > 0.0 &&
-                options.end_temperature > 0.0 &&
-                options.end_temperature <= options.start_temperature,
-            "anneal_mapping: bad temperature schedule");
 
   const std::size_t n = analysis.platform().pe_count();
   const std::size_t tasks = start.task_count();
@@ -30,8 +36,8 @@ Mapping anneal_mapping(const SteadyStateAnalysis& analysis,
   Mapping best = current;
   double best_period = current_period;
 
-  const double t0 = options.start_temperature * current_period;
-  const double t1 = options.end_temperature * current_period;
+  const double t0 = kStartTemperature * current_period;
+  const double t1 = kEndTemperature * current_period;
   const double cooling =
       std::pow(t1 / t0, 1.0 / static_cast<double>(options.iterations));
 

@@ -4,10 +4,10 @@
 //
 // Random single-task reassignments, accepted when they shorten the
 // steady-state period or with Boltzmann probability exp(-delta/T)
-// otherwise; the temperature follows a geometric cooling schedule scaled
-// to the starting period.  Infeasible neighbours are always rejected, so
-// every intermediate state is a valid mapping and the best state seen is
-// returned.  Deterministic for a fixed seed.
+// otherwise; the temperature follows a geometric cooling schedule from
+// 0.2 to 1e-4 times the starting period.  Infeasible neighbours are
+// always rejected, so every intermediate state is a valid mapping and the
+// best state seen is returned.  Deterministic for a fixed seed.
 
 #include <cstdint>
 
@@ -17,11 +17,6 @@ namespace cellstream::mapping {
 
 struct AnnealingOptions {
   std::size_t iterations = 20000;
-  /// Initial temperature as a fraction of the starting period (controls
-  /// how bad an uphill move can be and still get accepted early).
-  double start_temperature = 0.2;
-  /// Final temperature fraction (effectively greedy by the end).
-  double end_temperature = 1e-4;
   std::uint64_t seed = 1;
 };
 

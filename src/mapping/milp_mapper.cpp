@@ -448,7 +448,7 @@ MilpMapperResult solve_optimal_mapping(const SteadyStateAnalysis& analysis,
     for (const milp::Candidate& seed : seeds) {
       solver.add_initial_incumbent(seed);
     }
-    if (options.rounding_heuristic) solver.set_rounding_callback(rounding);
+    solver.set_rounding_callback(rounding);
 
     result = solver.solve();
     CS_ENSURE(result.status == milp::Status::kOptimal ||

@@ -76,18 +76,13 @@ struct MilpMapperOptions {
   milp::Options milp;  ///< relative_gap defaults to the paper's 5 %.
   /// Seed the search with GreedyMem / GreedyCpu / PPE-only incumbents.
   bool seed_with_heuristics = true;
-  /// Attach the LP-rounding incumbent callback.
-  bool rounding_heuristic = true;
   /// Additional caller-supplied warm starts, injected as incumbents when
   /// they are feasible (each is local-search-polished first).  Degraded-
   /// mode remapping passes the surviving assignment here so the B&B
   /// starts from the running configuration instead of from scratch.
   std::vector<Mapping> extra_incumbents;
 
-  MilpMapperOptions() {
-    milp.relative_gap = 0.05;
-    milp.time_limit_seconds = 60.0;
-  }
+  MilpMapperOptions() { milp.time_limit_seconds = 60.0; }
 
   /// Solve node LPs on `n` worker threads (0 = one per hardware thread).
   /// The resulting mapping, period, bound, and node count are bit-identical

@@ -17,6 +17,13 @@ namespace {
 
 constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Smallest prune slack, for incumbents whose objective is near zero.
+constexpr double kAbsoluteGap = 1e-9;
+/// Distance to the nearest integer below which a value counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Open-list size beyond which selection switches from best-first to
+/// depth-first, bounding memory on hard instances.
+constexpr std::size_t kDfsOpenThreshold = 256;
 
 double now_seconds() {
   using clock = std::chrono::steady_clock;
@@ -145,8 +152,8 @@ void Solver::add_initial_incumbent(const Candidate& candidate) {
 
 double Solver::prune_threshold() const {
   CS_ASSERT(has_incumbent_, "prune_threshold without incumbent");
-  const double slack = std::max(options_.absolute_gap,
-                                options_.relative_gap * std::abs(incumbent_obj_));
+  const double slack =
+      std::max(kAbsoluteGap, options_.relative_gap * std::abs(incumbent_obj_));
   return incumbent_obj_ - slack;
 }
 
@@ -172,7 +179,7 @@ bool Solver::try_incumbent(const Candidate& candidate) {
   if (has_incumbent_ && candidate.objective >= incumbent_obj_) return false;
   for (lp::VarId v : integer_vars_) {
     const double frac = std::abs(candidate.x[v] - std::round(candidate.x[v]));
-    if (frac > options_.integrality_tol) return false;
+    if (frac > kIntegralityTol) return false;
   }
   if (problem_.max_violation(candidate.x) > 1e-6) return false;
   const double true_obj = problem_.objective_value(candidate.x);
@@ -254,7 +261,7 @@ Solver::NodeOutcome Solver::solve_node(Worker& worker, const Node& node,
     for (lp::VarId v : integer_vars_) {
       const double val = res.x[v];
       const double frac = std::min(val - std::floor(val), std::ceil(val) - val);
-      if (frac <= options_.integrality_tol) continue;
+      if (frac <= kIntegralityTol) continue;
       const bool better = !found_fractional || priority_[v] > best_priority ||
                           (priority_[v] == best_priority && frac > best_frac);
       if (better) {
@@ -437,7 +444,7 @@ Result Solver::solve() {
     // Hybrid selection: best-first while the open list is small, then
     // depth-first to bound memory.  seq makes the order a strict total
     // order, so selection is deterministic however open_ is laid out.
-    const bool dfs = open_.size() > options_.dfs_open_threshold;
+    const bool dfs = open_.size() > kDfsOpenThreshold;
     const auto better = [dfs](const Node& a, const Node& b) {
       if (dfs) {
         if (a.depth != b.depth) return a.depth > b.depth;

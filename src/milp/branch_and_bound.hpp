@@ -19,7 +19,7 @@
 //    the returned mapping, objective, bound, and node count are
 //    bit-identical for every thread count, including threads == 1,
 //  * best-first selection (strongest bound first) that switches to
-//    depth-first once the open list outgrows `dfs_open_threshold`, keeping
+//    depth-first once the open list outgrows 256 nodes, keeping
 //    memory bounded while preserving warm-start locality,
 //  * exactly-one groups (the assignment rows sum_i alpha_i^k = 1) used to
 //    propagate fixings when branching,
@@ -42,8 +42,6 @@ struct Options {
   /// Accept any incumbent within this fraction of the optimum (the paper
   /// uses 0.05 with CPLEX).
   double relative_gap = 0.05;
-  double absolute_gap = 1e-9;
-  double integrality_tol = 1e-6;
   std::size_t max_nodes = 200000;
   double time_limit_seconds = 120.0;
   /// Worker threads solving node LPs concurrently; 0 means one per
@@ -55,9 +53,6 @@ struct Options {
   /// the deterministic schedule: changing it changes the search
   /// trajectory; changing `threads` does not.
   std::size_t round_size = 16;
-  /// Open-list size beyond which selection switches from best-first to
-  /// depth-first, bounding memory on hard instances.
-  std::size_t dfs_open_threshold = 256;
   lp::SimplexOptions lp;
 };
 

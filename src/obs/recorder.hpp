@@ -56,6 +56,7 @@ struct PeCounters {
   std::size_t proxy_queue_peak = 0;
 
   void merge(const PeCounters& other);
+  bool operator==(const PeCounters& other) const = default;
 };
 
 /// One engine run's telemetry.

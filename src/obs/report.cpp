@@ -31,7 +31,7 @@ const char* to_string(ResourceSample::Kind kind) {
 
 Report build_report(const SteadyStateAnalysis& analysis,
                     const Mapping& mapping, const Counters& counters,
-                    const ReportOptions& options) {
+                    double occupation_tolerance) {
   const CellPlatform& platform = analysis.platform();
   const TaskGraph& graph = analysis.graph();
   CS_ENSURE(counters.pe.size() == platform.pe_count(),
@@ -60,7 +60,7 @@ Report build_report(const SteadyStateAnalysis& analysis,
   report.observed_throughput = counters.observed_throughput();
   report.steady_throughput = counters.steady_throughput();
 
-  report.tolerance = options.occupation_tolerance;
+  report.tolerance = occupation_tolerance;
   report.crosscheck_applicable =
       counters.domain == TimeDomain::kSimulated && report.instances > 0;
 
@@ -85,9 +85,8 @@ Report build_report(const SteadyStateAnalysis& analysis,
       // missed real load — exactly what invariant I7 exists to catch.
       if (report.crosscheck_applicable &&
           sample.observed >
-              sample.predicted * (1.0 + options.occupation_tolerance) +
-                  1e-12) {
-        report.flagged.push_back(flag_text(sample, options.occupation_tolerance));
+              sample.predicted * (1.0 + occupation_tolerance) + 1e-12) {
+        report.flagged.push_back(flag_text(sample, occupation_tolerance));
       }
     }
     // DMA-queue telemetry rides along: the peaks are recorded per run and
@@ -109,8 +108,7 @@ Report build_report(const SteadyStateAnalysis& analysis,
     }
   }
 
-  report.convergence = counters.windowed_throughput(
-      options.convergence_window, options.convergence_stride);
+  report.convergence = counters.windowed_throughput();
   return report;
 }
 

@@ -41,15 +41,6 @@ struct ResourceSample {
 
 const char* to_string(ResourceSample::Kind kind);
 
-struct ReportOptions {
-  /// Observed occupation may exceed prediction by this fraction before
-  /// the cross-check flags the resource (invariant I7's tolerance).
-  double occupation_tolerance = 0.05;
-  /// Fig.-6-style convergence sampling (see Counters::windowed_throughput).
-  std::size_t convergence_window = 250;
-  std::size_t convergence_stride = 100;
-};
-
 /// Everything `cellstream_cli stats` exports for one run.
 struct Report {
   // Identity.
@@ -103,8 +94,12 @@ struct Report {
 
 /// Build the report for one run.  The counters must belong to a run of
 /// `mapping` on the analysis' graph/platform (PE count is validated).
+/// Observed occupation may exceed the prediction by the fraction
+/// `occupation_tolerance` before the cross-check flags the resource
+/// (invariant I7's tolerance).  The convergence curve is
+/// Counters::windowed_throughput at its default window and stride.
 Report build_report(const SteadyStateAnalysis& analysis,
                     const Mapping& mapping, const Counters& counters,
-                    const ReportOptions& options = {});
+                    double occupation_tolerance = 0.05);
 
 }  // namespace cellstream::obs

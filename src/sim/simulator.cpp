@@ -20,6 +20,10 @@ namespace {
 
 using des::NodeId;
 
+/// Buffer slots of each task's main-memory read and write streams
+/// (double-buffering and a bit of slack).
+constexpr std::int64_t kMemoryStreamDepth = 4;
+
 // ---------------------------------------------------------------------------
 // Integer-nanosecond time grid.
 //
@@ -213,16 +217,17 @@ class Simulator {
     mapping.validate(platform_);
     CS_ENSURE(mapping.task_count() == graph_.task_count(),
               "simulate: mapping does not match the graph");
-    if (opt_.enforce_local_store) {
-      ResourceUsage u;
-      ss_.account(mapping, u);
-      for (PeId pe = platform_.ppe_count; pe < platform_.pe_count(); ++pe) {
-        CS_ENSURE(!ss_.broken_limits(u, pe).buffers,
-                  "simulate: buffers of " + platform_.pe_name(pe) +
-                      " exceed the local store (" +
-                      format_bytes(u.buffer_bytes[pe]) + "); mapping cannot "
-                      "be loaded on real hardware");
-      }
+    // Refuse mappings whose buffers overflow a SPE local store (a real
+    // Cell could not even load them).  DMA-count violations are *not*
+    // rejected: the runtime simply serializes, as real hardware would.
+    ResourceUsage u;
+    ss_.account(mapping, u);
+    for (PeId pe = platform_.ppe_count; pe < platform_.pe_count(); ++pe) {
+      CS_ENSURE(!ss_.broken_limits(u, pe).buffers,
+                "simulate: buffers of " + platform_.pe_name(pe) +
+                    " exceed the local store (" +
+                    format_bytes(u.buffer_bytes[pe]) + "); mapping cannot "
+                    "be loaded on real hardware");
     }
     if (opt_.fault_plan != nullptr && !opt_.fault_plan->empty()) {
       opt_.fault_plan->validate(platform_);
@@ -577,8 +582,7 @@ bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
     }
     case Channel::Kind::kMemRead:
       if (next >= stream_len()) return false;  // stream exhausted
-      if (next - tasks_[channel.index].next_instance >=
-          static_cast<std::int64_t>(opt_.memory_stream_depth)) {
+      if (next - tasks_[channel.index].next_instance >= kMemoryStreamDepth) {
         return false;
       }
       break;
@@ -764,9 +768,7 @@ bool Simulator::task_runnable(TaskId tid) const {
       return false;
     }
   }
-  if (t.write_bytes > 0.0 &&
-      i - t.write.landed() >=
-          static_cast<std::int64_t>(opt_.memory_stream_depth)) {
+  if (t.write_bytes > 0.0 && i - t.write.landed() >= kMemoryStreamDepth) {
     return false;
   }
   return true;
@@ -984,9 +986,7 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   // the stream end change truth value?  Leave one cycle plus the peek and
   // memory-stream lookahead as margin, so the post-jump run re-enters
   // ordinary (still periodic) simulation well before the drain begins.
-  const std::int64_t margin =
-      cycle_d + max_peek_ + 1 +
-      static_cast<std::int64_t>(opt_.memory_stream_depth) + 1;
+  const std::int64_t margin = cycle_d + max_peek_ + 1 + kMemoryStreamDepth + 1;
   std::int64_t lead = 0;  // the furthest advancing counter
   visit_progress(Overloaded{
       [&](std::int64_t v, Progress p) {

@@ -47,13 +47,6 @@ struct SimOptions {
   /// Per-task-instance scheduling cost (select task, check resources,
   /// signal dependants — paper Fig. 4a).
   double dispatch_overhead = 1.0e-6;
-  /// Buffer slots for each task's main-memory read/write streams
-  /// (double-buffering and a bit of slack).
-  std::size_t memory_stream_depth = 4;
-  /// Refuse mappings whose buffers overflow a SPE local store (a real
-  /// Cell could not even load them).  DMA-count violations are *not*
-  /// rejected: the runtime simply serializes, as real hardware would.
-  bool enforce_local_store = true;
   /// Simulated-seconds safety net against pathological configurations.
   double max_simulated_seconds = 1e6;
   /// Record a full execution trace (see obs/trace.hpp).  Off by default:

@@ -21,7 +21,7 @@ namespace {
 TEST(ParallelMilpFuzzRegression, ExtendedSweepDifferentialSlice) {
   // The first differential cases of the extended sweep's seed stream.
   // run_case routes these through cross_check_mappers, whose
-  // DifferentialOptions default to check_parallel_milp = true, so every
+  // DifferentialOptions default to milp_threads = 4, so every
   // replay exercises sequential-vs-parallel bit-identity (D5) alongside
   // D1-D4.
   FuzzOptions options;
@@ -66,7 +66,7 @@ TEST(ParallelMilpFuzzRegression, CrossCheckReportsParallelDivergence) {
   EXPECT_TRUE(checked.ok()) << checked.to_string();
 
   DifferentialOptions without_d5;
-  without_d5.check_parallel_milp = false;
+  without_d5.milp_threads = 1;
   const DifferentialReport skipped =
       cross_check_mappers(analysis, without_d5);
   EXPECT_TRUE(skipped.ok()) << skipped.to_string();

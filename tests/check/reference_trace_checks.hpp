@@ -299,10 +299,11 @@ inline std::vector<check::Violation> check_buffer_occupancy(
 
 inline std::vector<check::Violation> check_causality(
     const SteadyStateAnalysis& analysis, const Mapping& mapping,
-    const std::vector<TraceEvent>& trace,
-    const check::InvariantOptions& options = {}) {
+    const std::vector<TraceEvent>& trace) {
   const TaskGraph& graph = analysis.graph();
-  const double eps = options.time_epsilon;
+  // The oracle's I6 slack, restated here so the reference reads nothing
+  // of src/check/invariants.cpp.
+  const double eps = 1e-12;
   TraceIndex index(graph, trace);
   std::vector<check::Violation> out = std::move(index.defects);
   const std::int64_t length = index.stream_length();

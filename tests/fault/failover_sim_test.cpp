@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/invariants.hpp"
 #include "mapping/heuristics.hpp"
 #include "support/error.hpp"
@@ -219,6 +221,39 @@ TEST(FailoverSim, ReplayIsDeterministicUnderFaults) {
   EXPECT_DOUBLE_EQ(a.result.faults.backoff_seconds,
                    b.result.faults.backoff_seconds);
   EXPECT_DOUBLE_EQ(a.downtime_seconds, b.downtime_seconds);
+}
+
+/// Runs `plan` with strategy "bogus" and a dispatch overhead every
+/// simulation refuses, so the error names the coordinator only when the
+/// strategy is checked before anything is simulated.
+std::string bogus_strategy_error(const FaultPlan& plan) {
+  WorkedExample ex;
+  const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
+  FailoverOptions options;
+  options.sim.instances = 300;
+  options.sim.dispatch_overhead = -1.0;
+  options.strategy = "bogus";
+  try {
+    run_with_failover(ss, ex.mapping, plan, options);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(FailoverSim, UnknownStrategyIsRefusedOnATransientOnlyPlan) {
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.slowdowns.push_back({1, 50, 80, 2.0});
+  EXPECT_EQ(bogus_strategy_error(plan),
+            "run_with_failover: unknown failover strategy 'bogus'");
+}
+
+TEST(FailoverSim, UnknownStrategyIsRefusedBeforePhaseOne) {
+  FaultPlan plan;
+  plan.pe_failure = PeFailure{1, 150};
+  EXPECT_EQ(bogus_strategy_error(plan),
+            "run_with_failover: unknown failover strategy 'bogus'");
 }
 
 TEST(FailoverSim, LosingTheOnlyPpeIsUnsurvivable) {

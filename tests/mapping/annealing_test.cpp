@@ -77,10 +77,6 @@ TEST(Annealing, ValidatesArguments) {
   AnnealingOptions opts;
   opts.iterations = 0;
   EXPECT_THROW(anneal_mapping(ss, ppe_only(ss), opts), Error);
-  opts = AnnealingOptions{};
-  opts.end_temperature = 1.0;
-  opts.start_temperature = 0.1;
-  EXPECT_THROW(anneal_mapping(ss, ppe_only(ss), opts), Error);
 }
 
 TEST(Annealing, RejectsInfeasibleStart) {

@@ -210,14 +210,6 @@ TEST(MilpMapper, MappingEvaluationsIndependentOfThreads) {
   EXPECT_EQ(one.nodes, four.nodes);
   EXPECT_GT(one.polish_seconds, 0.0);
   EXPECT_GT(four.polish_seconds, 0.0);
-
-  // Without seeds and roundings nothing is polished.
-  opts.seed_with_heuristics = false;
-  opts.rounding_heuristic = false;
-  const MilpMapperResult bare = solve_optimal_mapping(ss, opts);
-  EXPECT_EQ(bare.mapping_evaluations, 0u);
-  EXPECT_EQ(bare.mapping_candidates, 0u);
-  EXPECT_EQ(bare.polish_seconds, 0.0);
 }
 
 TEST(Exhaustive, RejectsHugeSearchSpaces) {

@@ -159,9 +159,6 @@ TEST(Simulator, RejectsLocalStoreOverflowByDefault) {
   const SteadyStateAnalysis ss(g, p);
   Mapping m(2, 1);  // both on SPE0: 400 kB of buffers
   EXPECT_THROW(simulate(ss, m, fast_options(10)), Error);
-  SimOptions lax = fast_options(10);
-  lax.enforce_local_store = false;
-  EXPECT_NO_THROW(simulate(ss, m, lax));
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
