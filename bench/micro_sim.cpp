@@ -255,6 +255,9 @@ int run_json_mode(const std::string& path) {
                                         sizeof(obs::TraceEvent)));
   oracle.set("violations",
              static_cast<std::uint64_t>(report.violations.size()));
+  // Runs the replay had to sort: 0 while the simulator emits each queue,
+  // sequence and PE in order, so a change to its emission order shows here.
+  oracle.set("replay_sorts", static_cast<std::uint64_t>(report.replay_sorts));
   oracle.set("simulate_seconds", traced_seconds);
   oracle.set("check_seconds", check_seconds);
   oracle.set("check_events_per_sec",

@@ -32,15 +32,19 @@ void add(std::vector<Violation>& out, std::string invariant,
 
 /// The execution trace, indexed by a counting pass and a filling pass:
 /// per task the compute window of every instance, per edge the fetch
-/// window of every instance, and the DMA windows of every SPE's MFC queue
-/// and proxy queue, bucketed by queue.  The counting pass sizes every
-/// sequence and bucket exactly, so nothing grows while the trace is read.
-/// Compute and fetch events are placed by their instance number — under
-/// fault injection a stalled DMA retry legitimately lets instance i+1's
-/// fetch complete before instance i's, so arrival order proves nothing.  A
-/// malformed event, a duplicated instance and the first instance missing
-/// from a sequence are trace-consistency defects, each reported once; a
-/// missing instance is never replayed as an event.
+/// window of every instance, and the issue and completion times of every
+/// SPE's MFC queue and proxy queue, bucketed by queue in trace order.  The
+/// counting pass sizes every sequence and bucket exactly, so nothing grows
+/// while the trace is read.  Compute and fetch events are placed by their
+/// instance number — under fault injection a stalled DMA retry
+/// legitimately lets instance i+1's fetch complete before instance i's, so
+/// arrival order proves nothing.  A sequence holds no more slots than it
+/// has events: an instance number at or past that count implies that a
+/// lower one is missing, so such an event is not placed and the gap report
+/// names the first missing instance.  A malformed event, a duplicated
+/// instance and the first instance missing from a sequence are
+/// trace-consistency defects, each reported once; a missing instance is
+/// never replayed as an event.
 struct TraceIndex {
   struct Window {
     double start = 0.0;
@@ -52,6 +56,9 @@ struct TraceIndex {
     std::vector<char> held;  ///< held[i]: instance i is in the trace.
     std::size_t count = 0;   ///< Instances held.
     std::size_t prefix = 0;  ///< Instances 0..prefix-1 are all held.
+    /// Gap-free, with ends non-decreasing in instance order — how the
+    /// simulator emits a run that no DMA retry reordered.
+    bool ordered = false;
 
     template <typename Fn>
     void for_each_held(Fn&& fn) const {
@@ -60,21 +67,13 @@ struct TraceIndex {
       }
     }
   };
-  /// One end of a DMA window in a queue: +1 when the command is issued,
-  /// -1 when it completes.  Ordered by time, completions first.
-  struct QueueDelta {
-    double time;
-    int change;
-    bool operator<(const QueueDelta& other) const {
-      if (time != other.time) return time < other.time;
-      return change < other.change;
-    }
-  };
   std::vector<Sequence> computes;    // per task
   std::vector<Sequence> fetches;     // per edge
   /// Queue q (2 pe: SPE pe's MFC (1j) queue; 2 pe + 1: its proxy (1k)
-  /// queue) holds queues[queue_begin[q] .. queue_begin[q + 1]).
-  std::vector<QueueDelta> queues;
+  /// queue) holds the transfers [queue_begin[q], queue_begin[q + 1]) of
+  /// `issues` (their start times) and `completions` (their end times).
+  std::vector<double> issues;
+  std::vector<double> completions;
   std::vector<std::size_t> queue_begin;
   std::vector<Violation> defects;
 
@@ -83,33 +82,34 @@ struct TraceIndex {
       : computes(graph.task_count()),
         fetches(graph.edge_count()),
         queue_begin(2 * platform.pe_count() + 1, 0) {
-    // Counting pass.
-    std::vector<std::size_t> length(graph.task_count() + graph.edge_count(),
-                                    0);
+    // Counting pass: per sequence its highest instance + 1 and its events.
+    const std::size_t sequences = graph.task_count() + graph.edge_count();
+    std::vector<std::size_t> span(sequences, 0), events(sequences, 0);
     for (const TraceEvent& e : trace) {
-      if (const auto q = queue_of(platform, e)) queue_begin[*q + 1] += 2;
+      if (const auto q = queue_of(platform, e)) ++queue_begin[*q + 1];
       const std::size_t s = sequence_of(graph, e);
       if (s != kNoSequence && e.instance >= 0) {
-        length[s] = std::max(length[s],
-                             static_cast<std::size_t>(e.instance) + 1);
+        span[s] = std::max(span[s], static_cast<std::size_t>(e.instance) + 1);
+        ++events[s];
       }
     }
-    for (std::size_t s = 0; s < length.size(); ++s) {
+    for (std::size_t s = 0; s < sequences; ++s) {
       Sequence& seq = sequence(s);
-      seq.at.resize(length[s]);
-      seq.held.resize(length[s], 0);
+      seq.at.resize(std::min(span[s], events[s]));
+      seq.held.resize(seq.at.size(), 0);
     }
     for (std::size_t q = 1; q < queue_begin.size(); ++q) {
       queue_begin[q] += queue_begin[q - 1];
     }
-    queues.resize(queue_begin.back());
+    issues.resize(queue_begin.back());
+    completions.resize(queue_begin.back());
 
     // Filling pass.
     std::vector<std::size_t> fill(queue_begin.begin(), queue_begin.end() - 1);
     for (const TraceEvent& e : trace) {
       if (const auto q = queue_of(platform, e)) {
-        queues[fill[*q]++] = {e.start, +1};
-        queues[fill[*q]++] = {e.end, -1};
+        issues[fill[*q]] = e.start;
+        completions[fill[*q]++] = e.end;
       }
       if (e.end < e.start) {
         add(defects, "trace-consistency",
@@ -142,26 +142,10 @@ struct TraceIndex {
     }
   }
 
- private:
-  static constexpr std::size_t kNoSequence = static_cast<std::size_t>(-1);
-
-  /// A transfer occupies one slot of its issuer's MFC queue while in
-  /// flight when the issuer is a SPE (constraint 1j's runtime analogue); a
-  /// PPE-issued fetch from a SPE local store occupies the source SPE's
-  /// proxy queue (constraint 1k's).
-  static std::optional<std::size_t> queue_of(const CellPlatform& platform,
-                                             const TraceEvent& e) {
-    if (e.kind != TraceEvent::Kind::kTransfer) return std::nullopt;
-    if (platform.is_spe(e.pe)) return std::size_t{2} * e.pe;
-    if (e.payload == TraceEvent::Payload::kEdge && platform.is_spe(e.src_pe)) {
-      return std::size_t{2} * e.src_pe + 1;
-    }
-    return std::nullopt;
-  }
-
   /// The sequence a well-formed compute or edge fetch fills: task t is
   /// sequence t, edge e sequence task_count + e.  kNoSequence for every
   /// other event, and for a window or id the filling pass rejects.
+  static constexpr std::size_t kNoSequence = static_cast<std::size_t>(-1);
   static std::size_t sequence_of(const TaskGraph& graph, const TraceEvent& e) {
     if (e.end < e.start) return kNoSequence;
     if (e.kind == TraceEvent::Kind::kCompute) {
@@ -179,6 +163,21 @@ struct TraceIndex {
     return kNoSequence;
   }
 
+ private:
+  /// A transfer occupies one slot of its issuer's MFC queue while in
+  /// flight when the issuer is a SPE (constraint 1j's runtime analogue); a
+  /// PPE-issued fetch from a SPE local store occupies the source SPE's
+  /// proxy queue (constraint 1k's).
+  static std::optional<std::size_t> queue_of(const CellPlatform& platform,
+                                             const TraceEvent& e) {
+    if (e.kind != TraceEvent::Kind::kTransfer) return std::nullopt;
+    if (platform.is_spe(e.pe)) return std::size_t{2} * e.pe;
+    if (e.payload == TraceEvent::Payload::kEdge && platform.is_spe(e.src_pe)) {
+      return std::size_t{2} * e.src_pe + 1;
+    }
+    return std::nullopt;
+  }
+
   Sequence& sequence(std::size_t s) {
     return s < computes.size() ? computes[s] : fetches[s - computes.size()];
   }
@@ -192,6 +191,7 @@ struct TraceIndex {
       return;
     }
     const auto i = static_cast<std::size_t>(e.instance);
+    if (i >= seq.held.size()) return;  // past the events: a gap, see close
     if (seq.held[i]) {
       add(defects, "trace-consistency",
           std::string(what) + " '" + obs::event_label(graph, e) +
@@ -204,12 +204,19 @@ struct TraceIndex {
     ++seq.count;
   }
 
-  /// Sets seq.prefix; false when an instance below a held one is missing.
+  /// Sets seq.prefix and seq.ordered; false when an instance below a held
+  /// one is missing.
   static bool close(Sequence& seq) {
     while (seq.prefix < seq.held.size() && seq.held[seq.prefix]) {
       ++seq.prefix;
     }
-    return seq.prefix == seq.held.size();
+    const bool gap_free = seq.prefix == seq.held.size();
+    seq.ordered = gap_free && std::is_sorted(seq.at.begin(), seq.at.end(),
+                                             [](const Window& a,
+                                                const Window& b) {
+                                               return a.end < b.end;
+                                             });
+    return gap_free;
   }
 
   void report_gap(const Sequence& seq, const std::string& what) {
@@ -220,28 +227,46 @@ struct TraceIndex {
   }
 };
 
-/// I4: sweep each queue's windows; at equal times completions are applied
-/// first — the simulator's guarantee (a slot freed at time t may be reused
-/// by a command issued at t).  Takes the windows, so their memory is freed
-/// before I5 and I6 replay the rest of the index.
+/// I4: sweep each queue's issue and completion times in one merge; at
+/// equal times completions are applied first — the simulator's guarantee
+/// (a slot freed at time t may be reused by a command issued at t).  The
+/// simulator emits each transfer when it completes, so both arrays arrive
+/// sorted unless a DMA retry reordered the issues; only an array that is
+/// not sorted is sorted.  Takes the arrays, so their memory is freed before
+/// I5 and I6 replay the rest of the index.
 void replay_dma_queues(const CellPlatform& platform,
-                       std::vector<TraceIndex::QueueDelta> deltas,
+                       std::vector<double> issues,
+                       std::vector<double> completions,
                        const std::vector<std::size_t>& queue_begin,
-                       std::vector<Violation>& out) {
+                       std::vector<Violation>& out, std::size_t& sorts) {
+  const auto sorted = [&](std::vector<double>& times, std::size_t queue) {
+    const auto begin = times.begin() + static_cast<std::ptrdiff_t>(
+                                           queue_begin[queue]);
+    const auto end = times.begin() + static_cast<std::ptrdiff_t>(
+                                         queue_begin[queue + 1]);
+    if (!std::is_sorted(begin, end)) {
+      std::sort(begin, end);
+      ++sorts;
+    }
+    return std::pair{begin, end};
+  };
   for (std::size_t queue = 0; queue + 1 < queue_begin.size(); ++queue) {
-    const auto begin = deltas.begin() + static_cast<std::ptrdiff_t>(
-                                            queue_begin[queue]);
-    const auto end = deltas.begin() + static_cast<std::ptrdiff_t>(
-                                          queue_begin[queue + 1]);
-    std::sort(begin, end);
+    auto [issue, issues_end] = sorted(issues, queue);
+    auto [done, completions_end] = sorted(completions, queue);
     std::int64_t depth = 0, peak = 0;
     double peak_time = 0.0;
-    for (auto d = begin; d != end; ++d) {
-      depth += d->change;
-      if (depth > peak) {
-        peak = depth;
-        peak_time = d->time;
+    // Once every issue is applied the depth only falls.
+    while (issue != issues_end) {
+      if (done != completions_end && *done <= *issue) {
+        --depth;
+        ++done;
+        continue;
       }
+      if (++depth > peak) {
+        peak = depth;
+        peak_time = *issue;
+      }
+      ++issue;
     }
     const bool mfc = queue % 2 == 0;
     const std::size_t limit =
@@ -256,51 +281,79 @@ void replay_dma_queues(const CellPlatform& platform,
   }
 }
 
-/// I5: replay each edge's produce / fetch / consume counter timeline.  At
-/// equal times the slot-freeing transition is applied first (consume, then
-/// fetch, then produce), matching the simulator's guarantee.
+/// The held windows of one sequence in non-decreasing end order, as a
+/// cursor: the sequence itself when it is ordered, else a copy of its held
+/// windows in `scratch`, sorted when the trace did not order them.
+struct ByEnd {
+  const TraceIndex::Window* next;
+  const TraceIndex::Window* last;
+
+  ByEnd(const TraceIndex::Sequence& seq,
+        std::vector<TraceIndex::Window>& scratch, std::size_t& sorts) {
+    if (!seq.ordered) {
+      scratch.clear();
+      seq.for_each_held([&scratch](std::size_t, const TraceIndex::Window& w) {
+        scratch.push_back(w);
+      });
+      const auto by_end = [](const TraceIndex::Window& a,
+                             const TraceIndex::Window& b) {
+        return a.end < b.end;
+      };
+      if (!std::is_sorted(scratch.begin(), scratch.end(), by_end)) {
+        std::sort(scratch.begin(), scratch.end(), by_end);
+        ++sorts;
+      }
+    }
+    const std::vector<TraceIndex::Window>& windows =
+        seq.ordered ? seq.at : scratch;
+    next = windows.data();
+    last = windows.data() + windows.size();
+  }
+  bool at_or_before(const ByEnd& other) const {
+    return other.next == other.last || next->end <= other.next->end;
+  }
+};
+
+/// I5: replay each edge's produce / fetch / consume counter timeline, a
+/// merge of the held ends of the consumer's computes, the edge's fetches
+/// and the producer's computes.  At equal times the slot-freeing
+/// transition is applied first (consume, then fetch, then produce),
+/// matching the simulator's guarantee.
 void replay_buffers(const SteadyStateAnalysis& analysis,
                     const TraceIndex& index, const std::vector<char>& remote,
-                    std::vector<Violation>& out) {
+                    std::vector<Violation>& out, std::size_t& sorts) {
   const TaskGraph& graph = analysis.graph();
-  enum : int { kConsume = 0, kFetch = 1, kProduce = 2 };
-  struct Step {
-    double time;
-    int type;
-    bool operator<(const Step& other) const {
-      if (time != other.time) return time < other.time;
-      return type < other.type;
-    }
-  };
-  std::vector<Step> steps;
-  const auto push = [&steps](const TraceIndex::Sequence& seq, int type) {
-    seq.for_each_held([&](std::size_t, const TraceIndex::Window& w) {
-      steps.push_back({w.end, type});
-    });
-  };
+  std::vector<TraceIndex::Window> scratch[3];
   for (EdgeId e = 0; e < graph.edge_count(); ++e) {
     const Edge& edge = graph.edge(e);
     const std::int64_t depth = analysis.buffer_depth(e);
-    steps.clear();
-    push(index.computes[edge.from], kProduce);
-    push(index.computes[edge.to], kConsume);
-    push(index.fetches[e], kFetch);
-    std::sort(steps.begin(), steps.end());
+    ByEnd consume(index.computes[edge.to], scratch[0], sorts);
+    ByEnd fetch(index.fetches[e], scratch[1], sorts);
+    ByEnd produce(index.computes[edge.from], scratch[2], sorts);
 
     std::int64_t produced = 0, fetched = 0, consumed = 0;
     bool over_reported = false, order_reported = false;
-    for (const Step& s : steps) {
-      switch (s.type) {
-        case kProduce: ++produced; break;
-        case kFetch: ++fetched; break;
-        case kConsume: ++consumed; break;
+    for (;;) {
+      double time = 0.0;
+      if (consume.next != consume.last && consume.at_or_before(fetch) &&
+          consume.at_or_before(produce)) {
+        time = consume.next++->end;
+        ++consumed;
+      } else if (fetch.next != fetch.last && fetch.at_or_before(produce)) {
+        time = fetch.next++->end;
+        ++fetched;
+      } else if (produce.next != produce.last) {
+        time = produce.next++->end;
+        ++produced;
+      } else {
+        break;
       }
       if (!order_reported &&
           (fetched > produced || consumed > (remote[e] ? fetched : produced))) {
         order_reported = true;
         add(out, "buffer-occupancy",
             "edge " + edge_label(graph, e) + ": counters out of order at " +
-                time_str(s.time) + " (produced " + std::to_string(produced) +
+                time_str(time) + " (produced " + std::to_string(produced) +
                 ", fetched " + std::to_string(fetched) + ", consumed " +
                 std::to_string(consumed) + ")");
       }
@@ -315,7 +368,7 @@ void replay_buffers(const SteadyStateAnalysis& analysis,
                 std::to_string(occupancy) + " instances (" +
                 format_bytes(static_cast<double>(occupancy) *
                              edge.data_bytes) +
-                ") at " + time_str(s.time) + ", over buff = " +
+                ") at " + time_str(time) + ", over buff = " +
                 std::to_string(depth) + " instances (" +
                 format_bytes(analysis.buffer_bytes(e)) + ")");
       }
@@ -327,8 +380,9 @@ void replay_buffers(const SteadyStateAnalysis& analysis,
 /// one compute at a time per PE.
 void replay_causality(const SteadyStateAnalysis& analysis,
                       const Mapping& mapping, const TraceIndex& index,
+                      const std::vector<TraceEvent>& trace,
                       const std::vector<char>& remote,
-                      std::vector<Violation>& out) {
+                      std::vector<Violation>& out, std::size_t& sorts) {
   const TaskGraph& graph = analysis.graph();
   std::size_t length = 0;  // stream instances witnessed by the trace
   for (const auto& seq : index.computes) {
@@ -421,37 +475,102 @@ void replay_causality(const SteadyStateAnalysis& analysis,
 
   // Processing elements are serial: compute windows on one PE must not
   // overlap (the trace window excludes dispatch overhead, so any overlap
-  // is a genuine double-booking).
-  std::vector<std::vector<TraceIndex::Window>> per_pe(
-      analysis.platform().pe_count());
-  std::vector<std::size_t> per_pe_count(per_pe.size(), 0);
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    per_pe_count[mapping.pe_of(t)] += index.computes[t].count;
-  }
-  for (PeId pe = 0; pe < per_pe.size(); ++pe) {
-    per_pe[pe].reserve(per_pe_count[pe]);
-  }
-  for (TaskId t = 0; t < graph.task_count(); ++t) {
-    index.computes[t].for_each_held(
-        [&](std::size_t, const TraceIndex::Window& w) {
-          per_pe[mapping.pe_of(t)].push_back(w);
-        });
-  }
-  for (PeId pe = 0; pe < per_pe.size(); ++pe) {
-    auto& windows = per_pe[pe];
-    std::sort(windows.begin(), windows.end(),
-              [](const auto& a, const auto& b) { return a.start < b.start; });
-    for (std::size_t i = 1; i < windows.size(); ++i) {
-      if (windows[i].start + kTimeEpsilon < windows[i - 1].end) {
-        add(out, "causality",
-            analysis.platform().pe_name(pe) +
-                " executes two task instances concurrently (" +
-                time_str(windows[i].start) + " < " +
-                time_str(windows[i - 1].end) + ")");
-        break;
+  // is a genuine double-booking).  The simulator emits a PE's computes in
+  // start order, so each PE's windows are checked as the trace gives them.
+  // That order is the sorted one only when the starts strictly increase
+  // and every window the index holds is read once; any other PE is
+  // checked as the sort by start orders it, over its windows in task-major
+  // order.
+  struct PeSweep {
+    std::size_t seen = 0;  ///< Held windows read, duplicates included.
+    bool strict = true;    ///< Starts strictly increased so far.
+    bool overlap = false;  ///< The first overlap below was found.
+    double last_start = 0.0, last_end = 0.0;
+    double overlap_start = 0.0, overlap_end = 0.0;
+  };
+  const std::size_t pes = analysis.platform().pe_count();
+  std::vector<PeSweep> sweep(pes);
+  for (const TraceEvent& e : trace) {
+    if (e.kind != TraceEvent::Kind::kCompute || e.instance < 0) continue;
+    const std::size_t t = TraceIndex::sequence_of(graph, e);
+    if (t == TraceIndex::kNoSequence ||
+        static_cast<std::size_t>(e.instance) >= index.computes[t].at.size()) {
+      continue;
+    }
+    PeSweep& pe = sweep[mapping.pe_of(t)];
+    if (pe.seen++ > 0) {
+      if (!(e.start > pe.last_start)) {
+        pe.strict = false;
+      } else if (!pe.overlap && e.start + kTimeEpsilon < pe.last_end) {
+        pe.overlap = true;
+        pe.overlap_start = e.start;
+        pe.overlap_end = pe.last_end;
       }
     }
+    pe.last_start = e.start;
+    pe.last_end = e.end;
   }
+  std::vector<std::size_t> held(pes, 0);
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    held[mapping.pe_of(t)] += index.computes[t].count;
+  }
+  std::vector<TraceIndex::Window> windows;
+  for (PeId pe = 0; pe < pes; ++pe) {
+    PeSweep& s = sweep[pe];
+    if (!s.strict || s.seen != held[pe]) {
+      ++sorts;
+      windows.clear();
+      windows.reserve(held[pe]);
+      for (TaskId t = 0; t < graph.task_count(); ++t) {
+        if (mapping.pe_of(t) != pe) continue;
+        index.computes[t].for_each_held(
+            [&](std::size_t, const TraceIndex::Window& w) {
+              windows.push_back(w);
+            });
+      }
+      std::sort(windows.begin(), windows.end(),
+                [](const auto& a, const auto& b) { return a.start < b.start; });
+      s.overlap = false;
+      for (std::size_t i = 1; i < windows.size(); ++i) {
+        if (windows[i].start + kTimeEpsilon < windows[i - 1].end) {
+          s.overlap = true;
+          s.overlap_start = windows[i].start;
+          s.overlap_end = windows[i - 1].end;
+          break;
+        }
+      }
+    }
+    if (s.overlap) {
+      add(out, "causality",
+          analysis.platform().pe_name(pe) +
+              " executes two task instances concurrently (" +
+              time_str(s.overlap_start) + " < " + time_str(s.overlap_end) +
+              ")");
+    }
+  }
+}
+
+/// I4-I6 in one replay of `trace`; `sorts` counts the I4 arrays, I5
+/// sequences and I6 PEs the trace did not order (InvariantReport's
+/// replay_sorts).
+std::vector<Violation> replay_trace(const SteadyStateAnalysis& analysis,
+                                    const Mapping& mapping,
+                                    const std::vector<TraceEvent>& trace,
+                                    std::size_t& sorts) {
+  const TaskGraph& graph = analysis.graph();
+  TraceIndex index(graph, analysis.platform(), trace);
+  std::vector<char> remote(graph.edge_count());
+  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+    const Edge& edge = graph.edge(e);
+    remote[e] = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
+  }
+  std::vector<Violation> out = std::move(index.defects);
+  replay_dma_queues(analysis.platform(), std::move(index.issues),
+                    std::move(index.completions), index.queue_begin, out,
+                    sorts);
+  replay_buffers(analysis, index, remote, out, sorts);
+  replay_causality(analysis, mapping, index, trace, remote, out, sorts);
+  return out;
 }
 
 }  // namespace
@@ -535,19 +654,8 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
                                    const Mapping& mapping,
                                    const std::vector<TraceEvent>& trace) {
-  const TaskGraph& graph = analysis.graph();
-  TraceIndex index(graph, analysis.platform(), trace);
-  std::vector<char> remote(graph.edge_count());
-  for (EdgeId e = 0; e < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
-    remote[e] = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
-  }
-  std::vector<Violation> out = std::move(index.defects);
-  replay_dma_queues(analysis.platform(), std::move(index.queues),
-                    index.queue_begin, out);
-  replay_buffers(analysis, index, remote, out);
-  replay_causality(analysis, mapping, index, remote, out);
-  return out;
+  std::size_t sorts = 0;
+  return replay_trace(analysis, mapping, trace, sorts);
 }
 
 StreamAccounting accounting_of(const sim::SimResult& result) {
@@ -681,7 +789,7 @@ InvariantReport check_invariants(const SteadyStateAnalysis& analysis,
   if (!result.trace.empty()) {
     report.trace_checked = true;
     report.trace_events_seen = result.trace.size();
-    take(check_trace(analysis, mapping, result.trace));
+    take(replay_trace(analysis, mapping, result.trace, report.replay_sorts));
     report.checks_run += 2;  // I4, I5 and I6 are three families
   }
   return report;
@@ -716,6 +824,7 @@ InvariantReport check_failover_invariants(const SteadyStateAnalysis& analysis,
         analysis, outcome.phase_mappings[p], outcome.phases[p], phase_options);
     report.checks_run += phase_report.checks_run;
     report.trace_events_seen += phase_report.trace_events_seen;
+    report.replay_sorts += phase_report.replay_sorts;
     report.trace_checked = report.trace_checked || phase_report.trace_checked;
     for (Violation& v : phase_report.violations) {
       v.detail = "phase " + std::to_string(p + 1) + ": " + v.detail;

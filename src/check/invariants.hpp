@@ -40,10 +40,11 @@
 // I1-I3 need only the SimResult.  I4-I6 are one replay of the execution
 // trace (SimOptions::record_trace) against the analysis, check_trace: the
 // trace is indexed once, each malformed, duplicated or missing instance is
-// one trace-consistency defect, and a missing instance is never replayed
-// as an event.  I7 consumes the telemetry counters every simulated run
-// carries; I8/I9 consume the per-edge accounting both executors export
-// and the failover outcome of fault::run_with_failover.  Each checker
+// one trace-consistency defect, a missing instance is never replayed as an
+// event, and the runs the simulator already emits in order are merged in
+// linear time rather than sorted.  I7 consumes the telemetry counters
+// every simulated run carries; I8/I9 consume the per-edge accounting both
+// executors export and the failover outcome of fault::run_with_failover.  Each checker
 // returns the violations it found — an empty vector is a pass — so tests
 // can exercise them one by one with hand-built traces.
 
@@ -80,6 +81,10 @@ struct InvariantReport {
   std::size_t checks_run = 0;          ///< Invariant families evaluated.
   std::size_t trace_events_seen = 0;   ///< Events consumed by I4-I6.
   bool trace_checked = false;          ///< False when the trace was empty.
+  /// I4 queue arrays, I5 sequences and I6 PEs the replay had to sort
+  /// because the trace did not give them in order (0 on a run of the
+  /// simulator that no DMA retry reordered; see check_trace).
+  std::size_t replay_sorts = 0;
 
   bool ok() const { return violations.empty(); }
   /// Multi-line summary for logs and fuzz reproducers.
@@ -116,7 +121,17 @@ std::vector<Violation> check_local_store(const SteadyStateAnalysis& analysis,
 ///      and no PE runs two computes at once.
 /// Malformed events, duplicated instances and each sequence's first gap
 /// are "trace-consistency" defects, each reported once; I5 and I6 replay
-/// only the instances the trace holds.
+/// only the instances the trace holds.  A sequence is sized by its events,
+/// not by its instance numbers, so a hostile instance number is a gap,
+/// never an allocation.
+///
+/// The replay is one ordered sweep: the simulator appends each event when
+/// it completes, so each queue's completions, each sequence's ends and
+/// each PE's compute starts already arrive in order, and I4, I5 and I6
+/// merge or scan them in linear time.  A run the trace did not order is
+/// sorted alone, exactly as a full sort would order it (an I6 PE whose
+/// starts do not strictly increase is sorted as a whole), so the result
+/// does not depend on the order of the events in a duplicate-free trace.
 std::vector<Violation> check_trace(const SteadyStateAnalysis& analysis,
                                    const Mapping& mapping,
                                    const std::vector<obs::TraceEvent>& trace);

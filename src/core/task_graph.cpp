@@ -16,7 +16,8 @@ TaskId TaskGraph::add_task(Task task) {
     task.name = std::to_string(tasks_.size()).insert(0, 1, 'T');
   }
   tasks_.push_back(std::move(task));
-  invalidate_cache();
+  out_edges_.emplace_back();
+  in_edges_.emplace_back();
   return tasks_.size() - 1;
 }
 
@@ -25,41 +26,17 @@ EdgeId TaskGraph::add_edge(TaskId from, TaskId to, double data_bytes) {
   CS_ENSURE(to < tasks_.size(), "add_edge: unknown target task");
   CS_ENSURE(from != to, "add_edge: self loop");
   CS_ENSURE(data_bytes >= 0.0, "add_edge: negative data size");
-  for (const Edge& e : edges_) {
-    CS_ENSURE(!(e.from == from && e.to == to), "add_edge: duplicate edge");
+  for (const EdgeId e : out_edges_[from]) {
+    CS_ENSURE(edges_[e].to != to, "add_edge: duplicate edge");
   }
+  const EdgeId id = edges_.size();
   edges_.push_back(Edge{from, to, data_bytes});
-  invalidate_cache();
-  return edges_.size() - 1;
-}
-
-void TaskGraph::invalidate_cache() const { adjacency_valid_ = false; }
-
-void TaskGraph::build_adjacency() const {
-  if (adjacency_valid_) return;
-  out_edges_.assign(tasks_.size(), {});
-  in_edges_.assign(tasks_.size(), {});
-  for (EdgeId id = 0; id < edges_.size(); ++id) {
-    out_edges_[edges_[id].from].push_back(id);
-    in_edges_[edges_[id].to].push_back(id);
-  }
-  adjacency_valid_ = true;
-}
-
-const std::vector<EdgeId>& TaskGraph::out_edges(TaskId id) const {
-  CS_ENSURE(id < tasks_.size(), "out_edges: id out of range");
-  build_adjacency();
-  return out_edges_[id];
-}
-
-const std::vector<EdgeId>& TaskGraph::in_edges(TaskId id) const {
-  CS_ENSURE(id < tasks_.size(), "in_edges: id out of range");
-  build_adjacency();
-  return in_edges_[id];
+  out_edges_[from].push_back(id);
+  in_edges_[to].push_back(id);
+  return id;
 }
 
 std::vector<TaskId> TaskGraph::sources() const {
-  build_adjacency();
   std::vector<TaskId> out;
   for (TaskId t = 0; t < tasks_.size(); ++t) {
     if (in_edges_[t].empty()) out.push_back(t);
@@ -68,7 +45,6 @@ std::vector<TaskId> TaskGraph::sources() const {
 }
 
 std::vector<TaskId> TaskGraph::sinks() const {
-  build_adjacency();
   std::vector<TaskId> out;
   for (TaskId t = 0; t < tasks_.size(); ++t) {
     if (out_edges_[t].empty()) out.push_back(t);
@@ -77,7 +53,6 @@ std::vector<TaskId> TaskGraph::sinks() const {
 }
 
 std::vector<TaskId> TaskGraph::topological_order() const {
-  build_adjacency();
   std::vector<std::size_t> in_degree(tasks_.size());
   for (TaskId t = 0; t < tasks_.size(); ++t) in_degree[t] = in_edges_[t].size();
 

@@ -46,8 +46,9 @@ struct Edge {
 /// Directed acyclic task graph of a streaming application.
 ///
 /// Tasks and edges are referred to by dense indices (TaskId / EdgeId)
-/// assigned in insertion order.  The graph is append-only; structural
-/// queries (adjacency, topological order) are recomputed lazily and cached.
+/// assigned in insertion order.  The graph is append-only; add_task and
+/// add_edge keep the adjacency lists current, so every query on a const
+/// graph only reads it.
 class TaskGraph {
  public:
   TaskGraph() = default;
@@ -82,9 +83,15 @@ class TaskGraph {
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// Edge ids leaving / entering a task.
-  const std::vector<EdgeId>& out_edges(TaskId id) const;
-  const std::vector<EdgeId>& in_edges(TaskId id) const;
+  /// Edge ids leaving / entering a task, ascending.
+  const std::vector<EdgeId>& out_edges(TaskId id) const {
+    CS_ENSURE(id < tasks_.size(), "out_edges: id out of range");
+    return out_edges_[id];
+  }
+  const std::vector<EdgeId>& in_edges(TaskId id) const {
+    CS_ENSURE(id < tasks_.size(), "in_edges: id out of range");
+    return in_edges_[id];
+  }
 
   /// Tasks with no predecessors / successors.
   std::vector<TaskId> sources() const;
@@ -137,17 +144,13 @@ class TaskGraph {
   std::string to_dot() const;
 
  private:
-  void invalidate_cache() const;
-  void build_adjacency() const;
-
   std::string name_;
   std::vector<Task> tasks_;
   std::vector<Edge> edges_;
 
-  // Lazily built adjacency (mutable cache).
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::vector<EdgeId>> out_edges_;
-  mutable std::vector<std::vector<EdgeId>> in_edges_;
+  // Adjacency, kept current by add_task and add_edge.
+  std::vector<std::vector<EdgeId>> out_edges_;
+  std::vector<std::vector<EdgeId>> in_edges_;
 };
 
 }  // namespace cellstream

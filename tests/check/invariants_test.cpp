@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "check/invariants.hpp"
 #include "gen/daggen.hpp"
 #include "mapping/heuristics.hpp"
@@ -406,6 +408,26 @@ TEST(CheckTrace, AMissingInstanceIsReportedOnceAndNeverReplayed) {
       << report.to_string();
   EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
   EXPECT_EQ(report.checks_run, 8u);
+}
+
+TEST(CheckTrace, AnOutOfRangeInstanceIsReportedNotAllocated) {
+  // A sequence is sized by its events, not by its instance numbers: one
+  // compute and one fetch numbered 2^40 or INT64_MAX leave instance 0 of
+  // each sequence missing, which is a defect, not a terabyte index or a
+  // length error.
+  for (const std::int64_t instance :
+       {std::int64_t{1} << 40, std::numeric_limits<std::int64_t>::max()}) {
+    std::vector<TraceEvent> trace;
+    trace.push_back(compute_event(0, 1, instance, 0.0, 0.2));
+    trace.push_back(edge_event(0, 2, 1, instance, 0.2, 0.4));
+    const InvariantReport report = check_with_trace(std::move(trace));
+    ASSERT_EQ(report.violations.size(), 2u) << report.to_string();
+    for (const Violation& v : report.violations) {
+      EXPECT_EQ(v.invariant, "trace-consistency");
+      EXPECT_NE(v.detail.find("instance 0 is missing"), std::string::npos)
+          << v.detail;
+    }
+  }
 }
 
 TEST(CheckTrace, ADuplicatedInstanceIsReportedOnce) {

@@ -68,6 +68,33 @@ TEST(TaskGraph, AdjacencyLists) {
   EXPECT_EQ(g.edge(g.out_edges(0)[0]).to, 1u);
 }
 
+TEST(TaskGraph, AdjacencyStaysAscendingByIdAcrossAppends) {
+  // Edges added out of task order, with queries in between: each list
+  // holds its edge ids ascending, as the order they were added in, and a
+  // duplicate is rejected without touching either list.
+  TaskGraph g;
+  for (int i = 0; i < 3; ++i) g.add_task(simple_task());
+  EXPECT_EQ(g.add_edge(1, 2, 1.0), 0u);
+  EXPECT_EQ(g.add_edge(0, 2, 1.0), 1u);
+  EXPECT_EQ(g.in_edges(2), (std::vector<EdgeId>{0, 1}));
+  g.add_task(simple_task());
+  EXPECT_TRUE(g.out_edges(3).empty());
+  EXPECT_TRUE(g.in_edges(3).empty());
+  EXPECT_EQ(g.add_edge(0, 3, 1.0), 2u);
+  EXPECT_EQ(g.add_edge(0, 1, 1.0), 3u);
+  EXPECT_EQ(g.add_edge(2, 3, 1.0), 4u);
+  EXPECT_THROW(g.add_edge(0, 2, 5.0), Error);
+  EXPECT_THROW(g.add_edge(2, 3, 5.0), Error);
+  EXPECT_EQ(g.edge_count(), 5u);
+  EXPECT_EQ(g.out_edges(0), (std::vector<EdgeId>{1, 2, 3}));
+  EXPECT_EQ(g.out_edges(1), (std::vector<EdgeId>{0}));
+  EXPECT_EQ(g.out_edges(2), (std::vector<EdgeId>{4}));
+  EXPECT_EQ(g.in_edges(1), (std::vector<EdgeId>{3}));
+  EXPECT_EQ(g.in_edges(2), (std::vector<EdgeId>{0, 1}));
+  EXPECT_EQ(g.in_edges(3), (std::vector<EdgeId>{2, 4}));
+  EXPECT_THROW(g.in_edges(4), Error);
+}
+
 TEST(TaskGraph, SourcesAndSinks) {
   const TaskGraph g = diamond();
   EXPECT_EQ(g.sources(), std::vector<TaskId>{0});
