@@ -1,10 +1,10 @@
 #pragma once
-// Shared plumbing for the figure-reproduction benches.
+// Shared plumbing for the benches: the paper's simulation and MILP
+// settings, the speed-up normalization and the report header.
 //
-// Every bench binary accepts two optional environment variables so the
-// full suite can be dialed between "smoke" and "paper-faithful" scales:
-//   CELLSTREAM_BENCH_INSTANCES   stream length per simulation
-//   CELLSTREAM_BENCH_MILP_SECONDS  per-solve MILP time limit
+// micro_sim and micro_runtime read CELLSTREAM_BENCH_INSTANCES (stream
+// length per simulation) so their bench-smoke tests can run them at a
+// reduced scale; micro_sim also reads CELLSTREAM_BENCH_EVENTS.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,18 +25,8 @@ inline std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
 }
 
-inline double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtod(value, nullptr);
-}
-
 inline std::size_t bench_instances(std::size_t fallback = 5000) {
   return env_size("CELLSTREAM_BENCH_INSTANCES", fallback);
-}
-
-inline double bench_milp_seconds(double fallback = 20.0) {
-  return env_double("CELLSTREAM_BENCH_MILP_SECONDS", fallback);
 }
 
 /// Simulation options mirroring the paper's runtime.  The dispatch and
@@ -52,11 +42,15 @@ inline sim::SimOptions paper_sim_options(std::size_t instances) {
   return o;
 }
 
+/// Per-solve MILP wall limit: the paper's CPLEX solves took ~20 s at the
+/// same 5 % gap.
+inline constexpr double kPaperMilpSeconds = 20.0;
+
 /// MILP mapper options mirroring the paper's CPLEX usage (5 % gap).
 inline mapping::MilpMapperOptions paper_milp_options() {
   mapping::MilpMapperOptions o;
   o.milp.relative_gap = 0.05;
-  o.milp.time_limit_seconds = bench_milp_seconds();
+  o.milp.time_limit_seconds = kPaperMilpSeconds;
   return o;
 }
 

@@ -59,6 +59,8 @@ struct TraceIndex {
     /// Gap-free, with ends non-decreasing in instance order — how the
     /// simulator emits a run that no DMA retry reordered.
     bool ordered = false;
+    /// When not ordered: the held windows in non-decreasing end order.
+    std::vector<Window> by_end;
 
     template <typename Fn>
     void for_each_held(Fn&& fn) const {
@@ -76,6 +78,8 @@ struct TraceIndex {
   std::vector<double> completions;
   std::vector<std::size_t> queue_begin;
   std::vector<Violation> defects;
+  /// Sequences whose held windows the trace did not give in end order.
+  std::size_t sorts = 0;
 
   TraceIndex(const TaskGraph& graph, const CellPlatform& platform,
              const std::vector<TraceEvent>& trace)
@@ -204,18 +208,28 @@ struct TraceIndex {
     ++seq.count;
   }
 
-  /// Sets seq.prefix and seq.ordered; false when an instance below a held
-  /// one is missing.
-  static bool close(Sequence& seq) {
+  /// Sets seq.prefix and seq.ordered, and seq.by_end when the sequence
+  /// is not ordered; false when an instance below a held one is missing.
+  bool close(Sequence& seq) {
     while (seq.prefix < seq.held.size() && seq.held[seq.prefix]) {
       ++seq.prefix;
     }
     const bool gap_free = seq.prefix == seq.held.size();
-    seq.ordered = gap_free && std::is_sorted(seq.at.begin(), seq.at.end(),
-                                             [](const Window& a,
-                                                const Window& b) {
-                                               return a.end < b.end;
-                                             });
+    const auto by_end = [](const Window& a, const Window& b) {
+      return a.end < b.end;
+    };
+    seq.ordered =
+        gap_free && std::is_sorted(seq.at.begin(), seq.at.end(), by_end);
+    if (!seq.ordered) {
+      seq.by_end.reserve(seq.count);
+      seq.for_each_held([&seq](std::size_t, const Window& w) {
+        seq.by_end.push_back(w);
+      });
+      if (!std::is_sorted(seq.by_end.begin(), seq.by_end.end(), by_end)) {
+        std::sort(seq.by_end.begin(), seq.by_end.end(), by_end);
+        ++sorts;
+      }
+    }
     return gap_free;
   }
 
@@ -282,30 +296,15 @@ void replay_dma_queues(const CellPlatform& platform,
 }
 
 /// The held windows of one sequence in non-decreasing end order, as a
-/// cursor: the sequence itself when it is ordered, else a copy of its held
-/// windows in `scratch`, sorted when the trace did not order them.
+/// cursor over the sequence itself when it is ordered, else over the
+/// end-ordered copy its index built.
 struct ByEnd {
   const TraceIndex::Window* next;
   const TraceIndex::Window* last;
 
-  ByEnd(const TraceIndex::Sequence& seq,
-        std::vector<TraceIndex::Window>& scratch, std::size_t& sorts) {
-    if (!seq.ordered) {
-      scratch.clear();
-      seq.for_each_held([&scratch](std::size_t, const TraceIndex::Window& w) {
-        scratch.push_back(w);
-      });
-      const auto by_end = [](const TraceIndex::Window& a,
-                             const TraceIndex::Window& b) {
-        return a.end < b.end;
-      };
-      if (!std::is_sorted(scratch.begin(), scratch.end(), by_end)) {
-        std::sort(scratch.begin(), scratch.end(), by_end);
-        ++sorts;
-      }
-    }
+  explicit ByEnd(const TraceIndex::Sequence& seq) {
     const std::vector<TraceIndex::Window>& windows =
-        seq.ordered ? seq.at : scratch;
+        seq.ordered ? seq.at : seq.by_end;
     next = windows.data();
     last = windows.data() + windows.size();
   }
@@ -321,15 +320,14 @@ struct ByEnd {
 /// matching the simulator's guarantee.
 void replay_buffers(const SteadyStateAnalysis& analysis,
                     const TraceIndex& index, const std::vector<char>& remote,
-                    std::vector<Violation>& out, std::size_t& sorts) {
+                    std::vector<Violation>& out) {
   const TaskGraph& graph = analysis.graph();
-  std::vector<TraceIndex::Window> scratch[3];
   for (EdgeId e = 0; e < graph.edge_count(); ++e) {
     const Edge& edge = graph.edge(e);
     const std::int64_t depth = analysis.buffer_depth(e);
-    ByEnd consume(index.computes[edge.to], scratch[0], sorts);
-    ByEnd fetch(index.fetches[e], scratch[1], sorts);
-    ByEnd produce(index.computes[edge.from], scratch[2], sorts);
+    ByEnd consume(index.computes[edge.to]);
+    ByEnd fetch(index.fetches[e]);
+    ByEnd produce(index.computes[edge.from]);
 
     std::int64_t produced = 0, fetched = 0, consumed = 0;
     bool over_reported = false, order_reported = false;
@@ -565,10 +563,11 @@ std::vector<Violation> replay_trace(const SteadyStateAnalysis& analysis,
     remote[e] = mapping.pe_of(edge.from) != mapping.pe_of(edge.to);
   }
   std::vector<Violation> out = std::move(index.defects);
+  sorts += index.sorts;
   replay_dma_queues(analysis.platform(), std::move(index.issues),
                     std::move(index.completions), index.queue_begin, out,
                     sorts);
-  replay_buffers(analysis, index, remote, out, sorts);
+  replay_buffers(analysis, index, remote, out);
   replay_causality(analysis, mapping, index, trace, remote, out, sorts);
   return out;
 }

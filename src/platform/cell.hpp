@@ -94,6 +94,8 @@ struct CellPlatform {
 
   /// Validate all parameters; throws Error on nonsense values.
   void validate() const;
+
+  bool operator==(const CellPlatform&) const = default;
 };
 
 /// Platform presets used in the paper's evaluation.

@@ -445,6 +445,34 @@ TEST(CheckTrace, ADuplicatedInstanceIsReportedOnce) {
   EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
 }
 
+TEST(CheckTrace, AnUnorderedSequenceIsSortedOnceForAllItsEdges) {
+  // The chain A -> B -> C on SPE0, whose B completes instance 1 before
+  // instance 0.  B's computes feed I5 on both edges (consumer of A -> B,
+  // producer of B -> C), yet their end order is built once.  The run is
+  // clean: B's inputs and C's were all ready in time.
+  TaskGraph graph("chain3");
+  for (const char* name : {"A", "B", "C"}) {
+    graph.add_task({name, 1e-3, 1e-3, 0, 0.0, 0.0, false});
+  }
+  graph.add_edge(0, 1, 1024.0);
+  graph.add_edge(1, 2, 1024.0);
+  const SteadyStateAnalysis analysis(std::move(graph),
+                                     platforms::qs22_single_cell());
+  const Mapping mapping(std::vector<PeId>{1, 1, 1});
+  sim::SimOptions options;
+  options.instances = 50;
+  sim::SimResult result = sim::simulate(analysis, mapping, options);
+  result.trace = {compute_event(0, 1, 0, 0.0, 0.1),
+                  compute_event(0, 1, 1, 0.1, 0.2),
+                  compute_event(1, 1, 1, 0.2, 0.3),
+                  compute_event(1, 1, 0, 0.3, 0.4),
+                  compute_event(2, 1, 0, 0.4, 0.5),
+                  compute_event(2, 1, 1, 0.5, 0.6)};
+  const InvariantReport report = check_invariants(analysis, mapping, result);
+  EXPECT_EQ(report.replay_sorts, 1u);
+  EXPECT_TRUE(report.violations.empty()) << report.to_string();
+}
+
 // -- The aggregate checker on a real simulated run -------------------------
 
 TEST(CheckInvariants, CleanPipelineRunPassesEveryInvariant) {
