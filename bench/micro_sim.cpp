@@ -7,6 +7,9 @@
 // the shared bench document (BENCH_sim.json by default):
 //   * engine events/sec of the pooled event core, on a steady event chain
 //     and under cancel churn,
+//   * the flow layer on a simulator-shaped transfer chain: transfers,
+//     max-min recomputations and heap allocations per transfer (0 once
+//     warm; this binary counts every allocation), and transfers/sec,
 //   * simulated instances/sec with the steady-state fast-forward off
 //     vs. on (results must stay bit-identical),
 //   * batched scenario sweep, serial vs. thread pool (results must be
@@ -19,7 +22,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -32,6 +38,23 @@
 #include "mapping/heuristics.hpp"
 #include "sim/batch.hpp"
 #include "sim/simulator.hpp"
+
+// Every allocation of this binary is counted, so the flow entry can
+// report the allocations of its measured phase.  Kept out of line, so the
+// compiler does not pair an inlined free() with operator new.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -62,7 +85,9 @@ void BM_FlowNetworkChurn(benchmark::State& state) {
     des::FlowNetwork net(engine, caps, caps);
     std::size_t done = 0;
     for (std::size_t i = 0; i < batch; ++i) {
-      net.start_transfer(i % 9, 9 - (i % 5), 50.0, [&done] { ++done; });
+      const std::size_t src = i % 9;
+      const std::size_t dst = (src + 1 + i % 5) % 10;  // never src
+      net.start_transfer(src, dst, 50.0, [&done] { ++done; });
     }
     engine.run();
     benchmark::DoNotOptimize(done);
@@ -155,6 +180,84 @@ double engine_events_per_sec(std::size_t events, int reps) {
   return best;
 }
 
+// The simulator's transfer mix on a dual-Cell-shaped flow network: 18 PE
+// nodes and main memory (infinite ports), one link resource per chip and
+// direction.  `kLanes` transfers are in flight at once; each completion
+// starts its lane's next transfer, a memory read or write, a PE-to-PE
+// fetch, or a cross-chip fetch over four resources.
+struct FlowChain {
+  static constexpr std::size_t kPes = 18;
+  static constexpr std::size_t kLanes = 24;
+  des::FlowNetwork* net = nullptr;
+  des::ResourceId links[4] = {};  // chip 0 out, chip 0 in, chip 1 out, in
+  std::uint64_t started = 0;
+  std::uint64_t budget = 0;
+
+  void start(std::size_t lane) {
+    if (started == budget) return;
+    const std::uint64_t k = started++;
+    des::InlineAction done = [this, lane] { start(lane); };
+    const std::size_t pe = (lane * 7 + k) % kPes;
+    const std::size_t other = (pe + 1 + k % 5) % kPes;
+    const double bytes = 2048.0 * static_cast<double>(1 + k % 4);
+    switch (k % 4) {
+      case 0: net->start_transfer(kPes, pe, bytes, std::move(done)); break;
+      case 1: net->start_transfer(pe, kPes, bytes, std::move(done)); break;
+      case 2: net->start_transfer(other, pe, bytes, std::move(done)); break;
+      default: {
+        const std::size_t from_chip = other < kPes / 2 ? 0 : 1;
+        net->start_transfer_over(
+            {net->out_port(other), links[2 * from_chip],
+             links[2 * (1 - from_chip) + 1], net->in_port(pe)},
+            bytes, std::move(done));
+      }
+    }
+  }
+
+  void run(des::Engine& engine, std::uint64_t transfers) {
+    budget += transfers;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) start(lane);
+    engine.run();
+  }
+};
+
+json::Value flow_workload(std::size_t transfers) {
+  des::Engine engine;
+  std::vector<double> caps(FlowChain::kPes + 1, 25.6);  // bytes per tick
+  caps.back() = des::FlowNetwork::infinity();            // main memory
+  des::FlowNetwork net(engine, caps, caps);
+  net.set_time_quantum(1.0);
+  FlowChain chain;
+  chain.net = &net;
+  for (des::ResourceId& link : chain.links) link = net.add_resource(20.0);
+  chain.run(engine, transfers / 10 + 1000);  // warm-up: pools at their peak
+  const std::uint64_t recomputations_before = net.recomputations();
+  const std::uint64_t allocations_before = g_allocations.load();
+  const std::uint64_t started = chain.started;
+  const bench::WallTimer timer;
+  chain.run(engine, transfers);
+  const double seconds = timer.seconds();
+  const std::uint64_t allocations = g_allocations.load() - allocations_before;
+  const std::uint64_t recomputations =
+      net.recomputations() - recomputations_before;
+  const std::uint64_t measured = chain.started - started;
+  const double per_transfer = 1.0 / static_cast<double>(measured);
+  const double per_sec =
+      seconds > 0.0 ? static_cast<double>(measured) / seconds : 0.0;
+  json::Value row = json::Value::object();
+  row.set("transfers", measured);
+  row.set("recomputations", recomputations);
+  row.set("allocations_per_transfer",
+          static_cast<double>(allocations) * per_transfer);
+  row.set("transfers_per_sec", per_sec);
+  std::printf("flow: %llu transfers, %.3g transfers/s, %.2f recomputations "
+              "and %.3g allocations per transfer\n",
+              static_cast<unsigned long long>(measured), per_sec,
+              static_cast<double>(recomputations) * per_transfer,
+              static_cast<double>(allocations) * per_transfer);
+  return row;
+}
+
 // One steady/churn measurement as a JSON object (best of 4 runs).
 template <int Watchdogs>
 json::Value engine_workload(std::size_t events) {
@@ -182,6 +285,9 @@ int run_json_mode(const std::string& path) {
   engine.set("steady", engine_workload<0>(events));
   engine.set("churn", engine_workload<4>(events));
   section.set("engine", std::move(engine));
+
+  // -- flow: the max-min flow layer on the simulator's transfer mix -------
+  section.set("flow", flow_workload(events / 5));
 
   // -- simulation: fast-forward off vs. on ---------------------------------
   TaskGraph graph = gen::paper_graph(0);
@@ -313,8 +419,8 @@ int run_json_mode(const std::string& path) {
 
   bench::update_bench_json(path, "micro_sim", std::move(section));
   bench::check_bench_json(path, "micro_sim",
-                          {"schema", "engine", "simulation", "oracle",
-                           "batch"});
+                          {"schema", "engine", "flow", "simulation",
+                           "oracle", "batch"});
   std::printf("wrote section \"micro_sim\" to %s\n", path.c_str());
   return 0;
 }

@@ -61,22 +61,24 @@ TransferId FlowNetwork::start_transfer(NodeId src, NodeId dst, double bytes,
                              std::move(on_complete));
 }
 
-TransferId FlowNetwork::start_transfer_over(std::vector<ResourceId> resources,
-                                            double bytes,
-                                            InlineAction on_complete) {
+TransferId FlowNetwork::start_transfer_over(
+    std::initializer_list<ResourceId> resources, double bytes,
+    InlineAction on_complete) {
   CS_ENSURE(bytes >= 0.0, "start_transfer: negative size");
+  CS_ENSURE(resources.size() <= kMaxResources,
+            "start_transfer: more than 4 resources");
   for (ResourceId r : resources) {
     CS_ENSURE(r < capacity_.size(), "start_transfer: unknown resource");
   }
   advance_progress();
   const TransferId id = next_id_++;
   // Ids are issued monotonically, so appending keeps flows_ sorted.
-  Flow flow;
+  Flow& flow = flows_.emplace_back();
   flow.id = id;
-  flow.resources = std::move(resources);
+  std::copy(resources.begin(), resources.end(), flow.resource_slots.begin());
+  flow.resource_count = resources.size();
   flow.remaining = bytes;
   flow.on_complete = std::move(on_complete);
-  flows_.push_back(std::move(flow));
   recompute_rates();
   schedule_completion();
   return id;
@@ -112,12 +114,15 @@ void FlowNetwork::recompute_rates() {
   // smallest fair share and freeze its flows at that rate.  flows_ is
   // visited in id order, so the arithmetic (and thus every resulting
   // rate bit pattern) depends only on the flow state, never on hashing.
-  std::vector<double> left = capacity_;
-  std::vector<std::size_t> count(capacity_.size(), 0);
-  std::vector<Flow*> open;
-  open.reserve(flows_.size());
+  ++recomputations_;
+  std::vector<double>& left = left_;
+  std::vector<std::size_t>& count = count_;
+  std::vector<Flow*>& open = open_;
+  left.assign(capacity_.begin(), capacity_.end());
+  count.assign(capacity_.size(), 0);
+  open.clear();
   for (Flow& flow : flows_) {
-    for (ResourceId r : flow.resources) ++count[r];
+    for (ResourceId r : flow.resources()) ++count[r];
     open.push_back(&flow);
   }
 
@@ -134,11 +139,12 @@ void FlowNetwork::recompute_rates() {
       break;
     }
     // Freeze every flow touching a resource now saturated at `fair`.
-    std::vector<Flow*> still_open;
+    std::vector<Flow*>& still_open = still_open_;
+    still_open.clear();
     bool froze_any = false;
     for (Flow* flow : open) {
       bool tight = false;
-      for (ResourceId r : flow->resources) {
+      for (ResourceId r : flow->resources()) {
         if (std::isfinite(left[r]) &&
             left[r] / static_cast<double>(count[r]) <= fair * (1.0 + 1e-12)) {
           tight = true;
@@ -147,7 +153,7 @@ void FlowNetwork::recompute_rates() {
       }
       if (tight) {
         flow->rate = fair;
-        for (ResourceId r : flow->resources) {
+        for (ResourceId r : flow->resources()) {
           left[r] -= fair;
           --count[r];
         }
@@ -192,8 +198,11 @@ void FlowNetwork::schedule_completion() {
 void FlowNetwork::on_completion_event() {
   completion_pending_ = false;
   advance_progress();
-  // Collect finished flows first: callbacks may start new transfers.
+  // Collect finished flows first: callbacks may start new transfers.  The
+  // list is taken out of callbacks_ for the calls and handed back after,
+  // so its storage is reused.
   std::vector<InlineAction> callbacks;
+  callbacks.swap(callbacks_);
   std::erase_if(flows_, [&](Flow& flow) {
     const bool done =
         flow.remaining <= kFinishSlack ||
@@ -208,6 +217,8 @@ void FlowNetwork::on_completion_event() {
   for (InlineAction& callback : callbacks) {
     if (callback) callback();
   }
+  callbacks.clear();
+  callbacks_.swap(callbacks);
 }
 
 }  // namespace cellstream::des

@@ -16,9 +16,17 @@
 // rate recomputation visits them in a deterministic order: repeating the
 // same relative flow state reproduces bit-identical rates, which the
 // simulator's steady-state fast-forward relies on (docs/PERFORMANCE.md).
+//
+// The per-transfer path allocates nothing once the network has seen its
+// peak flow count: a flow holds its (at most four) resources inline, and
+// the progressive filling and the completion callbacks reuse member
+// scratch vectors (docs/PERFORMANCE.md §15).
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -58,13 +66,22 @@ class FlowNetwork {
   TransferId start_transfer(NodeId src, NodeId dst, double bytes,
                             InlineAction on_complete);
 
-  /// Begin a transfer constrained by an explicit set of resources (e.g.
-  /// {out_port(src), cross_chip_link, in_port(dst)}).
-  TransferId start_transfer_over(std::vector<ResourceId> resources,
+  /// The most resources one transfer may cross: its out port, the two
+  /// cross-chip link resources and its in port.
+  static constexpr std::size_t kMaxResources = 4;
+
+  /// Begin a transfer constrained by an explicit set of at most
+  /// kMaxResources resources (e.g. {out_port(src), cross_chip_link,
+  /// in_port(dst)}).
+  TransferId start_transfer_over(std::initializer_list<ResourceId> resources,
                                  double bytes, InlineAction on_complete);
 
   /// Current fair-share rate of a transfer (bytes/s); 0 if unknown id.
   double current_rate(TransferId id) const;
+
+  /// Max-min fair allocations computed so far: one per transfer start
+  /// and one per completion event.
+  std::uint64_t recomputations() const { return recomputations_; }
 
   // -- Fast-forward introspection / translation --------------------------
   /// Engine time at which flow progress was last materialized; remaining
@@ -88,10 +105,15 @@ class FlowNetwork {
  private:
   struct Flow {
     TransferId id;
-    std::vector<ResourceId> resources;
+    std::array<ResourceId, kMaxResources> resource_slots;
+    std::size_t resource_count;
     double remaining;
     double rate = 0.0;
     InlineAction on_complete;
+
+    std::span<const ResourceId> resources() const {
+      return {resource_slots.data(), resource_count};
+    }
   };
 
   const Flow* find(TransferId id) const;
@@ -109,6 +131,13 @@ class FlowNetwork {
   Time last_progress_ = 0.0;
   EventId completion_event_ = 0;
   bool completion_pending_ = false;
+  std::uint64_t recomputations_ = 0;
+  // Scratch reused by every call, so the per-transfer path allocates
+  // nothing in the steady state.
+  std::vector<double> left_;        // recompute_rates: unallocated capacity
+  std::vector<std::size_t> count_;  // recompute_rates: open flows per resource
+  std::vector<Flow*> open_, still_open_;
+  std::vector<InlineAction> callbacks_;  // on_completion_event
 };
 
 }  // namespace cellstream::des

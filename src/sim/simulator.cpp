@@ -121,6 +121,7 @@ struct EdgeState {
   std::int64_t produced = 0;  // instances written by the producer
   DmaStream fetch;            // consumer-issued fetches (remote only)
   std::int64_t consumed = 0;  // instances the consumer is finished with
+  std::size_t fetch_channel = 0;  // index in pes_[dst].channels (remote)
 
   template <typename F>
   void visit(F&& f) {
@@ -139,6 +140,9 @@ struct TaskState {
   double read_bytes = 0.0;  // main-memory streams (none at 0 bytes)
   double write_bytes = 0.0;
   DmaStream read, write;
+  // Indices in pes_[pe].channels of the read and write channels (when the
+  // stream has bytes).
+  std::size_t read_channel = 0, write_channel = 0;
 
   template <typename F>
   void visit(F&& f) {
@@ -160,6 +164,15 @@ constexpr std::uint64_t kTagFlowCompletion = 4ull << 60;
 struct PeState {
   std::vector<TaskId> tasks;       // topological order
   std::vector<Channel> channels;   // communication work this PE initiates
+  // ready[i] == channel_issuable(pe, channels[i]) between events: each
+  // flag is re-derived where a counter it reads changes (refresh()), so
+  // a communication phase scans flags instead of probing channels.
+  // Derived from the counters, so the fast-forward signature omits it.
+  std::vector<char> ready;
+  std::size_t ready_count = 0;
+  // The PPE fetch channels that read this SPE's local store through its
+  // proxy queue: (PPE, index in its channels).
+  std::vector<std::pair<PeId, std::size_t>> proxy_readers;
   std::size_t task_cursor = 0;
   std::size_t channel_cursor = 0;
   bool busy = false;
@@ -253,6 +266,11 @@ class Simulator {
     register_chip_links();
   }
 
+  /// Also re-derive every channel pick by the full scan the readiness
+  /// flags replace, and throw on the first pick they disagree with.
+  void check_picks() { check_picks_ = true; }
+  std::uint64_t picks_checked() const { return picks_checked_; }
+
   SimResult run();
 
  private:
@@ -309,9 +327,13 @@ class Simulator {
 
   void wake(PeId pe);
   void step(PeId pe);
-  std::optional<Channel> find_issuable(PeId pe);
+  std::optional<std::size_t> find_issuable(PeId pe);
+  std::optional<std::size_t> scan_issuable(PeId pe) const;
   bool channel_issuable(PeId pe, const Channel& channel) const;
-  void issue(PeId pe, const Channel& channel);
+  void refresh(PeId pe, std::size_t index);
+  void refresh_all(PeId pe);
+  void refresh_proxy_readers(PeId spe);
+  void issue(PeId pe, std::size_t index);
   void launch(std::uint32_t slot);
   void land(std::uint32_t slot);
   std::optional<TaskId> find_runnable(PeId pe);
@@ -370,6 +392,9 @@ class Simulator {
   std::optional<fault::FaultInjector> injector_;
   std::vector<char> hang_fired_;  // one-shot latch per hang spec
   obs::FaultStats faults_;
+
+  bool check_picks_ = false;
+  std::uint64_t picks_checked_ = 0;
 
   // -- Fast-forward state -------------------------------------------------
   struct Snapshot {
@@ -444,19 +469,33 @@ void Simulator::build_state() {
   // Communication channels each PE polls during its communication phase:
   // remote-edge fetches it is the consumer of, then its tasks' memory
   // streams.
+  const auto add_channel = [this](PeId pe, Channel ch) {
+    pes_[pe].channels.push_back(ch);
+    if (const std::optional<PeId> proxy = proxy_of(pe, ch)) {
+      pes_[*proxy].proxy_readers.emplace_back(pe,
+                                              pes_[pe].channels.size() - 1);
+    }
+    return pes_[pe].channels.size() - 1;
+  };
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
     if (edges_[e].remote) {
-      pes_[edges_[e].dst].channels.push_back(
-          {Channel::Kind::kEdgeFetch, e});
+      edges_[e].fetch_channel =
+          add_channel(edges_[e].dst, {Channel::Kind::kEdgeFetch, e});
     }
   }
   for (TaskId t = 0; t < graph_.task_count(); ++t) {
     if (tasks_[t].read_bytes > 0.0) {
-      pes_[tasks_[t].pe].channels.push_back({Channel::Kind::kMemRead, t});
+      tasks_[t].read_channel =
+          add_channel(tasks_[t].pe, {Channel::Kind::kMemRead, t});
     }
     if (tasks_[t].write_bytes > 0.0) {
-      pes_[tasks_[t].pe].channels.push_back({Channel::Kind::kMemWrite, t});
+      tasks_[t].write_channel =
+          add_channel(tasks_[t].pe, {Channel::Kind::kMemWrite, t});
     }
+  }
+  for (PeId pe = 0; pe < pes_.size(); ++pe) {
+    pes_[pe].ready.assign(pes_[pe].channels.size(), 0);
+    refresh_all(pe);
   }
 
   if (opt_.record_trace) {
@@ -490,13 +529,14 @@ void Simulator::step(PeId pe) {
   // Communication phase: initiate one eligible transfer (issuing a DMA
   // interrupts the core briefly; the transfer itself then proceeds in the
   // background through the flow network).
-  if (const std::optional<Channel> channel = find_issuable(pe)) {
+  if (const std::optional<std::size_t> index = find_issuable(pe)) {
+    const Channel& channel = state.channels[*index];
     state.busy = true;
     state.busy_tag = kTagIssue |
-                     (static_cast<std::uint64_t>(channel->kind) << 32) |
-                     static_cast<std::uint64_t>(channel->index);
+                     (static_cast<std::uint64_t>(channel.kind) << 32) |
+                     static_cast<std::uint64_t>(channel.index);
     state.busy_event =
-        engine_.schedule_in(dma_issue_ticks_, [this, pe, ch = *channel] {
+        engine_.schedule_in(dma_issue_ticks_, [this, pe, i = *index] {
           PeState& s = pes_[pe];
           s.busy = false;
           s.busy_tag = 0;
@@ -506,7 +546,12 @@ void Simulator::step(PeId pe) {
           // last shared queue slot (two PPEs racing for one SPE's 8-deep
           // proxy stack).  The core still paid the interruption; it
           // simply retries.
-          if (channel_issuable(pe, ch)) issue(pe, ch);
+          if (check_picks_) {
+            ++picks_checked_;
+            CS_ASSERT((s.ready[i] != 0) == channel_issuable(pe, s.channels[i]),
+                      "simulate: readiness flag differs from the channel");
+          }
+          if (s.ready[i]) issue(pe, i);
           step(pe);
         });
     return;
@@ -600,15 +645,54 @@ bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
          pes_[*proxy].proxy_outstanding < platform_.ppe_to_spe_dma_slots;
 }
 
-std::optional<Channel> Simulator::find_issuable(PeId pe) {
+void Simulator::refresh(PeId pe, std::size_t index) {
   PeState& state = pes_[pe];
+  const char now = channel_issuable(pe, state.channels[index]) ? 1 : 0;
+  if (now == state.ready[index]) return;
+  state.ready[index] = now;
+  if (now) {
+    ++state.ready_count;
+  } else {
+    --state.ready_count;
+  }
+}
+
+void Simulator::refresh_all(PeId pe) {
+  for (std::size_t i = 0; i < pes_[pe].channels.size(); ++i) refresh(pe, i);
+}
+
+void Simulator::refresh_proxy_readers(PeId spe) {
+  for (const auto& [ppe, index] : pes_[spe].proxy_readers) refresh(ppe, index);
+}
+
+std::optional<std::size_t> Simulator::find_issuable(PeId pe) {
+  PeState& state = pes_[pe];
+  std::optional<std::size_t> pick;
+  if (state.ready_count > 0) {
+    const std::size_t count = state.channels.size();
+    for (std::size_t probe = 0; probe < count; ++probe) {
+      const std::size_t idx = (state.channel_cursor + probe) % count;
+      if (state.ready[idx]) {
+        pick = idx;
+        break;
+      }
+    }
+  }
+  if (check_picks_) {
+    ++picks_checked_;
+    CS_ASSERT(pick == scan_issuable(pe),
+              "simulate: readiness picked another channel than the scan");
+  }
+  if (pick) state.channel_cursor = (*pick + 1) % state.channels.size();
+  return pick;
+}
+
+std::optional<std::size_t> Simulator::scan_issuable(PeId pe) const {
+  const PeState& state = pes_[pe];
   const std::size_t count = state.channels.size();
   for (std::size_t probe = 0; probe < count; ++probe) {
     const std::size_t idx = (state.channel_cursor + probe) % count;
-    if (channel_issuable(pe, state.channels[idx])) {
-      state.channel_cursor = (idx + 1) % count;
-      return state.channels[idx];
-    }
+    if (channel_issuable(pe, state.channels[idx])) return idx;
   }
   return std::nullopt;
 }
@@ -647,18 +731,28 @@ const InflightSlot* Simulator::find_inflight(des::TransferId id) const {
   return &islots_[it->second];
 }
 
-void Simulator::issue(PeId pe, const Channel& channel) {
+void Simulator::issue(PeId pe, std::size_t index) {
+  const Channel channel = pes_[pe].channels[index];
   const auto occupy = [](std::size_t& outstanding, std::size_t& peak) {
     ++outstanding;
     peak = std::max(peak, outstanding);
   };
+  const std::int64_t inst = stream(channel).issued++;
+  refresh(pe, index);
+  // A queue's occupancy changes a channel's readiness only where it
+  // reaches its limit (and where it drops from it, in land()).
   if (platform_.is_spe(pe)) {
     occupy(pes_[pe].gets_outstanding, pes_[pe].mfc_peak);
+    if (pes_[pe].gets_outstanding == platform_.spe_dma_slots) {
+      refresh_all(pe);
+    }
   }
   if (const std::optional<PeId> proxy = proxy_of(pe, channel)) {
     occupy(pes_[*proxy].proxy_outstanding, pes_[*proxy].proxy_peak);
+    if (pes_[*proxy].proxy_outstanding == platform_.ppe_to_spe_dma_slots) {
+      refresh_proxy_readers(*proxy);
+    }
   }
-  const std::int64_t inst = stream(channel).issued++;
   const std::uint32_t slot =
       alloc_inflight({channel, pe, engine_.now(), inst});
   // A failed DMA attempt holds its queue slot through the seeded
@@ -708,9 +802,15 @@ void Simulator::land(std::uint32_t slot) {
   const InflightSlot dma = finish_inflight(slot);
   const Channel& ch = dma.channel;
   stream(ch).land(dma.inst);
-  if (platform_.is_spe(dma.issuer)) --pes_[dma.issuer].gets_outstanding;
+  if (platform_.is_spe(dma.issuer) &&
+      pes_[dma.issuer].gets_outstanding-- == platform_.spe_dma_slots) {
+    refresh_all(dma.issuer);
+  }
   const std::optional<PeId> proxy = proxy_of(dma.issuer, ch);
-  if (proxy) --pes_[*proxy].proxy_outstanding;
+  if (proxy &&
+      pes_[*proxy].proxy_outstanding-- == platform_.ppe_to_spe_dma_slots) {
+    refresh_proxy_readers(*proxy);
+  }
   if (opt_.record_trace) {
     obs::TraceEvent ev;
     ev.kind = obs::TraceEvent::Kind::kTransfer;
@@ -791,14 +891,21 @@ void Simulator::complete_instance(TaskId tid) {
   TaskState& t = tasks_[tid];
   const std::int64_t i = t.next_instance;
   t.next_instance = i + 1;
+  if (t.read_bytes > 0.0) refresh(t.pe, t.read_channel);
+  if (t.write_bytes > 0.0) refresh(t.pe, t.write_channel);
 
   for (EdgeId e : graph_.out_edges(tid)) {
     EdgeState& edge = edges_[e];
     ++edge.produced;
-    if (edge.remote) wake(edge.dst);  // consumer may fetch now
+    if (edge.remote) {
+      refresh(edge.dst, edge.fetch_channel);
+      wake(edge.dst);  // consumer may fetch now
+    }
   }
   for (EdgeId e : graph_.in_edges(tid)) {
-    edges_[e].consumed = i + 1;  // instances <= i are no longer needed
+    EdgeState& edge = edges_[e];
+    edge.consumed = i + 1;  // instances <= i are no longer needed
+    if (edge.remote) refresh(edge.dst, edge.fetch_channel);
   }
   advance_done_counter(i);
   maybe_snapshot(tid);
@@ -1017,6 +1124,10 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   // Pending transfer completions read their instance through the slot
   // slab, so shifting here also shifts what they will land.
   for (const auto& [id, slot] : inflight_) islots_[slot].inst += skipped;
+  // Readiness reads differences of translated counters, and `issued` <
+  // stream length, which the margin keeps; re-derive it all the same, so
+  // it does not hinge on the margin.
+  for (PeId pe = 0; pe < pes_.size(); ++pe) refresh_all(pe);
 
   // Completion times of the skipped instances obey the same recurrence
   // the full run would have produced; the additions are exact (integer-
@@ -1117,5 +1228,20 @@ SimResult simulate(const SteadyStateAnalysis& analysis, const Mapping& mapping,
   Simulator simulator(analysis, mapping, options);
   return simulator.run();
 }
+
+namespace detail {
+
+SimResult simulate_checking_picks(const SteadyStateAnalysis& analysis,
+                                  const Mapping& mapping,
+                                  const SimOptions& options,
+                                  std::uint64_t& picks_checked) {
+  Simulator simulator(analysis, mapping, options);
+  simulator.check_picks();
+  SimResult result = simulator.run();
+  picks_checked = simulator.picks_checked();
+  return result;
+}
+
+}  // namespace detail
 
 }  // namespace cellstream::sim

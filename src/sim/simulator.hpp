@@ -127,4 +127,16 @@ struct SimResult {
 SimResult simulate(const SteadyStateAnalysis& analysis, const Mapping& mapping,
                    const SimOptions& options = {});
 
+namespace detail {
+/// simulate() for the channel-readiness property test: the run also
+/// re-derives every channel pick and issue re-validation by probing each
+/// channel of the PE, as the scan before the readiness flags did, and
+/// throws if a flag disagrees.  Results equal simulate()'s;
+/// `picks_checked` receives the number of checks made.
+SimResult simulate_checking_picks(const SteadyStateAnalysis& analysis,
+                                  const Mapping& mapping,
+                                  const SimOptions& options,
+                                  std::uint64_t& picks_checked);
+}  // namespace detail
+
 }  // namespace cellstream::sim

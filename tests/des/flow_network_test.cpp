@@ -135,6 +135,19 @@ TEST(FlowNetwork, ValidatesArguments) {
   EXPECT_THROW(FlowNetwork(f.engine, {0.0}, {10.0}), Error);
 }
 
+TEST(FlowNetwork, RefusesMoreThanFourResources) {
+  Fixture f;
+  FlowNetwork net(f.engine, {10.0, 10.0}, {10.0, 10.0});
+  const ResourceId link = net.add_resource(10.0);
+  // Out port, two link resources and in port: the most a flow crosses.
+  EXPECT_NO_THROW(net.start_transfer_over(
+      {net.out_port(0), link, link, net.in_port(1)}, 10.0, nullptr));
+  EXPECT_THROW(net.start_transfer_over(
+                   {net.out_port(0), link, link, link, net.in_port(1)}, 10.0,
+                   nullptr),
+               Error);
+}
+
 TEST(FlowNetwork, ManyConcurrentTransfersConserveThroughput) {
   Fixture f;
   // 4 nodes, all-to-one: node 3's incoming 90 shared by 3 flows of 30.
