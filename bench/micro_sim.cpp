@@ -333,6 +333,7 @@ int run_json_mode(const std::string& path) {
   // -- oracle: check_invariants on a traced run ----------------------------
   // The same graph and mapping with a full trace, so the I4-I6 replay runs;
   // the run is clean, so any violation is an oracle (or simulator) fault.
+  // The run fast-forwards: its jump writes the skipped cycles' events.
   sim::SimOptions traced_options =
       bench::paper_sim_options(std::min<std::size_t>(instances, 5000));
   traced_options.record_trace = true;
@@ -364,6 +365,10 @@ int run_json_mode(const std::string& path) {
   // Runs the replay had to sort: 0 while the simulator emits each queue,
   // sequence and PE in order, so a change to its emission order shows here.
   oracle.set("replay_sorts", static_cast<std::uint64_t>(report.replay_sorts));
+  // Instances the traced run skipped, exact: 0 would mean a trace turned
+  // the fast-forward off again.
+  oracle.set("ff_skipped_instances",
+             static_cast<std::int64_t>(traced.fast_forward.skipped_instances));
   oracle.set("simulate_seconds", traced_seconds);
   oracle.set("check_seconds", check_seconds);
   oracle.set("check_events_per_sec",
@@ -371,9 +376,12 @@ int run_json_mode(const std::string& path) {
                                  : 0.0);
   section.set("oracle", std::move(oracle));
   std::printf("oracle: %zu instances, %zu trace events, traced simulation "
-              "%.3fs, check_invariants %.3fs (best of 5, %zu violations)\n",
+              "%.3fs (%lld skipped), check_invariants %.3fs (best of 5, %zu "
+              "violations)\n",
               traced_options.instances, report.trace_events_seen,
-              traced_seconds, check_seconds, report.violations.size());
+              traced_seconds,
+              static_cast<long long>(traced.fast_forward.skipped_instances),
+              check_seconds, report.violations.size());
 
   // -- batch: serial vs. thread-pool scenario sweep ------------------------
   const std::size_t scenarios = 12;

@@ -20,7 +20,8 @@
 //   D6  the simulator's steady-state fast-forward is an optimization, not
 //       an approximation: simulating the same (mapping, options) with
 //       fast_forward on and off must produce *bit-identical* final stats —
-//       every completion time, throughput, counter and per-edge total —
+//       every completion time, throughput, counter and per-edge total, and
+//       on a traced run every field of every trace event —
 //       and, when a cycle was detected, its observed period must not beat
 //       the analytic steady-state bound (docs/PERFORMANCE.md).
 //
@@ -86,12 +87,13 @@ DifferentialReport cross_check_mappers(const SteadyStateAnalysis& analysis,
                                        const DifferentialOptions& options = {});
 
 /// D6: simulate `mapping` twice — once with fast_forward forced off, once
-/// forced on — and require bit-identical results.  `base_options` supplies
-/// everything else (instances, overheads, ...); record_trace and
-/// fault_plan must be unset, since both auto-disable the fast-forward and
-/// would make the rule vacuous.  Returns the violations (empty = ok) and,
-/// via `engaged` if non-null, whether the fast-forwarded run actually
-/// skipped ahead (short or aperiodic runs legitimately never engage).
+/// forced on — and require bit-identical results, the trace included when
+/// `base_options.record_trace` is set.  `base_options` supplies everything
+/// else (instances, overheads, ...); fault_plan must be unset, since it
+/// disables the fast-forward and would make the rule vacuous.  Returns the
+/// violations (empty = ok) and, via `engaged` if non-null, whether the
+/// fast-forwarded run actually skipped ahead (short or aperiodic runs
+/// legitimately never engage).
 std::vector<Violation> check_fast_forward_equivalence(
     const SteadyStateAnalysis& analysis, const Mapping& mapping,
     const sim::SimOptions& base_options, bool* engaged = nullptr);

@@ -181,7 +181,9 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
     }
   }
 
-  // Differential oracle on small graphs.
+  // Differential oracle on small graphs: the mapper cross-check, and D6
+  // on the traced run of an unfaulted case (its fast-forward against the
+  // full run, trace included).
   if (scenario.differential) {
     try {
       DifferentialOptions diff;
@@ -191,6 +193,15 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
       violations.insert(violations.end(),
                         std::make_move_iterator(report.violations.begin()),
                         std::make_move_iterator(report.violations.end()));
+      if (!scenario.with_faults) {
+        sim::SimOptions sim_options;
+        sim_options.instances = options.instances;
+        sim_options.record_trace = true;
+        std::vector<Violation> d6 =
+            check_fast_forward_equivalence(analysis, mapping, sim_options);
+        violations.insert(violations.end(), std::make_move_iterator(d6.begin()),
+                          std::make_move_iterator(d6.end()));
+      }
     } catch (const Error& e) {
       pipeline_error("differential", e);
     }

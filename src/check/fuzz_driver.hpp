@@ -2,7 +2,8 @@
 // Seeded differential fuzzer over the full pipeline: generate a random
 // DagGen application x CCR variant, map it, build the periodic schedule,
 // simulate with a full trace, and run the invariant oracle — plus the
-// mapper cross-check on graphs small enough for the exhaustive reference.
+// mapper cross-check and the traced fast-forward rule (D6) on graphs small
+// enough for the exhaustive reference.
 //
 // Every case is derived deterministically from one 64-bit case seed, so a
 // failure report is a one-line reproducer:

@@ -257,10 +257,11 @@ class Simulator {
     dispatch_ticks_ = to_ticks(opt_.dispatch_overhead, "dispatch_overhead");
     max_ticks_ = to_ticks(opt_.max_simulated_seconds, "max_simulated_seconds");
     net_.set_time_quantum(1.0);  // completions snap to the tick grid
-    // Fast-forward is only sound when every event is periodic: traces
-    // must record each event, and injected faults are instance-keyed
-    // (aperiodic by design), so both force a full run.
-    ff_enabled_ = opt_.fast_forward && !opt_.record_trace && !injector_;
+    // Fast-forward is only sound when every event is periodic: injected
+    // faults are instance-keyed (aperiodic by design), so a plan forces a
+    // full run.  A traced run jumps too, and writes the skipped cycles'
+    // events (engage_fast_forward).
+    ff_enabled_ = opt_.fast_forward && !injector_;
     ff_info_.enabled = ff_enabled_;
     build_state();
     register_chip_links();
@@ -340,6 +341,7 @@ class Simulator {
   bool task_runnable(TaskId t) const;
   void complete_instance(TaskId t);
   void advance_done_counter(std::int64_t completed_instance);
+  void record(obs::TraceEvent ev, double start_tick);
 
   // Steady-state fast-forward (docs/PERFORMANCE.md).
   std::uint32_t alloc_inflight(const InflightSlot& dma);
@@ -355,6 +357,7 @@ class Simulator {
   bool build_signature(std::vector<std::uint64_t>& sig, TaskId completing);
   struct Snapshot;
   void engage_fast_forward(const Snapshot& snap);
+  void stop_detection();
 
   std::int64_t stream_len() const {
     return static_cast<std::int64_t>(opt_.instances);
@@ -403,6 +406,7 @@ class Simulator {
     std::int64_t done = 0;
     double tick = 0.0;
     std::vector<std::uint64_t> attempts;  // per-PE issue_attempts
+    std::size_t trace_size = 0;           // trace_.size()
   };
   // A cycle longer than this many instances is not detected (the window
   // bounds snapshot memory); detection stops after kDetectLimit instances
@@ -417,6 +421,14 @@ class Simulator {
   std::int64_t last_snapshot_done_ = -1;
   std::vector<std::uint64_t> sig_scratch_;
   std::int64_t max_peek_ = 0;
+  // The tick window of each trace event, index for index, while a cycle
+  // may still be detected: a jump recomputes the skipped cycles' event
+  // times from these exact integers (at most kDetectLimit instances'
+  // worth; released when detection stops).
+  struct TickWindow {
+    double start, end;
+  };
+  std::vector<TickWindow> trace_ticks_;
   // Slot slab of the DMAs between issue and landing (a slot is taken at
   // issue, before any retry stall) plus the launched transfers by id (ids
   // issue monotonically, so `inflight_` stays sorted) — gives the
@@ -596,15 +608,12 @@ void Simulator::step(PeId pe) {
             ev.kind = obs::TraceEvent::Kind::kCompute;
             ev.pe = static_cast<std::uint16_t>(pe);
             ev.src_pe = ev.pe;
+            ev.instance = tasks_[t].next_instance;
+            ev.task = static_cast<std::int32_t>(t);
             // The window covers the whole processing of the instance,
             // injected stall included, so per-PE windows never overlap
             // (I6).
-            ev.start = (engine_.now() - tasks_[t].work_ticks -
-                        injected_ticks) * kSecondsPerTick;
-            ev.end = engine_.now() * kSecondsPerTick;
-            ev.instance = tasks_[t].next_instance;
-            ev.task = static_cast<std::int32_t>(t);
-            trace_.push_back(ev);
+            record(ev, engine_.now() - tasks_[t].work_ticks - injected_ticks);
           }
           complete_instance(t);
           step(pe);
@@ -816,8 +825,6 @@ void Simulator::land(std::uint32_t slot) {
     ev.kind = obs::TraceEvent::Kind::kTransfer;
     ev.pe = static_cast<std::uint16_t>(dma.issuer);
     ev.src_pe = ev.pe;
-    ev.start = dma.t0 * kSecondsPerTick;
-    ev.end = engine_.now() * kSecondsPerTick;
     ev.instance = dma.inst;
     switch (ch.kind) {
       case Channel::Kind::kEdgeFetch:
@@ -834,7 +841,7 @@ void Simulator::land(std::uint32_t slot) {
         ev.task = static_cast<std::int32_t>(ch.index);
         break;
     }
-    trace_.push_back(ev);
+    record(ev, dma.t0);
   }
   if (ch.kind == Channel::Kind::kEdgeFetch) {
     wake(edges_[ch.index].src);  // output buffer slot freed
@@ -911,6 +918,14 @@ void Simulator::complete_instance(TaskId tid) {
   maybe_snapshot(tid);
 }
 
+void Simulator::record(obs::TraceEvent ev, double start_tick) {
+  const double end_tick = engine_.now();
+  ev.start = start_tick * kSecondsPerTick;
+  ev.end = end_tick * kSecondsPerTick;
+  trace_.push_back(ev);
+  if (ff_enabled_ && !ff_done_) trace_ticks_.push_back({start_tick, end_tick});
+}
+
 void Simulator::advance_done_counter(std::int64_t completed_instance) {
   // Only tasks crossing the current frontier move the done counter.
   if (completed_instance != done_count_) return;
@@ -933,14 +948,16 @@ void Simulator::advance_done_counter(std::int64_t completed_instance) {
 // *signature* of the entire scheduler state: all counters expressed
 // relative to the done counter, every pending event's behavior tag,
 // relative fire time and tie-break order, and every in-flight transfer's
-// exact remaining-bytes/rate bit patterns.  Because event times live on
-// an exact integer grid and the flow network recomputes rates in a
-// deterministic order, two equal signatures prove the future evolution of
-// the run is identical up to a translation by (Δdone, Δticks).  The run
-// then jumps k periods in O(1): clocks and counters shift, completion
-// times of skipped instances are reconstructed by the same recurrence the
-// full run would have produced (exact integer arithmetic), and per-run
-// totals are derived from counters at the end — so the final stats are
+// exact remaining-bytes/rate bit patterns (and, on a traced run, its
+// issue tick).  Because event times live on an exact integer grid and the
+// flow network recomputes rates in a deterministic order, two equal
+// signatures prove the future evolution of the run is identical up to a
+// translation by (Δdone, Δticks).  The run then jumps k periods: clocks
+// and counters shift, completion times of skipped instances are
+// reconstructed by the same recurrence the full run would have produced
+// (exact integer arithmetic), a traced run appends the detected cycle's
+// events k times, translated on the tick grid, and per-run totals are
+// derived from counters at the end — so the final stats and the trace are
 // bit-identical to the full simulation (differential rule D6).
 // ---------------------------------------------------------------------------
 
@@ -951,9 +968,7 @@ void Simulator::maybe_snapshot(TaskId completing_task) {
   if (done_count_ >= stream_len()) return;
   if (done_count_ > kDetectLimit) {
     // Aperiodic (or a period beyond the window): stop paying for detection.
-    ff_done_ = true;
-    snapshots_.clear();
-    snapshots_.shrink_to_fit();
+    stop_detection();
     return;
   }
   if (!build_signature(sig_scratch_, completing_task)) return;
@@ -978,6 +993,7 @@ void Simulator::maybe_snapshot(TaskId completing_task) {
   snap.tick = engine_.now();
   snap.attempts.reserve(pes_.size());
   for (const PeState& p : pes_) snap.attempts.push_back(p.issue_attempts);
+  snap.trace_size = trace_.size();
   snapshots_.push_back(std::move(snap));
 }
 
@@ -1060,6 +1076,9 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
         push((static_cast<std::uint64_t>(tag->channel.kind) << 32) |
              tag->channel.index);
         push_i(tag->inst - d);
+        // A DMA's issue tick shows only in its trace event, where it
+        // opens the queue window: a traced state includes it.
+        if (opt_.record_trace) push_i(tick_delta(now_tick, tag->t0));
         push_bits(remaining);
         push_bits(rate);
       });
@@ -1071,12 +1090,9 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
 void Simulator::engage_fast_forward(const Snapshot& snap) {
   const std::int64_t cycle_d = done_count_ - snap.done;
   const double cycle_t = engine_.now() - snap.tick;
-  // Copy before snapshots_ (which owns `snap`) is released below.
-  const std::vector<std::uint64_t> attempts_at_snap = snap.attempts;
   // A zero-tick cycle (a stream of zero-duration work) translates like
   // any other: the jump shifts counters and leaves the clock put.
   CS_ASSERT(cycle_d > 0, "fast-forward: degenerate cycle");
-  ff_done_ = true;  // one jump covers the whole steady state
   ff_info_.cycle_instances = cycle_d;
   ff_info_.cycle_seconds = cycle_t * kSecondsPerTick;
   // Cross-check against the analytic steady state: the observed period
@@ -1101,9 +1117,10 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
       },
       [](const LandingSet&) {}});
   const std::int64_t k = (stream_len() - margin - lead) / cycle_d;
-  snapshots_.clear();
-  snapshots_.shrink_to_fit();
-  if (k <= 0) return;  // stream too short for a safe jump
+  if (k <= 0) {  // stream too short for a safe jump
+    stop_detection();
+    return;
+  }
 
   const std::int64_t skipped = k * cycle_d;
   const double shift = static_cast<double>(k) * cycle_t;
@@ -1118,12 +1135,16 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
       [&](LandingSet& landed) { landed.shift(skipped); }});
   for (PeId pe = 0; pe < pes_.size(); ++pe) {
     const std::uint64_t per_cycle =
-        pes_[pe].issue_attempts - attempts_at_snap[pe];
+        pes_[pe].issue_attempts - snap.attempts[pe];
     pes_[pe].issue_attempts += static_cast<std::uint64_t>(k) * per_cycle;
   }
-  // Pending transfer completions read their instance through the slot
-  // slab, so shifting here also shifts what they will land.
-  for (const auto& [id, slot] : inflight_) islots_[slot].inst += skipped;
+  // Pending transfer completions read their instance and issue tick
+  // through the slot slab, so shifting here also shifts what they will
+  // land and the queue window they will trace.
+  for (const auto& [id, slot] : inflight_) {
+    islots_[slot].inst += skipped;
+    islots_[slot].t0 += shift;
+  }
   // Readiness reads differences of translated counters, and `issued` <
   // stream length, which the margin keeps; re-derive it all the same, so
   // it does not hinge on the margin.
@@ -1138,9 +1159,37 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
     completion_ticks_[m] = completion_ticks_[m - cycle_d] + cycle_t;
   }
 
+  // The skipped cycles' trace: cycle c = 1..k emits the events the run
+  // emitted since the snapshot, c cycles later in instances and ticks.
+  // Their times are recomputed on the tick grid and converted as record()
+  // converts them (never shifted in seconds), so each event is the full
+  // run's, bit for bit.
+  if (opt_.record_trace) {
+    const std::size_t cycle_end = trace_.size();
+    for (std::int64_t c = 1; c <= k; ++c) {
+      const double dt = static_cast<double>(c) * cycle_t;
+      for (std::size_t i = snap.trace_size; i < cycle_end; ++i) {
+        obs::TraceEvent ev = trace_[i];
+        ev.start = (trace_ticks_[i].start + dt) * kSecondsPerTick;
+        ev.end = (trace_ticks_[i].end + dt) * kSecondsPerTick;
+        ev.instance += c * cycle_d;
+        trace_.push_back(ev);
+      }
+    }
+  }
+
   ff_info_.engaged = true;
   ff_info_.skipped_cycles = k;
   ff_info_.skipped_instances = skipped;
+  stop_detection();  // one jump covers the whole steady state
+}
+
+void Simulator::stop_detection() {
+  ff_done_ = true;
+  snapshots_.clear();
+  snapshots_.shrink_to_fit();
+  trace_ticks_.clear();
+  trace_ticks_.shrink_to_fit();
 }
 
 SimResult Simulator::run() {

@@ -25,8 +25,9 @@
 // to 2^53 ns), which makes the periodic steady state *exactly* periodic in
 // the float sense — the basis of the fast-forward optimization
 // (docs/PERFORMANCE.md): once the event pattern provably repeats over a
-// full period, the run skips ahead k periods in O(1) by translating clocks
-// and counters, with final stats bit-identical to the full simulation.
+// full period, the run skips ahead k periods by translating clocks and
+// counters (and repeating the cycle's trace events on a traced run), with
+// final stats and trace bit-identical to the full simulation.
 
 #include <cstdint>
 #include <vector>
@@ -53,12 +54,13 @@ struct SimOptions {
   /// a 10k-instance run generates millions of 40-byte events.
   bool record_trace = false;
   /// Steady-state fast-forward: detect an exactly repeating event pattern
-  /// and skip ahead analytically (final stats stay bit-identical to a
-  /// full run — differential rule D6 in src/check/).  Auto-disabled when
-  /// record_trace is on (the trace must contain every event) or a fault
-  /// plan is active (injected faults are instance-keyed and aperiodic);
-  /// fuzz/fault runs and failover phases therefore always simulate every
-  /// event.
+  /// and skip ahead analytically (final stats, and the trace when
+  /// record_trace is on, stay bit-identical to a full run — differential
+  /// rule D6 in src/check/).  A traced jump writes the skipped cycles'
+  /// events, the detected cycle's translated on the tick grid.
+  /// Auto-disabled when a fault plan is active (injected faults are
+  /// instance-keyed and aperiodic); faulted runs and failover phases
+  /// therefore always simulate every event.
   bool fast_forward = true;
   /// Optional deterministic fault scenario (see src/fault/): transient
   /// compute slowdowns, one-shot hangs and DMA retry/backoff delays are

@@ -1,7 +1,8 @@
 // Differential rule D6: the simulator's steady-state fast-forward must be
-// a pure optimization — bit-identical final stats against the full run —
-// across the paper's worked example and a sweep of fuzzed (graph, mapping)
-// pairs, and it must stay out of the way when a fault plan makes the run
+// a pure optimization — bit-identical final stats, and on a traced run a
+// bit-identical trace, against the full run — across the paper's worked
+// example, a sweep of fuzzed (graph, mapping) pairs and the paper graphs,
+// and it must stay out of the way when a fault plan makes the run
 // aperiodic (docs/PERFORMANCE.md).  Also pinned here: the instance at
 // which each of those runs detects its cycle, and that a result's steady
 // throughput is the obs::Counters rule, fast-forwarded or not.
@@ -45,6 +46,37 @@ TaskGraph zero_work_pair() {
   graph.add_task({"B", 0.0, 0.0, 0, 0.0, 0.0, false});
   graph.add_edge(0, 1, 0.0);
   return graph;
+}
+
+/// Two 1 µs tasks on two SPEs joined by a 64 kB edge: the fetch takes
+/// longer than either task, so one is in flight when an instance completes
+/// and the fast-forward jumps across it.
+TaskGraph transfer_bound_pipe() {
+  TaskGraph graph("transfer-bound-pipe");
+  graph.add_task({"A", 1.0e-6, 1.0e-6, 0, 0.0, 0.0, false});
+  graph.add_task({"B", 1.0e-6, 1.0e-6, 0, 0.0, 0.0, false});
+  graph.add_edge(0, 1, 65536.0);
+  return graph;
+}
+
+/// Fuzzed pair i of the sweeps below: task counts, CCR levels and both
+/// greedy strategies (falling back to ppe-only when infeasible).
+const double kFuzzCcrs[] = {0.775, 1.5, 2.3, 4.6};
+const char* const kFuzzStrategies[] = {"greedy-cpu", "greedy-mem", "ppe-only"};
+
+SteadyStateAnalysis fuzzed_analysis(int i) {
+  gen::DagGenParams params;
+  params.task_count = 6 + (static_cast<std::size_t>(i) * 7) % 18;
+  params.seed = static_cast<std::uint64_t>(i) * 977 + 11;
+  TaskGraph graph = gen::daggen_random(params);
+  gen::set_ccr(graph, kFuzzCcrs[i % 4]);
+  return SteadyStateAnalysis(std::move(graph), platforms::qs22_single_cell());
+}
+
+Mapping fuzzed_mapping(const SteadyStateAnalysis& analysis, int i) {
+  Mapping mapping = mapping::run_heuristic(kFuzzStrategies[i % 3], analysis);
+  if (!analysis.feasible(mapping)) mapping = mapping::ppe_only(analysis);
+  return mapping;
 }
 
 sim::SimOptions zero_overhead_options(std::size_t instances) {
@@ -93,39 +125,32 @@ TEST(FastForwardEquivalence, ReportsCycleDiagnosticsWhenEngaged) {
   EXPECT_LT(r.fast_forward.period_ratio, 1.30);
 }
 
-TEST(FastForwardEquivalence, FiftyFuzzedPairsAreBitIdentical) {
-  // 50 (graph, mapping) pairs spanning task counts, CCR levels and both
-  // greedy strategies (falling back to ppe-only when infeasible), each
-  // checked bitwise against its full run.
-  const double ccrs[] = {0.775, 1.5, 2.3, 4.6};
-  const char* strategies[] = {"greedy-cpu", "greedy-mem", "ppe-only"};
+/// D6 on the 50 fuzzed pairs, each checked bitwise against its full run;
+/// returns how many fast-forwarded runs engaged.
+int fuzzed_pairs_are_bit_identical(bool record_trace) {
   int engaged_count = 0;
   for (int i = 0; i < 50; ++i) {
-    gen::DagGenParams params;
-    params.task_count = 6 + (static_cast<std::size_t>(i) * 7) % 18;
-    params.seed = static_cast<std::uint64_t>(i) * 977 + 11;
-    TaskGraph graph = gen::daggen_random(params);
-    gen::set_ccr(graph, ccrs[i % 4]);
-    const SteadyStateAnalysis analysis(graph,
-                                       platforms::qs22_single_cell());
-    Mapping mapping = mapping::run_heuristic(strategies[i % 3], analysis);
-    if (!analysis.feasible(mapping)) {
-      mapping = mapping::ppe_only(analysis);
-    }
+    const SteadyStateAnalysis analysis = fuzzed_analysis(i);
     sim::SimOptions options;
     options.instances = 700;
+    options.record_trace = record_trace;
     bool engaged = false;
-    const std::vector<Violation> violations =
-        check_fast_forward_equivalence(analysis, mapping, options, &engaged);
+    const std::vector<Violation> violations = check_fast_forward_equivalence(
+        analysis, fuzzed_mapping(analysis, i), options, &engaged);
     for (const Violation& v : violations) {
-      ADD_FAILURE() << "pair " << i << " (" << strategies[i % 3] << ", ccr "
-                    << ccrs[i % 4] << "): " << v.detail;
+      ADD_FAILURE() << "pair " << i << " (" << kFuzzStrategies[i % 3]
+                    << ", ccr " << kFuzzCcrs[i % 4] << "): " << v.detail;
     }
     engaged_count += engaged ? 1 : 0;
   }
+  return engaged_count;
+}
+
+TEST(FastForwardEquivalence, FiftyFuzzedPairsAreBitIdentical) {
   // Bit-identity must hold regardless, but the optimization would be
   // pointless if it never fired: most steady pipelines must engage.
-  EXPECT_GE(engaged_count, 25) << "fast-forward engaged on too few pairs";
+  EXPECT_GE(fuzzed_pairs_are_bit_identical(false), 25)
+      << "fast-forward engaged on too few pairs";
 }
 
 TEST(FastForwardEquivalence, ZeroDurationStreamIsBitIdentical) {
@@ -194,24 +219,14 @@ TEST(FastForwardCycle, FiftyFuzzedPairCyclesAreDetectedWhereTheyWere) {
       {1, 5443080, 680},  {1, 17073248, 677}, {1, 8627778, 685},
       {1, 9312588, 670},  {1, 13605247, 677}, {1, 14475153, 683},
       {1, 3828824, 663},  {1, 1368073, 667}};
-  const double ccrs[] = {0.775, 1.5, 2.3, 4.6};
-  const char* strategies[] = {"greedy-cpu", "greedy-mem", "ppe-only"};
   for (int i = 0; i < 50; ++i) {
-    gen::DagGenParams params;
-    params.task_count = 6 + (static_cast<std::size_t>(i) * 7) % 18;
-    params.seed = static_cast<std::uint64_t>(i) * 977 + 11;
-    TaskGraph graph = gen::daggen_random(params);
-    gen::set_ccr(graph, ccrs[i % 4]);
-    const SteadyStateAnalysis analysis(graph,
-                                       platforms::qs22_single_cell());
-    Mapping mapping = mapping::run_heuristic(strategies[i % 3], analysis);
-    if (!analysis.feasible(mapping)) {
-      mapping = mapping::ppe_only(analysis);
-    }
+    const SteadyStateAnalysis analysis = fuzzed_analysis(i);
     sim::SimOptions options;
     options.instances = 700;
-    expect_cycle(sim::simulate(analysis, mapping, options).fast_forward,
-                 pins[i], "pair " + std::to_string(i));
+    expect_cycle(
+        sim::simulate(analysis, fuzzed_mapping(analysis, i), options)
+            .fast_forward,
+        pins[i], "pair " + std::to_string(i));
   }
 }
 
@@ -282,7 +297,9 @@ TEST(FastForwardEquivalence, MidStreamFaultPlanDisablesFastForward) {
       Error);
 }
 
-TEST(FastForwardEquivalence, TraceRunsDisableFastForward) {
+// A traced run jumps too: it writes the skipped cycles' events itself,
+// and D6 compares them with the full traced run's, field by field.
+TEST(FastForwardEquivalence, TracedRunsEngageAndEqualTheFullTracedRun) {
   const TaskGraph graph = worked_example();
   const SteadyStateAnalysis analysis(graph, platforms::qs22_single_cell());
   const Mapping mapping = mapping::greedy_mem(analysis);
@@ -290,9 +307,53 @@ TEST(FastForwardEquivalence, TraceRunsDisableFastForward) {
   options.instances = 500;
   options.record_trace = true;
   const sim::SimResult r = sim::simulate(analysis, mapping, options);
-  EXPECT_FALSE(r.fast_forward.enabled);
-  EXPECT_FALSE(r.fast_forward.engaged);
-  EXPECT_FALSE(r.trace.empty());
+  EXPECT_TRUE(r.fast_forward.enabled);
+  EXPECT_TRUE(r.fast_forward.engaged);
+  EXPECT_GT(r.fast_forward.skipped_instances, 0);
+  bool engaged = false;
+  for (const Violation& v :
+       check_fast_forward_equivalence(analysis, mapping, options, &engaged)) {
+    ADD_FAILURE() << "worked example: " << v.detail;
+  }
+  EXPECT_TRUE(engaged);
+
+  // A jump across an in-flight fetch translates the queue window its
+  // event will trace.
+  const SteadyStateAnalysis pipe(transfer_bound_pipe(),
+                                 platforms::qs22_single_cell());
+  const Mapping across(std::vector<PeId>{1, 2});
+  engaged = false;
+  for (const Violation& v :
+       check_fast_forward_equivalence(pipe, across, options, &engaged)) {
+    ADD_FAILURE() << "transfer-bound pipe: " << v.detail;
+  }
+  EXPECT_TRUE(engaged);
+
+  EXPECT_GE(fuzzed_pairs_are_bit_identical(true), 25)
+      << "traced fast-forward engaged on too few pairs";
+
+  // The traced runs of the sim-check benchmark: paper graphs 0-2 under
+  // both greedy heuristics, 5000 instances with its overheads.
+  for (int g = 0; g < 3; ++g) {
+    TaskGraph paper = gen::paper_graph(g);
+    gen::set_ccr(paper, 0.775);
+    const SteadyStateAnalysis paper_analysis(std::move(paper),
+                                             platforms::qs22_single_cell());
+    for (const Mapping& m : {mapping::greedy_cpu(paper_analysis),
+                             mapping::greedy_mem(paper_analysis)}) {
+      sim::SimOptions paper_options;
+      paper_options.instances = 5000;
+      paper_options.dma_issue_overhead = 5.0e-6;
+      paper_options.dispatch_overhead = 30.0e-6;
+      paper_options.record_trace = true;
+      engaged = false;
+      for (const Violation& v : check_fast_forward_equivalence(
+               paper_analysis, m, paper_options, &engaged)) {
+        ADD_FAILURE() << "paper graph " << g << ": " << v.detail;
+      }
+      EXPECT_TRUE(engaged) << "paper graph " << g;
+    }
+  }
 }
 
 TEST(FastForwardEquivalence, OptOutFlagForcesFullSimulation) {

@@ -4,10 +4,12 @@
 // probing each channel finds it, and every issue re-validation must agree
 // with the probe (sim::detail::simulate_checking_picks throws on the
 // first difference).  Covered: the paper graphs on a QS22 under both
-// greedy heuristics, untraced with fast-forward, traced, and with
-// transient fault plans (DMA retries, slowdowns, hangs); dual-Cell
-// DagGen mappings whose PPE fetches go through a SPE's proxy queue; two
-// PPEs racing for one proxy queue; and a SPE filling its MFC queue.
+// greedy heuristics, untraced with fast-forward, traced with every event
+// simulated (a traced run fast-forwards too, and its jump would skip the
+// picks this pass re-derives), and with transient fault plans (DMA
+// retries, slowdowns, hangs); dual-Cell DagGen mappings whose PPE fetches
+// go through a SPE's proxy queue; two PPEs racing for one proxy queue;
+// and a SPE filling its MFC queue.
 
 #include <gtest/gtest.h>
 
@@ -78,8 +80,10 @@ TEST(ChannelReadiness, PaperGraphsPickAsTheFullScanDoes) {
       options.instances = 600;
       expect_same_picks(analysis, m, options, coverage);
       options.record_trace = true;
+      options.fast_forward = false;  // check every pick, not one cycle's
       expect_same_picks(analysis, m, options, coverage);
       options.record_trace = false;
+      options.fast_forward = true;
       for (std::uint64_t seed = 1; seed <= 2; ++seed) {
         const fault::FaultPlan plan =
             transient_plan(seed * 7 + static_cast<std::uint64_t>(g),

@@ -12,10 +12,11 @@
 // purpose.
 //
 // The cases cover what the event core does: fast-forwarded runs that
-// engage, traced runs, transient DMA retry stalls with slowdowns and
-// hangs, fail-stop failover, a dual Cell with PPE fetches through a SPE's
-// proxy stack and cross-chip links, and DagGen sources and sinks with
-// main-memory reads and writes.
+// engage, traced runs (which fast-forward too, and hash as the full run
+// with its diagnostics reset, see traced_hash), transient DMA retry stalls
+// with slowdowns and hangs, fail-stop failover, a dual Cell with PPE
+// fetches through a SPE's proxy stack and cross-chip links, and DagGen
+// sources and sinks with main-memory reads and writes.
 
 #include <gtest/gtest.h>
 
@@ -131,6 +132,15 @@ std::uint64_t result_hash(const TaskGraph& graph, const SimResult& r) {
   Hash h;
   add_result(h, graph, r, r.trace);
   return h.value();
+}
+
+/// The hash of a traced run that fast-forwards: its trace is the full
+/// run's, bit for bit, so its hash is the one recorded when a trace turned
+/// the fast-forward off, with the diagnostics a run reported then.  The
+/// cycle the run now detects is pinned by the caller.
+std::uint64_t traced_hash(const TaskGraph& graph, SimResult r) {
+  r.fast_forward = FastForwardInfo{};
+  return result_hash(graph, r);
 }
 
 /// The stitched result with the stitched trace, every phase, and what the
@@ -272,6 +282,9 @@ TEST(SimGolden, TracedRuns) {
   const std::uint64_t goldens[] = {
       0x6553290753f89141ULL, 0x70e25e9e2e3c1207ULL, 0x4f8b291c5fc408c8ULL,
       0xf705ef00b6e26249ULL, 0xc39239b45d84368cULL, 0x11742c9bae6d4859ULL};
+  // {cycle_instances, skipped_instances} of each traced run's jump.
+  const std::int64_t cycles[][2] = {{1, 260}, {1, 249}, {1, 264},
+                                    {1, 273}, {1, 263}, {1, 247}};
   const char* strategies[] = {"greedy-cpu", "greedy-mem", "ppe-only"};
   std::size_t i = 0;
   for (int graph = 0; graph < 3; ++graph) {
@@ -281,8 +294,10 @@ TEST(SimGolden, TracedRuns) {
           analysis, heuristic(analysis, strategies[(graph + s) % 3]),
           traced(300));
       EXPECT_FALSE(r.trace.empty());
-      expect_hash(result_hash(analysis.graph(), r), goldens[i],
-                  "case " + std::to_string(i));
+      const std::string what = "case " + std::to_string(i);
+      EXPECT_EQ(r.fast_forward.cycle_instances, cycles[i][0]) << what;
+      EXPECT_EQ(r.fast_forward.skipped_instances, cycles[i][1]) << what;
+      expect_hash(traced_hash(analysis.graph(), r), goldens[i], what);
     }
   }
 }
@@ -367,8 +382,9 @@ TEST(SimGolden, DualCellProxyAndCrossChipFetches) {
   }
   EXPECT_TRUE(proxy);
   EXPECT_TRUE(cross_chip);
-  expect_hash(result_hash(analysis.graph(), plain), goldens[0],
-              "traced");
+  EXPECT_EQ(plain.fast_forward.cycle_instances, 1);
+  EXPECT_EQ(plain.fast_forward.skipped_instances, 260);
+  expect_hash(traced_hash(analysis.graph(), plain), goldens[0], "traced");
 
   const fault::FaultPlan plan = transient_plan(11, 0, 1);
   SimOptions faulted = traced(300);
