@@ -56,7 +56,8 @@ int usage() {
                "  cellstream_cli solve    <graph-file> <strategy> [spes] "
                "[threads]\n"
                "      strategy: milp | greedy-mem | greedy-cpu | "
-               "greedy-period | local-search | round-robin | ppe-only\n"
+               "greedy-period | local-search | annealing | round-robin |\n"
+               "                ppe-only\n"
                "      threads:  milp only; node-LP workers (0 = all cores;"
                " the result is identical for every value)\n"
                "  cellstream_cli simulate <graph-file> <mapping-file> "
@@ -113,7 +114,7 @@ fault::FaultPlan parse_fault_plan(const std::string& spec,
 struct CliArgs {
   std::vector<std::string> positional;
   std::string fault_plan;  ///< --fault-plan value ("" when absent)
-  std::string failover = "greedy-mem";
+  mapping::RemapStrategy failover = mapping::RemapStrategy::kGreedyMem;
   bool validate = false;
 };
 
@@ -125,15 +126,15 @@ CliArgs parse_args(int argc, char** argv, int first) {
       args.validate = true;
     } else if (arg == "--fault-plan" || arg == "--failover") {
       CS_ENSURE(i + 1 < argc, arg + ": missing value");
-      (arg == "--fault-plan" ? args.fault_plan : args.failover) = argv[++i];
+      if (arg == "--fault-plan") {
+        args.fault_plan = argv[++i];
+      } else {
+        args.failover = mapping::parse_remap_strategy(argv[++i]);
+      }
     } else {
       args.positional.push_back(arg);
     }
   }
-  CS_ENSURE(args.failover == "greedy-mem" || args.failover == "greedy-cpu" ||
-                args.failover == "milp",
-            "--failover: unknown strategy '" + args.failover +
-                "' (greedy-mem | greedy-cpu | milp)");
   return args;
 }
 
@@ -349,6 +350,10 @@ std::vector<runtime::TaskFunction> checksum_bodies(const TaskGraph& graph) {
 
 int cmd_run(int argc, char** argv) {
   const CliArgs args = parse_args(argc, argv, 2);
+  // The host runtime never waits on a solver (runtime::RunOptions).
+  CS_ENSURE(args.failover != mapping::RemapStrategy::kMilp,
+            "--failover: invalid strategy 'milp' for run (greedy-mem | "
+            "greedy-cpu; milp is simulate/stats only)");
   if (args.positional.size() < 2) return usage();
   const TaskGraph graph = TaskGraph::from_text(read_file(args.positional[0]));
   const Mapping mapping = Mapping::from_text(read_file(args.positional[1]));

@@ -152,8 +152,9 @@ std::vector<Violation> run_case(const FuzzCase& scenario,
       failover.sim.instances = options.instances;
       failover.sim.record_trace = true;
       Rng strategy_rng(scenario.fault_seed ^ 0x5EC0FDULL);
-      failover.strategy =
-          strategy_rng.bernoulli(0.5) ? "greedy-mem" : "greedy-cpu";
+      failover.strategy = strategy_rng.bernoulli(0.5)
+                              ? mapping::RemapStrategy::kGreedyMem
+                              : mapping::RemapStrategy::kGreedyCpu;
       const fault::FailoverOutcome outcome =
           fault::run_with_failover(analysis, mapping, plan, failover);
       InvariantReport report =

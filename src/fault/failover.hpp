@@ -7,25 +7,26 @@
 // [0, k): when it completes, every edge has produced == consumed == k, so
 // the drain frontier is a consistent firstPeriod cut with empty buffers
 // by construction.  The coordinator then remaps the orphaned tasks
-// (mapping::remap_after_failure, the paper's greedy heuristics over the
-// surviving PEs, or the MILP on the reduced platform warm-started from
-// that greedy remap), charges a downtime of the remap overhead plus the
-// buffer bytes that must be re-established over the interface, and runs
-// phase 2 — instances [k, N) on the post-failover mapping, with the instance
-// offset threaded through so instance-keyed transient faults stay aligned
-// with the global stream position.  The two phases are stitched into one
-// whole-stream SimResult for reporting and the I8/I9 oracle.
+// (mapping::remap_after_failure, the one remap call of the mapping layer),
+// charges a downtime of the remap overhead plus the buffer bytes that must
+// be re-established over the interface, and runs phase 2 — instances
+// [k, N) on the post-failover mapping, with the instance offset threaded
+// through so instance-keyed transient faults stay aligned with the global
+// stream position.  The two phases are stitched into one whole-stream
+// SimResult for reporting and the I8/I9 oracle.
+// Each phase is an ordinary simulation under the plan's transient faults,
+// so the simulator alone decides whether it fast-forwards (D6 holds).
 //
 // Each trace event is stored once: the phases own their traces, and the
 // whole-stream result carries none.  stitched_trace() builds the shifted
 // whole-stream trace on demand (the Chrome export of a failover run).
 
-#include <string>
 #include <vector>
 
 #include "core/mapping.hpp"
 #include "core/steady_state.hpp"
 #include "fault/fault_plan.hpp"
+#include "mapping/heuristics.hpp"
 #include "sim/simulator.hpp"
 
 namespace cellstream::fault {
@@ -34,16 +35,12 @@ struct FailoverOptions {
   /// Base simulator configuration (instances, overheads, trace, ...).
   /// fault_plan and instance_offset are managed by the coordinator.
   sim::SimOptions sim;
-  /// Remap strategy: "greedy-mem", "greedy-cpu" (fast failover) or "milp"
-  /// (reduced-platform solve, at most 2 s, warm-started from the
-  /// greedy-mem remap; on a multi-chip platform, the greedy-mem remap
-  /// itself).  Any other value is refused on entry.
-  std::string strategy = "greedy-mem";
+  /// How the orphaned tasks are remapped (mapping::remap_after_failure).
+  mapping::RemapStrategy strategy = mapping::RemapStrategy::kGreedyMem;
 };
 
 struct FailoverOutcome {
-  Mapping pre_mapping;
-  Mapping post_mapping;  ///< == pre_mapping when no failover ran.
+  Mapping post_mapping;  ///< == phase_mappings.front() when no failover ran.
   std::int64_t instances = 0;  ///< Stream length the run was asked for.
   bool failover_performed = false;
   double downtime_seconds = 0.0;
@@ -69,8 +66,7 @@ struct FailoverOutcome {
 /// to a single transient-faults-only simulation.  The fail instance is
 /// clamped to [1, instances - 1] so both phases are non-empty.  Each
 /// failover costs a fixed 1 ms of downtime plus the migrated buffer bytes
-/// over the interface.  Throws on an unknown strategy (before anything is
-/// simulated) and when no PPE survives the failure.
+/// over the interface.  Throws when no PPE survives the failure.
 FailoverOutcome run_with_failover(const SteadyStateAnalysis& analysis,
                                   const Mapping& mapping,
                                   const FaultPlan& plan,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "mapping/milp_mapper.hpp"
 #include "support/error.hpp"
 
 namespace cellstream::mapping {
@@ -163,12 +164,76 @@ Mapping run_heuristic(const std::string& name,
   throw Error("run_heuristic: unknown heuristic '" + name + "'");
 }
 
+namespace {
+
+/// RemapStrategy names, in enumerator order.
+constexpr const char* kRemapNames[] = {"greedy-mem", "greedy-cpu", "milp"};
+
+/// Time budget of the kMilp remap.
+constexpr double kMilpRemapSeconds = 2.0;
+
+/// The kMilp remap: the mapping MILP on the platform minus `failed_pe`,
+/// seeded with the greedy-mem remap in the reduced PE numbering, so the
+/// solver starts from a configuration the stream could resume on.  PPEs
+/// keep the low indices in both numberings, so removing one PE is a shift
+/// each way.  Multi-chip platforms keep the greedy remap: deleting one PE
+/// from a chip-block numbering would re-partition the chips, so the
+/// reduced formulation would model the wrong cross-chip link.
+Mapping milp_remap_after_failure(const SteadyStateAnalysis& analysis,
+                                 const Mapping& mapping, PeId failed_pe) {
+  const Mapping greedy = remap_after_failure(analysis, mapping, failed_pe);
+  const CellPlatform& platform = analysis.platform();
+  if (platform.chip_count > 1) return greedy;
+
+  CellPlatform reduced = platform;
+  if (platform.is_ppe(failed_pe)) {
+    --reduced.ppe_count;
+  } else {
+    --reduced.spe_count;
+  }
+  const SteadyStateAnalysis reduced_analysis(analysis.graph(), reduced,
+                                             analysis.buffer_policy());
+  Mapping warm(mapping.task_count(), 0);
+  for (TaskId t = 0; t < greedy.task_count(); ++t) {
+    const PeId pe = greedy.pe_of(t);
+    warm.assign(t, pe > failed_pe ? pe - 1 : pe);
+  }
+
+  MilpMapperOptions options;
+  options.milp.time_limit_seconds = kMilpRemapSeconds;
+  options.extra_incumbents.push_back(std::move(warm));
+  const MilpMapperResult solved =
+      solve_optimal_mapping(reduced_analysis, options);
+
+  Mapping result(mapping.task_count(), 0);
+  for (TaskId t = 0; t < solved.mapping.task_count(); ++t) {
+    const PeId pe = solved.mapping.pe_of(t);
+    result.assign(t, pe >= failed_pe ? pe + 1 : pe);
+  }
+  return result;
+}
+
+}  // namespace
+
+const char* to_string(RemapStrategy strategy) {
+  return kRemapNames[static_cast<int>(strategy)];
+}
+
+RemapStrategy parse_remap_strategy(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kRemapNames); ++i) {
+    if (name == kRemapNames[i]) return static_cast<RemapStrategy>(i);
+  }
+  throw Error("invalid failover strategy '" + name +
+              "' (greedy-mem | greedy-cpu | milp)");
+}
+
 Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
                             const Mapping& mapping, PeId failed,
-                            const std::string& strategy) {
-  CS_ENSURE(strategy == "greedy-mem" || strategy == "greedy-cpu",
-            "remap_after_failure: unknown strategy '" + strategy + "'");
-  const bool by_memory = strategy == "greedy-mem";
+                            RemapStrategy strategy) {
+  if (strategy == RemapStrategy::kMilp) {
+    return milp_remap_after_failure(analysis, mapping, failed);
+  }
+  const bool by_memory = strategy == RemapStrategy::kGreedyMem;
   const TaskGraph& graph = analysis.graph();
   const CellPlatform& platform = analysis.platform();
   CS_ENSURE(mapping.task_count() == graph.task_count(),

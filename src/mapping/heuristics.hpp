@@ -10,7 +10,8 @@
 // remap_after_failure keeps every surviving task in place and places the
 // orphans by GREEDYMEM or GREEDYCPU over the surviving PEs — keeping the
 // survivors where they are is what bounds the migration volume, and so
-// the failover downtime (docs/ROBUSTNESS.md).
+// the failover downtime (docs/ROBUSTNESS.md).  Its third strategy solves
+// the mapping MILP on the reduced platform.
 
 #include <string>
 
@@ -47,17 +48,29 @@ Mapping greedy_period(const SteadyStateAnalysis& analysis);
 Mapping run_heuristic(const std::string& name,
                       const SteadyStateAnalysis& analysis);
 
-/// Degraded-mode remap after the fail-stop of `failed`: the surviving
-/// assignment stays untouched, and the tasks `failed` hosted are placed in
-/// topological order by `strategy` ("greedy-mem" or "greedy-cpu") over
-/// the other PEs, which carry the survivors' loads.  The GREEDYMEM
-/// fallback is the lowest-index surviving PPE.  Throws Error when no PPE
-/// survives (the stream needs a PE with transparent main-memory access)
-/// or the strategy is unknown.  The result is local-store feasible by
-/// construction; DMA-slot feasibility is re-checked by the caller (I9).
-Mapping remap_after_failure(const SteadyStateAnalysis& analysis,
-                            const Mapping& mapping, PeId failed,
-                            const std::string& strategy = "greedy-mem");
+/// How remap_after_failure places the tasks of a failed PE.
+enum class RemapStrategy { kGreedyMem, kGreedyCpu, kMilp };
+
+/// The strategy's command-line name: "greedy-mem", "greedy-cpu", "milp".
+const char* to_string(RemapStrategy strategy);
+
+/// Read a strategy from outside input by its to_string name; throws Error
+/// ("invalid failover strategy ...", listing the names) on any other.
+RemapStrategy parse_remap_strategy(const std::string& name);
+
+/// Degraded-mode remap after the fail-stop of `failed`.  The greedy
+/// strategies leave the surviving assignment untouched and place the
+/// tasks `failed` hosted in topological order by GREEDYMEM or GREEDYCPU
+/// over the other PEs, which carry the survivors' loads; the GREEDYMEM
+/// fallback is the lowest-index surviving PPE.  kMilp solves the mapping
+/// MILP on the platform minus `failed` (at most 2 s), warm-started from
+/// the GREEDYMEM remap, which a multi-chip platform keeps.  Throws Error
+/// when no PPE survives (the stream needs main-memory access).  A greedy
+/// result is local-store feasible by construction; the caller re-checks
+/// DMA-slot feasibility (I9).
+Mapping remap_after_failure(
+    const SteadyStateAnalysis& analysis, const Mapping& mapping, PeId failed,
+    RemapStrategy strategy = RemapStrategy::kGreedyMem);
 
 /// Add the migration from `before` to `after` to `faults`: every task
 /// whose host changed counts once, with its stream-buffer bytes

@@ -115,10 +115,10 @@ class Runtime {
       CS_ENSURE(fn != nullptr, "run_stream: null TaskFunction");
     }
     mapping.validate(platform_);
-    CS_ENSURE(opt_.failover_strategy == "greedy-mem" ||
-                  opt_.failover_strategy == "greedy-cpu",
-              "run_stream: unknown failover strategy '" +
-                  opt_.failover_strategy + "'");
+    CS_ENSURE(opt_.failover_strategy != mapping::RemapStrategy::kMilp,
+              "run_stream: the host runtime never waits on a solver; the '" +
+                  std::string(mapping::to_string(opt_.failover_strategy)) +
+                  "' failover strategy needs fault::run_with_failover");
     if (opt_.record_trace) {
       obs::ensure_traceable(graph_, platform_, "run_stream");
     }

@@ -69,11 +69,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/steady_state.hpp"
 #include "fault/fault_plan.hpp"
+#include "mapping/heuristics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 
@@ -118,11 +118,12 @@ struct RunOptions {
   /// drain -> remap -> migrate -> resume protocol described in the file
   /// comment.  Borrowed, not owned; must outlive the call.
   const fault::FaultPlan* fault_plan = nullptr;
-  /// Remap strategy for degraded-mode failover: "greedy-mem" or
-  /// "greedy-cpu" (the fast constructive heuristics — the runtime is in
-  /// the failure path, so it never waits on a solver; use the simulator
-  /// coordinator's "milp" strategy to evaluate solver-quality remaps).
-  std::string failover_strategy = "greedy-mem";
+  /// Remap strategy for degraded-mode failover: kGreedyMem or kGreedyCpu
+  /// (the fast constructive heuristics).  kMilp is refused: the runtime is
+  /// in the failure path, so it never waits on a solver; use the simulator
+  /// coordinator (fault::run_with_failover) to evaluate solver-quality
+  /// remaps.
+  mapping::RemapStrategy failover_strategy = mapping::RemapStrategy::kGreedyMem;
 };
 
 struct RunStats {

@@ -389,7 +389,7 @@ class Simulator {
   std::int64_t done_count_ = 0;
   std::int64_t tasks_at_done_ = 0;
   std::vector<double> completion_ticks_;
-  std::vector<obs::TraceEvent> trace_;
+  std::vector<obs::TraceEvent> trace_;  // windows in ticks until run() ends
 
   // Deterministic fault injection (engaged only when a plan is supplied).
   std::optional<fault::FaultInjector> injector_;
@@ -421,14 +421,6 @@ class Simulator {
   std::int64_t last_snapshot_done_ = -1;
   std::vector<std::uint64_t> sig_scratch_;
   std::int64_t max_peek_ = 0;
-  // The tick window of each trace event, index for index, while a cycle
-  // may still be detected: a jump recomputes the skipped cycles' event
-  // times from these exact integers (at most kDetectLimit instances'
-  // worth; released when detection stops).
-  struct TickWindow {
-    double start, end;
-  };
-  std::vector<TickWindow> trace_ticks_;
   // Slot slab of the DMAs between issue and landing (a slot is taken at
   // issue, before any retry stall) plus the launched transfers by id (ids
   // issue monotonically, so `inflight_` stays sorted) — gives the
@@ -919,11 +911,9 @@ void Simulator::complete_instance(TaskId tid) {
 }
 
 void Simulator::record(obs::TraceEvent ev, double start_tick) {
-  const double end_tick = engine_.now();
-  ev.start = start_tick * kSecondsPerTick;
-  ev.end = end_tick * kSecondsPerTick;
+  ev.start = start_tick;  // ticks until run() converts the trace
+  ev.end = engine_.now();
   trace_.push_back(ev);
-  if (ff_enabled_ && !ff_done_) trace_ticks_.push_back({start_tick, end_tick});
 }
 
 void Simulator::advance_done_counter(std::int64_t completed_instance) {
@@ -1161,17 +1151,16 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
 
   // The skipped cycles' trace: cycle c = 1..k emits the events the run
   // emitted since the snapshot, c cycles later in instances and ticks.
-  // Their times are recomputed on the tick grid and converted as record()
-  // converts them (never shifted in seconds), so each event is the full
-  // run's, bit for bit.
+  // The trace still holds ticks, and run() converts every event once, so
+  // each event is the full run's, bit for bit.
   if (opt_.record_trace) {
     const std::size_t cycle_end = trace_.size();
     for (std::int64_t c = 1; c <= k; ++c) {
       const double dt = static_cast<double>(c) * cycle_t;
       for (std::size_t i = snap.trace_size; i < cycle_end; ++i) {
         obs::TraceEvent ev = trace_[i];
-        ev.start = (trace_ticks_[i].start + dt) * kSecondsPerTick;
-        ev.end = (trace_ticks_[i].end + dt) * kSecondsPerTick;
+        ev.start += dt;
+        ev.end += dt;
         ev.instance += c * cycle_d;
         trace_.push_back(ev);
       }
@@ -1188,8 +1177,6 @@ void Simulator::stop_detection() {
   ff_done_ = true;
   snapshots_.clear();
   snapshots_.shrink_to_fit();
-  trace_ticks_.clear();
-  trace_ticks_.shrink_to_fit();
 }
 
 SimResult Simulator::run() {
@@ -1257,6 +1244,10 @@ SimResult Simulator::run() {
   counters.elapsed_seconds = result.makespan;
   result.steady_throughput = counters.steady_throughput();
   result.dma_transfers = counters.total_transfers();
+  for (obs::TraceEvent& ev : trace_) {
+    ev.start *= kSecondsPerTick;
+    ev.end *= kSecondsPerTick;
+  }
   result.trace = std::move(trace_);
   result.faults = faults_;
   result.edge_produced.resize(graph_.edge_count());

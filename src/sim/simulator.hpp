@@ -59,8 +59,9 @@ struct SimOptions {
   /// rule D6 in src/check/).  A traced jump writes the skipped cycles'
   /// events, the detected cycle's translated on the tick grid.
   /// Auto-disabled when a fault plan is active (injected faults are
-  /// instance-keyed and aperiodic); faulted runs and failover phases
-  /// therefore always simulate every event.
+  /// instance-keyed and aperiodic), so a faulted run simulates every
+  /// event.  Failover phases follow this rule too: a phase whose plan's
+  /// only fault is the fail-stop runs without a plan, and skips ahead.
   bool fast_forward = true;
   /// Optional deterministic fault scenario (see src/fault/): transient
   /// compute slowdowns, one-shot hangs and DMA retry/backoff delays are

@@ -1,14 +1,17 @@
 // Differential rule D6: the simulator's steady-state fast-forward must be
 // a pure optimization — bit-identical final stats, and on a traced run a
 // bit-identical trace, against the full run — across the paper's worked
-// example, a sweep of fuzzed (graph, mapping) pairs and the paper graphs,
-// and it must stay out of the way when a fault plan makes the run
-// aperiodic (docs/PERFORMANCE.md).  Also pinned here: the instance at
+// example, a sweep of fuzzed (graph, mapping) pairs, the paper graphs and
+// the failover outcomes of plans whose only fault is a fail-stop, and it
+// must stay out of the way when a fault plan makes the run aperiodic
+// (docs/PERFORMANCE.md).  Also pinned here: the instance at
 // which each of those runs detects its cycle, and that a result's steady
 // throughput is the obs::Counters rule, fast-forwarded or not.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 
 #include "check/differential.hpp"
@@ -354,6 +357,111 @@ TEST(FastForwardEquivalence, TracedRunsEngageAndEqualTheFullTracedRun) {
       EXPECT_TRUE(engaged) << "paper graph " << g;
     }
   }
+}
+
+/// Index of the first event where `a` and `b` differ in any field (the
+/// times as bit patterns), or -1 when the traces are equal.
+std::int64_t first_difference(const std::vector<obs::TraceEvent>& a,
+                              const std::vector<obs::TraceEvent>& b) {
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    const obs::TraceEvent& x = a[i];
+    const obs::TraceEvent& y = b[i];
+    if (x.kind != y.kind || x.payload != y.payload || x.pe != y.pe ||
+        x.src_pe != y.src_pe || x.task != y.task || x.edge != y.edge ||
+        std::bit_cast<std::uint64_t>(x.start) !=
+            std::bit_cast<std::uint64_t>(y.start) ||
+        std::bit_cast<std::uint64_t>(x.end) !=
+            std::bit_cast<std::uint64_t>(y.end) ||
+        x.instance != y.instance) {
+      return static_cast<std::int64_t>(i);
+    }
+  }
+  return a.size() == b.size() ? -1 : static_cast<std::int64_t>(
+                                          std::min(a.size(), b.size()));
+}
+
+/// D6 over one failover outcome: the GREEDYMEM mapping loses the SPE of
+/// its lowest-numbered SPE task at `fail_at`, traced, with fast_forward
+/// off and on.  Returns how many fast-forwarded phases engaged.
+int failover_phases_are_bit_identical(const SteadyStateAnalysis& analysis,
+                                      const sim::SimOptions& options,
+                                      std::int64_t fail_at,
+                                      const std::string& where) {
+  const Mapping mapping = mapping::greedy_mem(analysis);
+  PeId failed = 0;
+  for (TaskId t = 0; t < mapping.task_count() && failed == 0; ++t) {
+    if (analysis.platform().is_spe(mapping.pe_of(t))) failed = mapping.pe_of(t);
+  }
+  EXPECT_NE(failed, 0u) << where << ": no SPE hosts a task";
+  fault::FaultPlan plan;
+  plan.pe_failure = fault::PeFailure{failed, fail_at};
+  fault::FailoverOptions failover;
+  failover.sim = options;
+  failover.sim.record_trace = true;
+  failover.sim.fast_forward = false;
+  const fault::FailoverOutcome full =
+      fault::run_with_failover(analysis, mapping, plan, failover);
+  failover.sim.fast_forward = true;
+  const fault::FailoverOutcome ff =
+      fault::run_with_failover(analysis, mapping, plan, failover);
+
+  EXPECT_TRUE(ff.failover_performed) << where;
+  EXPECT_EQ(ff.post_mapping.raw(), full.post_mapping.raw()) << where;
+  EXPECT_EQ(ff.downtime_seconds, full.downtime_seconds) << where;
+  EXPECT_EQ(ff.result.completion_times, full.result.completion_times)
+      << where;
+  EXPECT_EQ(ff.result.counters.pe, full.result.counters.pe) << where;
+  EXPECT_EQ(first_difference(fault::stitched_trace(ff),
+                             fault::stitched_trace(full)),
+            -1)
+      << where << ": stitched trace";
+  int engaged = 0;
+  EXPECT_EQ(ff.phases.size(), full.phases.size()) << where;
+  for (std::size_t p = 0; p < std::min(ff.phases.size(), full.phases.size());
+       ++p) {
+    const sim::SimResult& a = ff.phases[p];
+    const sim::SimResult& b = full.phases[p];
+    const std::string phase = where + ", phase " + std::to_string(p + 1);
+    EXPECT_FALSE(b.fast_forward.enabled) << phase;
+    EXPECT_TRUE(a.fast_forward.enabled) << phase;
+    engaged += a.fast_forward.engaged ? 1 : 0;
+    EXPECT_EQ(a.completion_times, b.completion_times) << phase;
+    EXPECT_EQ(a.counters.pe, b.counters.pe) << phase;
+    EXPECT_EQ(a.dma_transfers, b.dma_transfers) << phase;
+    EXPECT_EQ(a.edge_produced, b.edge_produced) << phase;
+    EXPECT_EQ(a.edge_delivered, b.edge_delivered) << phase;
+    EXPECT_EQ(first_difference(a.trace, b.trace), -1) << phase << ": trace";
+  }
+  return engaged;
+}
+
+// A plan whose only fault is the fail-stop leaves each phase without a
+// plan, so the phases follow SimOptions::fast_forward like any run: D6
+// holds for the whole failover outcome, phase by phase and stitched.
+TEST(FastForwardEquivalence, FailStopOnlyFailoverEqualsTheFullPhases) {
+  const SteadyStateAnalysis worked(worked_example(),
+                                   platforms::qs22_single_cell());
+  sim::SimOptions options;
+  options.instances = 400;
+  int engaged =
+      failover_phases_are_bit_identical(worked, options, 150, "worked example");
+
+  // The sim-check benchmark's graphs and overheads, as in the traced test
+  // above.
+  for (int g = 0; g < 3; ++g) {
+    TaskGraph paper = gen::paper_graph(g);
+    gen::set_ccr(paper, 0.775);
+    const SteadyStateAnalysis paper_analysis(std::move(paper),
+                                             platforms::qs22_single_cell());
+    sim::SimOptions paper_options;
+    paper_options.instances = 5000;
+    paper_options.dma_issue_overhead = 5.0e-6;
+    paper_options.dispatch_overhead = 30.0e-6;
+    engaged += failover_phases_are_bit_identical(
+        paper_analysis, paper_options, 2000,
+        "paper graph " + std::to_string(g));
+  }
+  EXPECT_GE(engaged, 1) << "no failover phase fast-forwarded";
 }
 
 TEST(FastForwardEquivalence, OptOutFlagForcesFullSimulation) {

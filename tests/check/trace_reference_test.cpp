@@ -246,7 +246,7 @@ TEST(TraceReference, CheckTraceMatchesTheThreeCheckersItReplaced) {
           fault::FaultPlan::random(seed * 7919, platform, instances);
       fault::FailoverOptions failover;
       failover.sim = options;
-      failover.strategy = strategy;
+      failover.strategy = mapping::parse_remap_strategy(strategy);
       const fault::FailoverOutcome outcome =
           fault::run_with_failover(analysis, mapping, plan, failover);
       for (std::size_t p = 0; p < outcome.phases.size(); ++p) {
@@ -381,7 +381,7 @@ TEST(TraceReference, CheckTraceDoesNotDependOnTheOrderOfTheEvents) {
 
       fault::FailoverOptions failover;
       failover.sim = options;
-      failover.strategy = strategy;
+      failover.strategy = mapping::parse_remap_strategy(strategy);
       const fault::FailoverOutcome outcome = fault::run_with_failover(
           analysis, mapping,
           fault::FaultPlan::random(seed * 7919, platform, instances),
@@ -425,7 +425,7 @@ TEST(TraceReference, CheckTraceDoesNotDependOnTheOrderOfTheEvents) {
     fault::FailoverOptions failover;
     failover.sim.instances = static_cast<std::size_t>(instances);
     failover.sim.record_trace = true;
-    failover.strategy = strategy;
+    failover.strategy = mapping::parse_remap_strategy(strategy);
     const fault::FailoverOutcome outcome = fault::run_with_failover(
         analysis, mapping,
         fault::FaultPlan::random(seed * 104729, analysis.platform(),

@@ -161,7 +161,7 @@ TEST(FailoverRuntime, FailStopUnderDmaPressureStaysConsistent) {
   RunOptions options;
   options.instances = 250;
   options.fault_plan = &plan;
-  options.failover_strategy = "greedy-cpu";
+  options.failover_strategy = mapping::RemapStrategy::kGreedyCpu;
   const RunStats stats = run_stream(ss, chain.mapping, chain.tasks, options);
 
   EXPECT_EQ(chain.verified.load(), 250);
@@ -174,6 +174,25 @@ TEST(FailoverRuntime, FailStopUnderDmaPressureStaysConsistent) {
   for (const check::Violation& v : violations) {
     ADD_FAILURE() << v.invariant << ": " << v.detail;
   }
+}
+
+// The runtime never waits on a solver: the MILP remap is refused on entry,
+// before any worker starts, even when no fault would ever call for it.
+TEST(FailoverRuntime, MilpStrategyIsRefusedBeforeTheStreamStarts) {
+  Chain chain;
+  const SteadyStateAnalysis ss(chain.graph, platforms::qs22_single_cell());
+  RunOptions options;
+  options.instances = 50;
+  options.failover_strategy = mapping::RemapStrategy::kMilp;
+  try {
+    run_stream(ss, chain.mapping, chain.tasks, options);
+    FAIL() << "expected the milp strategy to be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_stream: the host runtime never waits on a solver; the "
+              "'milp' failover strategy needs fault::run_with_failover");
+  }
+  EXPECT_EQ(chain.verified.load(), 0);
 }
 
 TEST(FailoverRuntime, WatchdogTripsOnAGenuineHang) {

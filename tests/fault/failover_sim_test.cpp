@@ -156,9 +156,9 @@ TEST(FailoverSim, MilpRemapIsAtLeastAsGoodAsGreedy) {
   plan.pe_failure = PeFailure{1, 100};
   FailoverOptions greedy;
   greedy.sim.instances = 200;
-  greedy.strategy = "greedy-mem";
+  greedy.strategy = mapping::RemapStrategy::kGreedyMem;
   FailoverOptions milp = greedy;
-  milp.strategy = "milp";
+  milp.strategy = mapping::RemapStrategy::kMilp;
 
   const FailoverOutcome g = run_with_failover(ss, ex.mapping, plan, greedy);
   const FailoverOutcome m = run_with_failover(ss, ex.mapping, plan, milp);
@@ -223,37 +223,32 @@ TEST(FailoverSim, ReplayIsDeterministicUnderFaults) {
   EXPECT_DOUBLE_EQ(a.downtime_seconds, b.downtime_seconds);
 }
 
-/// Runs `plan` with strategy "bogus" and a dispatch overhead every
-/// simulation refuses, so the error names the coordinator only when the
-/// strategy is checked before anything is simulated.
-std::string bogus_strategy_error(const FaultPlan& plan) {
-  WorkedExample ex;
-  const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
-  FailoverOptions options;
-  options.sim.instances = 300;
-  options.sim.dispatch_overhead = -1.0;
-  options.strategy = "bogus";
-  try {
-    run_with_failover(ss, ex.mapping, plan, options);
-  } catch (const Error& e) {
-    return e.what();
+// A typed strategy cannot carry an unknown name: outside input is read by
+// the parser, which refuses one and lists the names it knows.
+TEST(FailoverSim, UnknownStrategyNameIsRefusedByTheParser) {
+  for (const char* name : {"bogus", "", "GREEDY-MEM", "greedy-period"}) {
+    try {
+      mapping::parse_remap_strategy(name);
+      ADD_FAILURE() << "accepted '" << name << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "invalid failover strategy '" + std::string(name) +
+                    "' (greedy-mem | greedy-cpu | milp)");
+    }
   }
-  return "no error";
 }
 
-TEST(FailoverSim, UnknownStrategyIsRefusedOnATransientOnlyPlan) {
-  FaultPlan plan;
-  plan.seed = 5;
-  plan.slowdowns.push_back({1, 50, 80, 2.0});
-  EXPECT_EQ(bogus_strategy_error(plan),
-            "run_with_failover: unknown failover strategy 'bogus'");
-}
-
-TEST(FailoverSim, UnknownStrategyIsRefusedBeforePhaseOne) {
-  FaultPlan plan;
-  plan.pe_failure = PeFailure{1, 150};
-  EXPECT_EQ(bogus_strategy_error(plan),
-            "run_with_failover: unknown failover strategy 'bogus'");
+TEST(FailoverSim, EveryStrategyNameParsesBackToItsStrategy) {
+  using mapping::RemapStrategy;
+  for (const RemapStrategy strategy :
+       {RemapStrategy::kGreedyMem, RemapStrategy::kGreedyCpu,
+        RemapStrategy::kMilp}) {
+    EXPECT_EQ(mapping::parse_remap_strategy(mapping::to_string(strategy)),
+              strategy);
+  }
+  EXPECT_STREQ(mapping::to_string(RemapStrategy::kGreedyMem), "greedy-mem");
+  EXPECT_STREQ(mapping::to_string(RemapStrategy::kGreedyCpu), "greedy-cpu");
+  EXPECT_STREQ(mapping::to_string(RemapStrategy::kMilp), "milp");
 }
 
 TEST(FailoverSim, LosingTheOnlyPpeIsUnsurvivable) {
@@ -265,8 +260,8 @@ TEST(FailoverSim, LosingTheOnlyPpeIsUnsurvivable) {
 TEST(FailoverSim, RemapKeepsSurvivorsInPlace) {
   WorkedExample ex;
   const SteadyStateAnalysis ss(ex.graph, platforms::qs22_single_cell());
-  const Mapping post =
-      mapping::remap_after_failure(ss, ex.mapping, 3, "greedy-mem");
+  const Mapping post = mapping::remap_after_failure(
+      ss, ex.mapping, 3, mapping::RemapStrategy::kGreedyMem);
   for (TaskId t = 0; t < ex.graph.task_count(); ++t) {
     if (ex.mapping.pe_of(t) != 3u) {
       EXPECT_EQ(post.pe_of(t), ex.mapping.pe_of(t)) << "task " << t;

@@ -52,7 +52,8 @@ void fuzz(const std::string& name, const CellPlatform& platform,
                                     platform.pe_name(failed) + " lost, " +
                                     strategy;
           if (platform.is_ppe(failed) && platform.ppe_count == 1) {
-            EXPECT_THROW(remap_after_failure(analysis, start, failed, strategy),
+            EXPECT_THROW(remap_after_failure(analysis, start, failed,
+                                             parse_remap_strategy(strategy)),
                          Error)
                 << where;
             EXPECT_THROW(reference::remap_after_failure(analysis, start,
@@ -65,8 +66,8 @@ void fuzz(const std::string& name, const CellPlatform& platform,
           reference::RemapProbe case_probe;
           const Mapping expected = reference::remap_after_failure(
               analysis, start, {failed}, strategy, &case_probe);
-          const Mapping got =
-              remap_after_failure(analysis, start, failed, strategy);
+          const Mapping got = remap_after_failure(
+              analysis, start, failed, parse_remap_strategy(strategy));
           ++cases;
           probe.fallbacks += case_probe.fallbacks;
           if (case_probe.multi_ppe_fallbacks == 0) {
@@ -137,13 +138,14 @@ TEST(RemapEquivalence, GreedyMemFallbackIsTheLowestUsablePpe) {
   const Mapping reference_post =
       reference::remap_after_failure(analysis, start, {3}, "greedy-mem");
   EXPECT_EQ(reference_post.pe_of(3), 1u);
-  const Mapping post = remap_after_failure(analysis, start, 3, "greedy-mem");
+  const Mapping post =
+      remap_after_failure(analysis, start, 3, RemapStrategy::kGreedyMem);
   EXPECT_EQ(post.raw(), (std::vector<PeId>{0, 0, 2, 0}));
 
   // With PPE0 lost, its sources fit on no SPE either, and PPE1 is the
   // lowest usable PPE.
   const Mapping ppe_lost =
-      remap_after_failure(analysis, start, 0, "greedy-mem");
+      remap_after_failure(analysis, start, 0, RemapStrategy::kGreedyMem);
   EXPECT_EQ(ppe_lost.raw(), (std::vector<PeId>{1, 1, 2, 3}));
 }
 

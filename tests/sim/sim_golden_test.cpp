@@ -14,9 +14,10 @@
 // The cases cover what the event core does: fast-forwarded runs that
 // engage, traced runs (which fast-forward too, and hash as the full run
 // with its diagnostics reset, see traced_hash), transient DMA retry stalls
-// with slowdowns and hangs, fail-stop failover, a dual Cell with PPE
-// fetches through a SPE's proxy stack and cross-chip links, and DagGen
-// sources and sinks with main-memory reads and writes.
+// with slowdowns and hangs, fail-stop failover (whose phases fast-forward
+// when no transient fault rides along, hashed the same way), a dual Cell
+// with PPE fetches through a SPE's proxy stack and cross-chip links, and
+// DagGen sources and sinks with main-memory reads and writes.
 
 #include <gtest/gtest.h>
 
@@ -144,9 +145,12 @@ std::uint64_t traced_hash(const TaskGraph& graph, SimResult r) {
 }
 
 /// The stitched result with the stitched trace, every phase, and what the
-/// coordinator decided.
+/// coordinator decided.  A phase whose plan's only fault is the fail-stop
+/// fast-forwards; like traced_hash, every phase hashes with the
+/// diagnostics a run reported when failover phases never skipped ahead.
 std::uint64_t failover_hash(const TaskGraph& graph,
-                            const fault::FailoverOutcome& outcome) {
+                            fault::FailoverOutcome outcome) {
+  for (SimResult& phase : outcome.phases) phase.fast_forward = FastForwardInfo{};
   Hash h;
   add_result(h, graph, outcome.result, fault::stitched_trace(outcome));
   h.add(static_cast<std::uint64_t>(outcome.phases.size()));
@@ -343,6 +347,14 @@ TEST(SimGolden, FailoverRuns) {
     const fault::FailoverOutcome outcome =
         fault::run_with_failover(analysis, mapping, plan, options);
     EXPECT_TRUE(outcome.failover_performed);
+    ASSERT_EQ(outcome.phases.size(), 2u);
+    // Neither phase carries a transient fault, so both skip ahead.
+    for (const SimResult& phase : outcome.phases) {
+      EXPECT_TRUE(phase.fast_forward.enabled);
+      EXPECT_TRUE(phase.fast_forward.engaged);
+    }
+    EXPECT_EQ(outcome.phases[0].fast_forward.skipped_instances, 139);
+    EXPECT_EQ(outcome.phases[1].fast_forward.skipped_instances, 239);
     expect_hash(failover_hash(analysis.graph(), outcome), goldens[0],
                 "worked example");
   }
