@@ -85,10 +85,22 @@ run_logged fault_smoke_output.txt \
 run_logged bench_smoke_output.txt \
   ctest --test-dir build -L bench-smoke --output-on-failure || rc=1
 run_logged fuzz_output.txt build/examples/cellstream_fuzz --smoke || rc=1
+# The bench programs are the targets bench/CMakeLists.txt declares with
+# cellstream_add_bench(<name> ...); a stale binary left in build/bench by a
+# removed target does not run.
+bench_names() {
+  sed -n 's/^cellstream_add_bench(\([A-Za-z0-9_]*\) .*/\1/p' \
+    bench/CMakeLists.txt
+}
 run_benches() {
   benches_rc=0
-  for b in build/bench/*; do
-    [ -x "$b" ] && [ -f "$b" ] || continue
+  for name in $(bench_names); do
+    b="build/bench/$name"
+    if ! [ -x "$b" ]; then
+      echo "run_all.sh: $b is not built" >&2
+      benches_rc=1
+      continue
+    fi
     case "$b" in
       (*micro*) "$b" --benchmark_min_time=0.2 || benches_rc=1 ;;
       (*) "$b" || benches_rc=1 ;;

@@ -721,18 +721,16 @@ std::vector<Violation> check_stream_integrity(
 
 std::vector<Violation> check_degraded_mapping(
     const SteadyStateAnalysis& analysis, const Mapping& post_mapping,
-    const std::vector<PeId>& failed_pes, const obs::Counters& post_counters,
+    PeId failed, const obs::Counters& post_counters,
     const InvariantOptions& options) {
   std::vector<Violation> out;
   const TaskGraph& graph = analysis.graph();
   const CellPlatform& platform = analysis.platform();
   for (TaskId t = 0; t < post_mapping.task_count(); ++t) {
-    for (const PeId failed : failed_pes) {
-      if (post_mapping.pe_of(t) == failed) {
-        add(out, "degraded-mapping",
-            "task " + graph.task(t).name + " is still mapped to failed " +
-                platform.pe_name(failed));
-      }
+    if (post_mapping.pe_of(t) == failed) {
+      add(out, "degraded-mapping",
+          "task " + graph.task(t).name + " is still mapped to failed " +
+              platform.pe_name(failed));
     }
   }
   for (Violation& v : check_local_store(analysis, post_mapping)) {
@@ -843,10 +841,9 @@ InvariantReport check_failover_invariants(const SteadyStateAnalysis& analysis,
   // I9 on the post-failover phase.
   if (outcome.failover_performed) {
     ++report.checks_run;
-    const PeId failed =
-        static_cast<PeId>(outcome.result.faults.failed_pe);
+    const PeId failed = static_cast<PeId>(outcome.result.faults.failed_pe);
     for (Violation& v : check_degraded_mapping(
-             analysis, outcome.post_mapping, {failed},
+             analysis, outcome.post_mapping, failed,
              outcome.phases.back().counters, options)) {
       report.violations.push_back(std::move(v));
     }

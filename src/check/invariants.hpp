@@ -154,15 +154,16 @@ std::vector<Violation> check_stream_integrity(const TaskGraph& graph,
                                               const StreamAccounting& accounting,
                                               std::int64_t instances);
 
-/// I9: after losing `failed_pes`, the degraded mapping must host no task on
-/// a failed PE, still fit every surviving SPE's local store, and the
-/// post-failover phase's observed occupation must match the steady-state
-/// prediction of the degraded mapping (the reduced-platform prediction —
-/// the failed PE hosts nothing).  `post_counters` are the telemetry of the
-/// post-failover phase only.
+/// I9: after losing PE `failed` (a fault plan carries at most one
+/// fail-stop), the degraded mapping must host no task on it, still fit
+/// every surviving SPE's local store, and the post-failover phase's
+/// observed occupation must match the steady-state prediction of the
+/// degraded mapping (the reduced-platform prediction — the failed PE hosts
+/// nothing).  `post_counters` are the telemetry of the post-failover phase
+/// only.
 std::vector<Violation> check_degraded_mapping(
     const SteadyStateAnalysis& analysis, const Mapping& post_mapping,
-    const std::vector<PeId>& failed_pes, const obs::Counters& post_counters,
+    PeId failed, const obs::Counters& post_counters,
     const InvariantOptions& options = {});
 
 /// I7: build the obs::Report for `counters` and flag every resource whose

@@ -62,7 +62,7 @@ TransferId FlowNetwork::start_transfer(NodeId src, NodeId dst, double bytes,
 }
 
 TransferId FlowNetwork::start_transfer_over(
-    std::initializer_list<ResourceId> resources, double bytes,
+    std::span<const ResourceId> resources, double bytes,
     InlineAction on_complete) {
   CS_ENSURE(bytes >= 0.0, "start_transfer: negative size");
   CS_ENSURE(resources.size() <= kMaxResources,

@@ -27,6 +27,7 @@
 #include <initializer_list>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -73,8 +74,14 @@ class FlowNetwork {
   /// Begin a transfer constrained by an explicit set of at most
   /// kMaxResources resources (e.g. {out_port(src), cross_chip_link,
   /// in_port(dst)}).
-  TransferId start_transfer_over(std::initializer_list<ResourceId> resources,
+  TransferId start_transfer_over(std::span<const ResourceId> resources,
                                  double bytes, InlineAction on_complete);
+  TransferId start_transfer_over(std::initializer_list<ResourceId> resources,
+                                 double bytes, InlineAction on_complete) {
+    return start_transfer_over(
+        std::span<const ResourceId>(resources.begin(), resources.size()),
+        bytes, std::move(on_complete));
+  }
 
   /// Current fair-share rate of a transfer (bytes/s); 0 if unknown id.
   double current_rate(TransferId id) const;

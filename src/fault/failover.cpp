@@ -49,6 +49,17 @@ sim::SimResult stitch(const sim::SimResult& a, const sim::SimResult& b,
     s.edge_produced[e] += b.edge_produced[e];
     s.edge_delivered[e] += b.edge_delivered[e];
   }
+
+  // Either phase may skip ahead: the stream skipped what both did, and
+  // reports the cycle of the last phase that engaged.
+  const sim::FastForwardInfo& fa = a.fast_forward;
+  const sim::FastForwardInfo& fb = b.fast_forward;
+  if (fa.engaged) s.fast_forward = fa;
+  if (fb.engaged) s.fast_forward = fb;
+  s.fast_forward.enabled = fa.enabled || fb.enabled;
+  s.fast_forward.skipped_cycles = fa.skipped_cycles + fb.skipped_cycles;
+  s.fast_forward.skipped_instances =
+      fa.skipped_instances + fb.skipped_instances;
   return s;
 }
 

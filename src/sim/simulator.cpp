@@ -50,25 +50,6 @@ std::int64_t tick_delta(double later, double earlier) {
   return std::llround(later - earlier);
 }
 
-/// One unit of asynchronous communication a PE can initiate during its
-/// communication phase.
-struct Channel {
-  enum class Kind { kEdgeFetch, kMemRead, kMemWrite };
-  Kind kind;
-  std::size_t index;  // EdgeId for kEdgeFetch, TaskId otherwise
-};
-
-/// How the steady-state fast-forward treats a progress counter.
-enum class Progress {
-  /// Moves once per stream instance: encoded relative to the done counter
-  /// in the signature, translated by a jump, and part of its horizon.
-  kAdvancing,
-  /// Never moves in the steady state (or is an occupancy, not a position):
-  /// encoded absolutely and never translated.  An advancing encoding of a
-  /// counter that stays put would make every signature unique.
-  kPinned,
-};
-
 /// One callable from a lambda per argument shape visit() passes.
 template <typename... Fs>
 struct Overloaded : Fs... {
@@ -98,36 +79,66 @@ struct DmaStream {
     return frontier + static_cast<std::int64_t>(parked.size());
   }
 
-  /// A stream the state does not have stays at zero: pass kPinned.  The
-  /// DMAs in the air (issued - landed()) follow from these fields.
+  /// The DMAs in the air (issued - landed()) follow from these fields.
   template <typename F>
-  void visit(F&& f, Progress progress) {
-    f(issued, progress);
-    f(frontier, progress);
+  void visit(F&& f) {
+    f(issued);
+    f(frontier);
     f(parked);
   }
 };
 
-// Each state struct declares its progress once, in visit(f): f(counter,
-// Progress) per counter and f(landing_set) per out-of-order landing set.
-// The fast-forward's signature, jump horizon and translation are loops
-// over visit, so a new progress field is declared there and nowhere else.
+using ChannelId = std::size_t;
+
+/// One unit of asynchronous communication a PE initiates during its
+/// communication phase, described once when the run is built: what a DMA
+/// on it moves, over which route, through which queues, and what it
+/// traces.  The event path reads a channel and never re-derives it.
+struct Channel {
+  /// The fault injector's transfer kind doubles as the channel kind: a
+  /// remote edge's fetches (kEdge), a task's memory reads or writes.
+  using Kind = fault::FaultInjector::TransferKind;
+  Kind kind = Kind::kEdge;
+  std::size_t object = 0;  // EdgeId for kEdge, TaskId otherwise
+  PeId issuer = 0;         // the PE whose communication phase issues it
+  std::size_t slot = 0;    // its index in pes_[issuer].channels
+  /// The SPE whose proxy queue a DMA occupies: a PPE's fetch from a SPE's
+  /// local store.
+  std::optional<PeId> proxy;
+  /// Flow-network route: out port, the two cross-chip link resources when
+  /// the transfer crosses chips, in port.
+  std::vector<des::ResourceId> route;
+  double bytes = 0.0;
+  /// The transfer event a landing records, minus instance and window.
+  /// Its src_pe is the producer of a fetch (whose output slot the landing
+  /// frees) and the issuer itself for a memory stream.
+  obs::TraceEvent event;
+  DmaStream stream;
+
+  /// The channel's identity in the fast-forward signature.
+  std::uint64_t identity() const {
+    return (static_cast<std::uint64_t>(kind) << 32) |
+           static_cast<std::uint64_t>(object);
+  }
+};
+
+// Each state struct declares its progress once, in visit(f): f(counter)
+// per counter and f(landing_set) per out-of-order landing set.  Every
+// counter moves once per stream instance, so the fast-forward's
+// signature encodes each relative to the done counter, its jump horizon
+// covers each and a jump translates each.  Those are loops over visit, so
+// a new progress field is declared there and nowhere else.
 
 struct EdgeState {
-  PeId src = 0, dst = 0;
-  bool remote = false;
-  std::int64_t depth = 0;   // buffer capacity in instances
-  double bytes = 0.0;
+  std::int64_t depth = 0;     // buffer capacity in instances
   std::int64_t produced = 0;  // instances written by the producer
-  DmaStream fetch;            // consumer-issued fetches (remote only)
   std::int64_t consumed = 0;  // instances the consumer is finished with
-  std::size_t fetch_channel = 0;  // index in pes_[dst].channels (remote)
+  std::optional<ChannelId> fetch;  // the consumer's fetches (remote only)
 
   template <typename F>
   void visit(F&& f) {
-    f(produced, Progress::kAdvancing);
-    fetch.visit(f, remote ? Progress::kAdvancing : Progress::kPinned);
-    f(consumed, Progress::kAdvancing);
+    f(produced);
+    f(consumed);
   }
 };
 
@@ -137,19 +148,12 @@ struct TaskState {
   double work_ticks = 0.0;  // the same, on the event grid
   int peek = 0;
   std::int64_t next_instance = 0;
-  double read_bytes = 0.0;  // main-memory streams (none at 0 bytes)
-  double write_bytes = 0.0;
-  DmaStream read, write;
-  // Indices in pes_[pe].channels of the read and write channels (when the
-  // stream has bytes).
-  std::size_t read_channel = 0, write_channel = 0;
+  // Main-memory streams (none at 0 bytes).
+  std::optional<ChannelId> read, write;
 
   template <typename F>
   void visit(F&& f) {
-    f(next_instance, Progress::kAdvancing);
-    read.visit(f, read_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned);
-    write.visit(f,
-                write_bytes > 0.0 ? Progress::kAdvancing : Progress::kPinned);
+    f(next_instance);
   }
 };
 
@@ -163,16 +167,16 @@ constexpr std::uint64_t kTagFlowCompletion = 4ull << 60;
 
 struct PeState {
   std::vector<TaskId> tasks;       // topological order
-  std::vector<Channel> channels;   // communication work this PE initiates
-  // ready[i] == channel_issuable(pe, channels[i]) between events: each
+  std::vector<ChannelId> channels;  // communication work this PE initiates
+  // ready[i] == channel_issuable(channels[i]) between events: each
   // flag is re-derived where a counter it reads changes (refresh()), so
   // a communication phase scans flags instead of probing channels.
   // Derived from the counters, so the fast-forward signature omits it.
   std::vector<char> ready;
   std::size_t ready_count = 0;
   // The PPE fetch channels that read this SPE's local store through its
-  // proxy queue: (PPE, index in its channels).
-  std::vector<std::pair<PeId, std::size_t>> proxy_readers;
+  // proxy queue.
+  std::vector<ChannelId> proxy_readers;
   std::size_t task_cursor = 0;
   std::size_t channel_cursor = 0;
   bool busy = false;
@@ -181,7 +185,7 @@ struct PeState {
   std::size_t proxy_outstanding = 0;  // PPE-issued reads from this SPE (<= 8)
   // Pending-event attribution (periodicity snapshots).
   des::EventId busy_event = 0;   // valid while busy
-  std::uint64_t busy_tag = 0;    // kTagIssue|channel or kTagCompute|task
+  std::uint64_t busy_tag = 0;    // kTagIssue|identity or kTagCompute|task
   des::EventId wake_event = 0;   // valid while wake_scheduled
   // Accounting (folded into obs::Counters once, at the end of the run,
   // so totals are independent of how many events actually executed —
@@ -210,8 +214,7 @@ struct PeState {
 /// completion will land (the closure itself cannot be rewritten once
 /// scheduled).
 struct InflightSlot {
-  Channel channel{};
-  PeId issuer = 0;   // the PE whose communication phase issued it
+  ChannelId channel = 0;
   double t0 = 0.0;   // issue tick: the queue slot is held from here
   std::int64_t inst = 0;
 };
@@ -263,8 +266,8 @@ class Simulator {
     // events (engage_fast_forward).
     ff_enabled_ = opt_.fast_forward && !injector_;
     ff_info_.enabled = ff_enabled_;
-    build_state();
     register_chip_links();
+    build_state();
   }
 
   /// Also re-derive every channel pick by the full scan the readiness
@@ -291,50 +294,25 @@ class Simulator {
   void build_state();
   void register_chip_links();
 
-  des::TransferId start_edge_transfer(const EdgeState& e, PeId dst,
-                                      des::InlineAction done) {
-    if (platform_.chip_count > 1 && platform_.crosses_chips(e.src, dst)) {
-      return net_.start_transfer_over(
-          {net_.out_port(e.src), xchip_out_[platform_.chip_of(e.src)],
-           xchip_in_[platform_.chip_of(dst)], net_.in_port(dst)},
-          e.bytes, std::move(done));
-    }
-    return net_.start_transfer(e.src, dst, e.bytes, std::move(done));
-  }
+  ChannelId add_channel(Channel::Kind kind, std::size_t object, PeId issuer,
+                        NodeId from, NodeId to, double bytes,
+                        obs::TraceEvent::Payload payload);
 
-  /// The stream a channel moves: an edge's fetches, a task's reads or
-  /// its writes.
-  const DmaStream& stream(const Channel& ch) const {
-    switch (ch.kind) {
-      case Channel::Kind::kEdgeFetch: return edges_[ch.index].fetch;
-      case Channel::Kind::kMemRead: return tasks_[ch.index].read;
-      case Channel::Kind::kMemWrite: break;
-    }
-    return tasks_[ch.index].write;
-  }
-  DmaStream& stream(const Channel& ch) {
-    return const_cast<DmaStream&>(std::as_const(*this).stream(ch));
-  }
-  /// The SPE whose proxy queue a DMA issued by `pe` occupies: a PPE's
-  /// fetch from a SPE's local store.
-  std::optional<PeId> proxy_of(PeId pe, const Channel& ch) const {
-    if (ch.kind != Channel::Kind::kEdgeFetch || platform_.is_spe(pe)) {
-      return std::nullopt;
-    }
-    const PeId src = edges_[ch.index].src;
-    if (!platform_.is_spe(src)) return std::nullopt;
-    return src;
+  /// Instances of an edge usable at its consumer: fetched ones for a
+  /// remote edge, produced ones for a local one.
+  std::int64_t delivered(const EdgeState& e) const {
+    return e.fetch ? channels_[*e.fetch].stream.frontier : e.produced;
   }
 
   void wake(PeId pe);
   void step(PeId pe);
   std::optional<std::size_t> find_issuable(PeId pe);
   std::optional<std::size_t> scan_issuable(PeId pe) const;
-  bool channel_issuable(PeId pe, const Channel& channel) const;
-  void refresh(PeId pe, std::size_t index);
+  bool channel_issuable(const Channel& ch) const;
+  void refresh(ChannelId id);
   void refresh_all(PeId pe);
   void refresh_proxy_readers(PeId spe);
-  void issue(PeId pe, std::size_t index);
+  void issue(ChannelId id);
   void launch(std::uint32_t slot);
   void land(std::uint32_t slot);
   std::optional<TaskId> find_runnable(PeId pe);
@@ -347,11 +325,13 @@ class Simulator {
   std::uint32_t alloc_inflight(const InflightSlot& dma);
   InflightSlot finish_inflight(std::uint32_t slot);
   const InflightSlot* find_inflight(des::TransferId id) const;
-  /// Every edge's, then every task's visit(f), in signature order.
+  /// Every edge's, every task's, then every channel stream's visit(f), in
+  /// signature order.
   template <typename F>
   void visit_progress(F&& f) {
     for (EdgeState& e : edges_) e.visit(f);
     for (TaskState& t : tasks_) t.visit(f);
+    for (Channel& ch : channels_) ch.stream.visit(f);
   }
   void maybe_snapshot(TaskId completing_task);
   bool build_signature(std::vector<std::uint64_t>& sig, TaskId completing);
@@ -380,14 +360,18 @@ class Simulator {
 
   std::vector<EdgeState> edges_;
   std::vector<TaskState> tasks_;
+  std::vector<Channel> channels_;  // remote-edge fetches, then memory streams
   std::vector<PeState> pes_;
+  std::vector<TaskId> sinks_;
 
   double dma_issue_ticks_ = 0.0;
   double dispatch_ticks_ = 0.0;
   double max_ticks_ = 0.0;
 
+  // Instances every sink, and so every task, has completed; the sinks
+  // still at that frontier.
   std::int64_t done_count_ = 0;
-  std::int64_t tasks_at_done_ = 0;
+  std::int64_t sinks_at_done_ = 0;
   std::vector<double> completion_ticks_;
   std::vector<obs::TraceEvent> trace_;  // windows in ticks until run() ends
 
@@ -444,17 +428,6 @@ void Simulator::register_chip_links() {
 }
 
 void Simulator::build_state() {
-  edges_.resize(graph_.edge_count());
-  for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    const Edge& edge = graph_.edge(e);
-    EdgeState& state = edges_[e];
-    state.src = mapping_.pe_of(edge.from);
-    state.dst = mapping_.pe_of(edge.to);
-    state.remote = state.src != state.dst;
-    state.depth = ss_.buffer_depth(e);
-    state.bytes = edge.data_bytes;
-  }
-
   tasks_.resize(graph_.task_count());
   pes_.resize(platform_.pe_count());
   for (TaskId t : graph_.topological_order()) {
@@ -464,8 +437,6 @@ void Simulator::build_state() {
     state.work = platform_.is_ppe(state.pe) ? task.wppe : task.wspe;
     state.work_ticks = to_ticks(state.work, "task work");
     state.peek = task.peek;
-    state.read_bytes = task.read_bytes;
-    state.write_bytes = task.write_bytes;
     max_peek_ = std::max(max_peek_, static_cast<std::int64_t>(task.peek));
     pes_[state.pe].tasks.push_back(t);
   }
@@ -473,28 +444,45 @@ void Simulator::build_state() {
   // Communication channels each PE polls during its communication phase:
   // remote-edge fetches it is the consumer of, then its tasks' memory
   // streams.
-  const auto add_channel = [this](PeId pe, Channel ch) {
-    pes_[pe].channels.push_back(ch);
-    if (const std::optional<PeId> proxy = proxy_of(pe, ch)) {
-      pes_[*proxy].proxy_readers.emplace_back(pe,
-                                              pes_[pe].channels.size() - 1);
-    }
-    return pes_[pe].channels.size() - 1;
-  };
+  edges_.resize(graph_.edge_count());
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    if (edges_[e].remote) {
-      edges_[e].fetch_channel =
-          add_channel(edges_[e].dst, {Channel::Kind::kEdgeFetch, e});
+    const Edge& edge = graph_.edge(e);
+    edges_[e].depth = ss_.buffer_depth(e);
+    const PeId src = mapping_.pe_of(edge.from);
+    const PeId dst = mapping_.pe_of(edge.to);
+    if (src == dst) continue;
+    const ChannelId id = add_channel(Channel::Kind::kEdge, e, dst, src, dst,
+                                     edge.data_bytes,
+                                     obs::TraceEvent::Payload::kEdge);
+    edges_[e].fetch = id;
+    Channel& ch = channels_[id];
+    ch.event.src_pe = static_cast<std::uint16_t>(src);
+    ch.event.edge = static_cast<std::int32_t>(e);
+    if (platform_.is_ppe(dst) && platform_.is_spe(src)) {
+      ch.proxy = src;
+      pes_[src].proxy_readers.push_back(id);
     }
   }
+  const auto add_memory_channel = [this](Channel::Kind kind, TaskId t,
+                                         NodeId from, NodeId to, double bytes,
+                                         obs::TraceEvent::Payload payload) {
+    const ChannelId id =
+        add_channel(kind, t, tasks_[t].pe, from, to, bytes, payload);
+    channels_[id].event.task = static_cast<std::int32_t>(t);
+    return id;
+  };
   for (TaskId t = 0; t < graph_.task_count(); ++t) {
-    if (tasks_[t].read_bytes > 0.0) {
-      tasks_[t].read_channel =
-          add_channel(tasks_[t].pe, {Channel::Kind::kMemRead, t});
+    const Task& task = graph_.task(t);
+    const PeId pe = tasks_[t].pe;
+    if (task.read_bytes > 0.0) {
+      tasks_[t].read = add_memory_channel(Channel::Kind::kMemRead, t,
+                                          memory_node(), pe, task.read_bytes,
+                                          obs::TraceEvent::Payload::kMemRead);
     }
-    if (tasks_[t].write_bytes > 0.0) {
-      tasks_[t].write_channel =
-          add_channel(tasks_[t].pe, {Channel::Kind::kMemWrite, t});
+    if (task.write_bytes > 0.0) {
+      tasks_[t].write = add_memory_channel(
+          Channel::Kind::kMemWrite, t, pe, memory_node(), task.write_bytes,
+          obs::TraceEvent::Payload::kMemWrite);
     }
   }
   for (PeId pe = 0; pe < pes_.size(); ++pe) {
@@ -506,14 +494,40 @@ void Simulator::build_state() {
     // Every task runs and every channel lands once per instance, so the
     // trace holds exactly this many events.
     obs::ensure_traceable(graph_, platform_, "simulate");
-    std::size_t per_instance = graph_.task_count();
-    for (const PeState& pe : pes_) per_instance += pe.channels.size();
-    trace_.reserve(opt_.instances * per_instance);
+    trace_.reserve(opt_.instances * (graph_.task_count() + channels_.size()));
   }
 
   completion_ticks_.assign(opt_.instances, 0.0);
+  sinks_ = graph_.sinks();
   done_count_ = 0;
-  tasks_at_done_ = static_cast<std::int64_t>(graph_.task_count());
+  sinks_at_done_ = static_cast<std::int64_t>(sinks_.size());
+}
+
+ChannelId Simulator::add_channel(Channel::Kind kind, std::size_t object,
+                                 PeId issuer, NodeId from, NodeId to,
+                                 double bytes,
+                                 obs::TraceEvent::Payload payload) {
+  const ChannelId id = channels_.size();
+  Channel& ch = channels_.emplace_back();
+  ch.kind = kind;
+  ch.object = object;
+  ch.issuer = issuer;
+  ch.slot = pes_[issuer].channels.size();
+  pes_[issuer].channels.push_back(id);
+  // Main memory sits on no chip; a transfer between PEs of two chips also
+  // crosses both chips' link resources.
+  ch.route = {net_.out_port(from), net_.in_port(to)};
+  if (platform_.chip_count > 1 && from != memory_node() &&
+      to != memory_node() && platform_.crosses_chips(from, to)) {
+    ch.route.insert(ch.route.begin() + 1, {xchip_out_[platform_.chip_of(from)],
+                                           xchip_in_[platform_.chip_of(to)]});
+  }
+  ch.bytes = bytes;
+  ch.event.kind = obs::TraceEvent::Kind::kTransfer;
+  ch.event.payload = payload;
+  ch.event.pe = static_cast<std::uint16_t>(issuer);
+  ch.event.src_pe = ch.event.pe;
+  return id;
 }
 
 void Simulator::wake(PeId pe) {
@@ -534,11 +548,8 @@ void Simulator::step(PeId pe) {
   // interrupts the core briefly; the transfer itself then proceeds in the
   // background through the flow network).
   if (const std::optional<std::size_t> index = find_issuable(pe)) {
-    const Channel& channel = state.channels[*index];
     state.busy = true;
-    state.busy_tag = kTagIssue |
-                     (static_cast<std::uint64_t>(channel.kind) << 32) |
-                     static_cast<std::uint64_t>(channel.index);
+    state.busy_tag = kTagIssue | channels_[state.channels[*index]].identity();
     state.busy_event =
         engine_.schedule_in(dma_issue_ticks_, [this, pe, i = *index] {
           PeState& s = pes_[pe];
@@ -552,10 +563,11 @@ void Simulator::step(PeId pe) {
           // simply retries.
           if (check_picks_) {
             ++picks_checked_;
-            CS_ASSERT((s.ready[i] != 0) == channel_issuable(pe, s.channels[i]),
+            CS_ASSERT((s.ready[i] != 0) ==
+                          channel_issuable(channels_[s.channels[i]]),
                       "simulate: readiness flag differs from the channel");
           }
-          if (s.ready[i]) issue(pe, i);
+          if (s.ready[i]) issue(s.channels[i]);
           step(pe);
         });
     return;
@@ -615,11 +627,11 @@ void Simulator::step(PeId pe) {
   // Nothing to do: stay idle until an event wakes us.
 }
 
-bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
-  const std::int64_t next = stream(channel).issued;
-  switch (channel.kind) {
-    case Channel::Kind::kEdgeFetch: {
-      const EdgeState& e = edges_[channel.index];
+bool Simulator::channel_issuable(const Channel& ch) const {
+  const std::int64_t next = ch.stream.issued;
+  switch (ch.kind) {
+    case Channel::Kind::kEdge: {
+      const EdgeState& e = edges_[ch.object];
       if (next >= e.produced) return false;  // nothing new
       if (!dataflow::has_free_slot(next, e.consumed, e.depth)) {
         return false;  // in-buf full
@@ -628,29 +640,29 @@ bool Simulator::channel_issuable(PeId pe, const Channel& channel) const {
     }
     case Channel::Kind::kMemRead:
       if (next >= stream_len()) return false;  // stream exhausted
-      if (next - tasks_[channel.index].next_instance >= kMemoryStreamDepth) {
+      if (next - tasks_[ch.object].next_instance >= kMemoryStreamDepth) {
         return false;
       }
       break;
     case Channel::Kind::kMemWrite:
-      if (next >= tasks_[channel.index].next_instance) return false;  // no data
+      if (next >= tasks_[ch.object].next_instance) return false;  // no data
       break;
   }
   // A SPE issues into its own MFC queue; a PPE reading from a SPE local
   // store uses that SPE's proxy stack.
-  if (platform_.is_spe(pe)) {
-    return pes_[pe].gets_outstanding < platform_.spe_dma_slots;
+  if (platform_.is_spe(ch.issuer)) {
+    return pes_[ch.issuer].gets_outstanding < platform_.spe_dma_slots;
   }
-  const std::optional<PeId> proxy = proxy_of(pe, channel);
-  return !proxy ||
-         pes_[*proxy].proxy_outstanding < platform_.ppe_to_spe_dma_slots;
+  return !ch.proxy ||
+         pes_[*ch.proxy].proxy_outstanding < platform_.ppe_to_spe_dma_slots;
 }
 
-void Simulator::refresh(PeId pe, std::size_t index) {
-  PeState& state = pes_[pe];
-  const char now = channel_issuable(pe, state.channels[index]) ? 1 : 0;
-  if (now == state.ready[index]) return;
-  state.ready[index] = now;
+void Simulator::refresh(ChannelId id) {
+  const Channel& ch = channels_[id];
+  PeState& state = pes_[ch.issuer];
+  const char now = channel_issuable(ch) ? 1 : 0;
+  if (now == state.ready[ch.slot]) return;
+  state.ready[ch.slot] = now;
   if (now) {
     ++state.ready_count;
   } else {
@@ -659,11 +671,11 @@ void Simulator::refresh(PeId pe, std::size_t index) {
 }
 
 void Simulator::refresh_all(PeId pe) {
-  for (std::size_t i = 0; i < pes_[pe].channels.size(); ++i) refresh(pe, i);
+  for (const ChannelId id : pes_[pe].channels) refresh(id);
 }
 
 void Simulator::refresh_proxy_readers(PeId spe) {
-  for (const auto& [ppe, index] : pes_[spe].proxy_readers) refresh(ppe, index);
+  for (const ChannelId id : pes_[spe].proxy_readers) refresh(id);
 }
 
 std::optional<std::size_t> Simulator::find_issuable(PeId pe) {
@@ -693,7 +705,7 @@ std::optional<std::size_t> Simulator::scan_issuable(PeId pe) const {
   const std::size_t count = state.channels.size();
   for (std::size_t probe = 0; probe < count; ++probe) {
     const std::size_t idx = (state.channel_cursor + probe) % count;
-    if (channel_issuable(pe, state.channels[idx])) return idx;
+    if (channel_issuable(channels_[state.channels[idx]])) return idx;
   }
   return std::nullopt;
 }
@@ -732,14 +744,15 @@ const InflightSlot* Simulator::find_inflight(des::TransferId id) const {
   return &islots_[it->second];
 }
 
-void Simulator::issue(PeId pe, std::size_t index) {
-  const Channel channel = pes_[pe].channels[index];
+void Simulator::issue(ChannelId id) {
+  Channel& ch = channels_[id];
+  const PeId pe = ch.issuer;
   const auto occupy = [](std::size_t& outstanding, std::size_t& peak) {
     ++outstanding;
     peak = std::max(peak, outstanding);
   };
-  const std::int64_t inst = stream(channel).issued++;
-  refresh(pe, index);
+  const std::int64_t inst = ch.stream.issued++;
+  refresh(id);
   // A queue's occupancy changes a channel's readiness only where it
   // reaches its limit (and where it drops from it, in land()).
   if (platform_.is_spe(pe)) {
@@ -748,26 +761,22 @@ void Simulator::issue(PeId pe, std::size_t index) {
       refresh_all(pe);
     }
   }
-  if (const std::optional<PeId> proxy = proxy_of(pe, channel)) {
-    occupy(pes_[*proxy].proxy_outstanding, pes_[*proxy].proxy_peak);
-    if (pes_[*proxy].proxy_outstanding == platform_.ppe_to_spe_dma_slots) {
-      refresh_proxy_readers(*proxy);
+  if (ch.proxy) {
+    PeState& spe = pes_[*ch.proxy];
+    occupy(spe.proxy_outstanding, spe.proxy_peak);
+    if (spe.proxy_outstanding == platform_.ppe_to_spe_dma_slots) {
+      refresh_proxy_readers(*ch.proxy);
     }
   }
-  const std::uint32_t slot =
-      alloc_inflight({channel, pe, engine_.now(), inst});
+  const std::uint32_t slot = alloc_inflight({id, engine_.now(), inst});
   // A failed DMA attempt holds its queue slot through the seeded
   // retry/backoff delay, then the transfer proceeds normally — data is
   // delayed, never lost.  The trace window [t0, end] spans the stall,
   // matching the slot-occupancy convention the I4 replay checks.
-  using Kind = fault::FaultInjector::TransferKind;
-  static constexpr Kind kTransferKind[] = {  // indexed by Channel::Kind
-      Kind::kEdge, Kind::kMemRead, Kind::kMemWrite};
   const double stall =
-      injector_ ? injector_->dma_delay(
-                      kTransferKind[static_cast<int>(channel.kind)],
-                      channel.index, inst + opt_.instance_offset,
-                      &faults_.dma_retries)
+      injector_ ? injector_->dma_delay(ch.kind, ch.object,
+                                       inst + opt_.instance_offset,
+                                       &faults_.dma_retries)
                 : 0.0;
   if (stall > 0.0) {
     faults_.backoff_seconds += stall;
@@ -779,66 +788,32 @@ void Simulator::issue(PeId pe, std::size_t index) {
 }
 
 void Simulator::launch(std::uint32_t slot) {
-  const Channel ch = islots_[slot].channel;
-  const PeId pe = islots_[slot].issuer;
-  des::InlineAction done = [this, slot] { land(slot); };
-  des::TransferId id = 0;
-  switch (ch.kind) {
-    case Channel::Kind::kEdgeFetch:
-      id = start_edge_transfer(edges_[ch.index], pe, std::move(done));
-      break;
-    case Channel::Kind::kMemRead:
-      id = net_.start_transfer(memory_node(), pe, tasks_[ch.index].read_bytes,
-                               std::move(done));
-      break;
-    case Channel::Kind::kMemWrite:
-      id = net_.start_transfer(pe, memory_node(), tasks_[ch.index].write_bytes,
-                               std::move(done));
-      break;
-  }
+  const Channel& ch = channels_[islots_[slot].channel];
+  const des::TransferId id = net_.start_transfer_over(
+      ch.route, ch.bytes, [this, slot] { land(slot); });
   inflight_.emplace_back(id, slot);
 }
 
 void Simulator::land(std::uint32_t slot) {
   const InflightSlot dma = finish_inflight(slot);
-  const Channel& ch = dma.channel;
-  stream(ch).land(dma.inst);
-  if (platform_.is_spe(dma.issuer) &&
-      pes_[dma.issuer].gets_outstanding-- == platform_.spe_dma_slots) {
-    refresh_all(dma.issuer);
+  Channel& ch = channels_[dma.channel];
+  const PeId pe = ch.issuer;
+  ch.stream.land(dma.inst);
+  if (platform_.is_spe(pe) &&
+      pes_[pe].gets_outstanding-- == platform_.spe_dma_slots) {
+    refresh_all(pe);
   }
-  const std::optional<PeId> proxy = proxy_of(dma.issuer, ch);
-  if (proxy &&
-      pes_[*proxy].proxy_outstanding-- == platform_.ppe_to_spe_dma_slots) {
-    refresh_proxy_readers(*proxy);
+  if (ch.proxy &&
+      pes_[*ch.proxy].proxy_outstanding-- == platform_.ppe_to_spe_dma_slots) {
+    refresh_proxy_readers(*ch.proxy);
   }
   if (opt_.record_trace) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEvent::Kind::kTransfer;
-    ev.pe = static_cast<std::uint16_t>(dma.issuer);
-    ev.src_pe = ev.pe;
+    obs::TraceEvent ev = ch.event;
     ev.instance = dma.inst;
-    switch (ch.kind) {
-      case Channel::Kind::kEdgeFetch:
-        ev.payload = obs::TraceEvent::Payload::kEdge;
-        ev.src_pe = static_cast<std::uint16_t>(edges_[ch.index].src);
-        ev.edge = static_cast<std::int32_t>(ch.index);
-        break;
-      case Channel::Kind::kMemRead:
-        ev.payload = obs::TraceEvent::Payload::kMemRead;
-        ev.task = static_cast<std::int32_t>(ch.index);
-        break;
-      case Channel::Kind::kMemWrite:
-        ev.payload = obs::TraceEvent::Payload::kMemWrite;
-        ev.task = static_cast<std::int32_t>(ch.index);
-        break;
-    }
     record(ev, dma.t0);
   }
-  if (ch.kind == Channel::Kind::kEdgeFetch) {
-    wake(edges_[ch.index].src);  // output buffer slot freed
-  }
-  wake(dma.issuer);  // data landed, or a queue slot freed
+  wake(ch.event.src_pe);  // a fetch frees the producer's output slot
+  wake(pe);               // data landed, or a queue slot freed
 }
 
 bool Simulator::task_runnable(TaskId tid) const {
@@ -850,27 +825,22 @@ bool Simulator::task_runnable(TaskId tid) const {
   // of the stream, where no further instances exist).
   const std::int64_t need = dataflow::inputs_needed(i, t.peek, stream_len());
   for (EdgeId e : graph_.in_edges(tid)) {
-    const EdgeState& edge = edges_[e];
-    const std::int64_t available =
-        edge.remote ? edge.fetch.frontier : edge.produced;
-    if (available < need) return false;
+    if (delivered(edges_[e]) < need) return false;
   }
-  if (t.read_bytes > 0.0 && t.read.frontier < i + 1) return false;
+  if (t.read && channels_[*t.read].stream.frontier < i + 1) return false;
 
   // Output buffers: one free slot per out-edge (producer side frees on
   // remote fetch / local consumption).
   for (EdgeId e : graph_.out_edges(tid)) {
     const EdgeState& edge = edges_[e];
     const std::int64_t freed =
-        edge.remote ? edge.fetch.frontier : edge.consumed;
+        edge.fetch ? channels_[*edge.fetch].stream.frontier : edge.consumed;
     if (!dataflow::has_free_slot(edge.produced, freed, edge.depth)) {
       return false;
     }
   }
-  if (t.write_bytes > 0.0 && i - t.write.landed() >= kMemoryStreamDepth) {
-    return false;
-  }
-  return true;
+  return !t.write ||
+         i - channels_[*t.write].stream.landed() < kMemoryStreamDepth;
 }
 
 std::optional<TaskId> Simulator::find_runnable(PeId pe) {
@@ -890,23 +860,24 @@ void Simulator::complete_instance(TaskId tid) {
   TaskState& t = tasks_[tid];
   const std::int64_t i = t.next_instance;
   t.next_instance = i + 1;
-  if (t.read_bytes > 0.0) refresh(t.pe, t.read_channel);
-  if (t.write_bytes > 0.0) refresh(t.pe, t.write_channel);
+  if (t.read) refresh(*t.read);
+  if (t.write) refresh(*t.write);
 
-  for (EdgeId e : graph_.out_edges(tid)) {
+  const std::vector<EdgeId>& out_edges = graph_.out_edges(tid);
+  for (EdgeId e : out_edges) {
     EdgeState& edge = edges_[e];
     ++edge.produced;
-    if (edge.remote) {
-      refresh(edge.dst, edge.fetch_channel);
-      wake(edge.dst);  // consumer may fetch now
+    if (edge.fetch) {
+      refresh(*edge.fetch);
+      wake(channels_[*edge.fetch].issuer);  // consumer may fetch now
     }
   }
   for (EdgeId e : graph_.in_edges(tid)) {
     EdgeState& edge = edges_[e];
     edge.consumed = i + 1;  // instances <= i are no longer needed
-    if (edge.remote) refresh(edge.dst, edge.fetch_channel);
+    if (edge.fetch) refresh(*edge.fetch);
   }
-  advance_done_counter(i);
+  if (out_edges.empty()) advance_done_counter(i);
   maybe_snapshot(tid);
 }
 
@@ -917,16 +888,18 @@ void Simulator::record(obs::TraceEvent ev, double start_tick) {
 }
 
 void Simulator::advance_done_counter(std::int64_t completed_instance) {
-  // Only tasks crossing the current frontier move the done counter.
+  // Only sinks crossing the current frontier move the done counter.  Every
+  // task reaches a sink, and no sink starts an instance before all its
+  // ancestors finish it, so the last task to finish an instance is a sink
+  // (the rule of the host runtime's CompletionFrontier).
   if (completed_instance != done_count_) return;
-  --tasks_at_done_;
-  while (tasks_at_done_ == 0) {
+  --sinks_at_done_;
+  while (sinks_at_done_ == 0) {
     completion_ticks_[done_count_] = engine_.now();
     ++done_count_;
     if (done_count_ >= stream_len()) return;
-    tasks_at_done_ = 0;
-    for (const TaskState& t : tasks_) {
-      if (t.next_instance == done_count_) ++tasks_at_done_;
+    for (const TaskId t : sinks_) {
+      if (tasks_[t].next_instance == done_count_) ++sinks_at_done_;
     }
   }
 }
@@ -1003,14 +976,12 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
   // Control-flow context: we are inside `completing`'s finish event; the
   // task id determines the PE whose step() runs next.
   push_i(static_cast<std::int64_t>(completing));
-  push_i(tasks_at_done_);
+  push_i(sinks_at_done_);
 
-  // Advancing counters are encoded relative to the done counter (their
-  // offsets recur in the steady state), pinned ones absolutely.
+  // Progress counters are encoded relative to the done counter (their
+  // offsets recur in the steady state).
   visit_progress(Overloaded{
-      [&](std::int64_t v, Progress p) {
-        push_i(p == Progress::kAdvancing ? v - d : v);
-      },
+      [&](std::int64_t v) { push_i(v - d); },
       [&](const LandingSet& landed) {
         push_i(static_cast<std::int64_t>(landed.size()));
         landed.for_each([&](std::int64_t v) { push_i(v - d); });
@@ -1063,8 +1034,7 @@ bool Simulator::build_signature(std::vector<std::uint64_t>& sig,
           known = false;
           return;
         }
-        push((static_cast<std::uint64_t>(tag->channel.kind) << 32) |
-             tag->channel.index);
+        push(channels_[tag->channel].identity());
         push_i(tag->inst - d);
         // A DMA's issue tick shows only in its trace event, where it
         // opens the queue window: a traced state includes it.
@@ -1100,12 +1070,9 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   // memory-stream lookahead as margin, so the post-jump run re-enters
   // ordinary (still periodic) simulation well before the drain begins.
   const std::int64_t margin = cycle_d + max_peek_ + 1 + kMemoryStreamDepth + 1;
-  std::int64_t lead = 0;  // the furthest advancing counter
-  visit_progress(Overloaded{
-      [&](std::int64_t v, Progress p) {
-        if (p == Progress::kAdvancing) lead = std::max(lead, v);
-      },
-      [](const LandingSet&) {}});
+  std::int64_t lead = 0;  // the furthest progress counter
+  visit_progress(Overloaded{[&](std::int64_t v) { lead = std::max(lead, v); },
+                            [](const LandingSet&) {}});
   const std::int64_t k = (stream_len() - margin - lead) / cycle_d;
   if (k <= 0) {  // stream too short for a safe jump
     stop_detection();
@@ -1116,13 +1083,9 @@ void Simulator::engage_fast_forward(const Snapshot& snap) {
   const double shift = static_cast<double>(k) * cycle_t;
   engine_.shift_time(shift);
   net_.on_time_shift(shift);
-  // Translate exactly the counters the signature encodes done-relative;
-  // pinned ones stay put, as they would in the full run.
-  visit_progress(Overloaded{
-      [&](std::int64_t& v, Progress p) {
-        if (p == Progress::kAdvancing) v += skipped;
-      },
-      [&](LandingSet& landed) { landed.shift(skipped); }});
+  // Translate exactly the counters the signature encodes done-relative.
+  visit_progress(Overloaded{[&](std::int64_t& v) { v += skipped; },
+                            [&](LandingSet& landed) { landed.shift(skipped); }});
   for (PeId pe = 0; pe < pes_.size(); ++pe) {
     const std::uint64_t per_cycle =
         pes_[pe].issue_attempts - snap.attempts[pe];
@@ -1210,26 +1173,28 @@ SimResult Simulator::run() {
     c.tasks_executed += static_cast<std::uint64_t>(ts.next_instance);
     c.compute_seconds += executed * ts.work;
     c.overhead_seconds += executed * opt_.dispatch_overhead;
-    if (ts.read_bytes > 0.0) {
-      c.bytes_in += static_cast<double>(ts.read.landed()) * ts.read_bytes;
-      c.transfers_issued += static_cast<std::uint64_t>(ts.read.issued);
+    if (ts.read) {
+      const Channel& ch = channels_[*ts.read];
+      c.bytes_in += static_cast<double>(ch.stream.landed()) * ch.bytes;
+      c.transfers_issued += static_cast<std::uint64_t>(ch.stream.issued);
     }
-    if (ts.write_bytes > 0.0) {
-      c.bytes_out += static_cast<double>(ts.write.landed()) * ts.write_bytes;
-      c.transfers_issued += static_cast<std::uint64_t>(ts.write.issued);
+    if (ts.write) {
+      const Channel& ch = channels_[*ts.write];
+      c.bytes_out += static_cast<double>(ch.stream.landed()) * ch.bytes;
+      c.transfers_issued += static_cast<std::uint64_t>(ch.stream.issued);
     }
   }
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    const EdgeState& es = edges_[e];
-    if (!es.remote) continue;
+  for (const EdgeState& es : edges_) {
+    if (!es.fetch) continue;
     // Interface accounting: a remote edge crosses the producer's out
     // interface and the consumer's in interface (constraints 1e/1f);
     // bytes count per completed landing, frontier-contiguous or not.
-    const double landed = static_cast<double>(es.fetch.landed());
-    counters.pe[es.src].bytes_out += landed * es.bytes;
-    counters.pe[es.dst].bytes_in += landed * es.bytes;
-    counters.pe[es.dst].transfers_issued +=
-        static_cast<std::uint64_t>(es.fetch.issued);
+    const Channel& ch = channels_[*es.fetch];
+    const double landed = static_cast<double>(ch.stream.landed());
+    counters.pe[ch.event.src_pe].bytes_out += landed * ch.bytes;
+    counters.pe[ch.issuer].bytes_in += landed * ch.bytes;
+    counters.pe[ch.issuer].transfers_issued +=
+        static_cast<std::uint64_t>(ch.stream.issued);
   }
   for (PeId pe = 0; pe < platform_.pe_count(); ++pe) {
     const PeState& p = pes_[pe];
@@ -1254,8 +1219,7 @@ SimResult Simulator::run() {
   result.edge_delivered.resize(graph_.edge_count());
   for (EdgeId e = 0; e < graph_.edge_count(); ++e) {
     result.edge_produced[e] = edges_[e].produced;
-    result.edge_delivered[e] =
-        edges_[e].remote ? edges_[e].fetch.frontier : edges_[e].produced;
+    result.edge_delivered[e] = delivered(edges_[e]);
   }
   result.fast_forward = ff_info_;
   return result;

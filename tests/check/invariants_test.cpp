@@ -651,7 +651,7 @@ TEST(DegradedMapping, FlagsTasksLeftOnAFailedPe) {
   const sim::SimResult run = sim::simulate(ss, mapping, options);
 
   EXPECT_TRUE(has_invariant(
-      check_degraded_mapping(ss, mapping, {1}, run.counters),
+      check_degraded_mapping(ss, mapping, 1, run.counters),
       "degraded-mapping"));
 }
 
@@ -665,7 +665,7 @@ TEST(DegradedMapping, AcceptsAMappingThatEvacuatedTheFailedPe) {
   options.instances = 30;
   const sim::SimResult run = sim::simulate(ss, post, options);
 
-  EXPECT_TRUE(check_degraded_mapping(ss, post, {1}, run.counters).empty());
+  EXPECT_TRUE(check_degraded_mapping(ss, post, 1, run.counters).empty());
 }
 
 TEST(Occupation, FlagsQueuePeaksAboveHardwareDepth) {

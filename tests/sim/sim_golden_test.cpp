@@ -146,10 +146,12 @@ std::uint64_t traced_hash(const TaskGraph& graph, SimResult r) {
 
 /// The stitched result with the stitched trace, every phase, and what the
 /// coordinator decided.  A phase whose plan's only fault is the fail-stop
-/// fast-forwards; like traced_hash, every phase hashes with the
-/// diagnostics a run reported when failover phases never skipped ahead.
+/// fast-forwards; like traced_hash, every phase and the stitched result
+/// hash with the diagnostics a run reported when failover phases never
+/// skipped ahead.
 std::uint64_t failover_hash(const TaskGraph& graph,
                             fault::FailoverOutcome outcome) {
+  outcome.result.fast_forward = FastForwardInfo{};
   for (SimResult& phase : outcome.phases) phase.fast_forward = FastForwardInfo{};
   Hash h;
   add_result(h, graph, outcome.result, fault::stitched_trace(outcome));
@@ -355,6 +357,9 @@ TEST(SimGolden, FailoverRuns) {
     }
     EXPECT_EQ(outcome.phases[0].fast_forward.skipped_instances, 139);
     EXPECT_EQ(outcome.phases[1].fast_forward.skipped_instances, 239);
+    // The stitched result reports both phases' skipping.
+    EXPECT_TRUE(outcome.result.fast_forward.engaged);
+    EXPECT_EQ(outcome.result.fast_forward.skipped_instances, 139 + 239);
     expect_hash(failover_hash(analysis.graph(), outcome), goldens[0],
                 "worked example");
   }
